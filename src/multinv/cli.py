@@ -205,6 +205,7 @@ def cmd_compare(args) -> int:
         "runs": cfg.runs, "seed": cfg.seed, "crn": cfg.crn,
         "horizon_override": cfg.horizon_override, "threads": cfg.threads,
         "balancing_variant": args.balancing_variant,
+        "den_exact": report.den_exact, "den_reason": report.den_reason,
     })
     if args.gnuplot:
         (out / "heatmap.gp").write_text(_gnuplot_script(problem))

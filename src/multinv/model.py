@@ -186,23 +186,28 @@ def demand_pmf(d: DemandModel, i: int):
             np.asarray(g.probs, dtype=float)[order])
 
 
-def transform_uniform_draws(d: DemandModel, raw: np.ndarray) -> np.ndarray:
+def transform_uniform_draws(d: DemandModel, raw: np.ndarray,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Map uniform [0,1) draws of shape (..., M) onto demand values.
 
     This is the single place raw randomness becomes demand, so scalar and
     batch simulation paths consume streams identically: one uniform per
-    location per period, period-major.
+    location per period, period-major.  ``out`` may be ``raw`` itself,
+    which transforms a whole block of runs in place.
     """
-    out = np.empty_like(raw, dtype=float)
+    if out is None:
+        out = np.empty_like(raw, dtype=float)
     for i, g in enumerate(d.marginals):
         u = raw[..., i]
+        col = out[..., i]
         if isinstance(g, DiscreteMarginal):
             values, probs = demand_pmf(d, i)
             cum = np.cumsum(probs)
             cum[-1] = 1.0
-            out[..., i] = values[np.searchsorted(cum, u, side="right")]
+            col[...] = values[np.searchsorted(cum, u, side="right")]
         else:
-            out[..., i] = g.lo + u * (g.hi - g.lo)
+            np.multiply(u, g.hi - g.lo, out=col)
+            col += g.lo
     return out
 
 
@@ -210,12 +215,6 @@ def sample_demand(d: DemandModel, k: int, stream: np.random.Generator) -> np.nda
     """One period's demand vector.  ``k`` is accepted for interface
     symmetry; demand is i.i.d. across periods."""
     return transform_uniform_draws(d, stream.random(d.m))
-
-
-def sample_demand_block(d: DemandModel, periods: int,
-                        stream: np.random.Generator) -> np.ndarray:
-    """Demand for ``periods`` consecutive periods, shape (periods, M)."""
-    return transform_uniform_draws(d, stream.random((periods, d.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +447,22 @@ def validate_problem(problem: Problem, dp: bool = False):
         if abs(s - round(s)) > GRID_ALIGN_TOL:
             errors.append("max_order_per_location: must be a multiple of grid.step")
     if dp:
-        if not problem.demand.is_discrete:
-            errors.append("demand: exact DP requires discrete demand")
-        else:
-            for i, g in enumerate(problem.demand.marginals):
-                for v in g.values:
-                    s = v / problem.grid.step
-                    if abs(s - round(s)) > GRID_ALIGN_TOL:
-                        errors.append(
-                            f"demand[{i}]: value {v} is off-grid for step {problem.grid.step}")
+        errors.extend(dp_demand_errors(problem))
+    return errors
+
+
+def dp_demand_errors(problem: Problem):
+    """Why the demand model rules out exact dynamic programming: it must
+    be discrete with values that are whole numbers of grid steps."""
+    if not problem.demand.is_discrete:
+        return ["demand: exact DP requires discrete demand"]
+    errors = []
+    for i, g in enumerate(problem.demand.marginals):
+        for v in g.values:
+            s = v / problem.grid.step
+            if abs(s - round(s)) > GRID_ALIGN_TOL:
+                errors.append(
+                    f"demand[{i}]: value {v} is off-grid for step {problem.grid.step}")
     return errors
 
 

@@ -27,6 +27,12 @@ from .model import (Problem, linear_cost, affine_cost,
 logger = logging.getLogger(__name__)
 
 
+class GridTabulationError(ValueError):
+    """A deterministic policy has no order table on the problem's grid:
+    its orders leave the grid, or its stored table belongs to another
+    grid or horizon.  Exact evaluation is undefined; Monte Carlo is not."""
+
+
 class Policy:
     """Base class; see the module docstring for the action contract."""
 
@@ -63,8 +69,8 @@ class Policy:
             steps = orders / grid.step
             rounded = np.rint(steps).astype(np.int32)
             if np.max(np.abs(steps - rounded)) > 1e-9:
-                raise ValueError(f"{self.kind} policy orders leave the grid; "
-                                 "exact evaluation is undefined")
+                raise GridTabulationError(f"{self.kind} policy orders leave the grid; "
+                                          "exact evaluation is undefined")
             table[k] = rounded.reshape((n,) * m + (m,))
         return table
 
@@ -168,7 +174,7 @@ class TabularGridPolicy(Policy):
         table = self.table.orders
         expected = (problem.periods,) + (problem.grid.count,) * problem.m + (problem.m,)
         if table.shape != expected:
-            raise ValueError("tabular policy does not match the problem's grid/horizon")
+            raise GridTabulationError("tabular policy does not match the problem's grid/horizon")
         return table
 
     def to_config(self):

@@ -12,6 +12,13 @@ randomness stays policy-specific:
 
 * ``demand``  -- the demand sample path of a run,
 * ``policy``  -- randomness consumed by randomized policies.
+
+``demand_stream``/``policy_stream`` hand out one run's stream as a
+fresh ``Generator``.  The batched estimators draw the very same numbers
+through ``fill_streams``: the keys of a whole block of runs are derived
+in one pass, and a single Philox generator is re-keyed (counter reset
+to zero) for each run, so every row equals what that run's own
+``Generator`` would produce.
 """
 
 from __future__ import annotations
@@ -22,17 +29,39 @@ import numpy as np
 
 CRN_TAG = "__crn__"
 
+_ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
+
+
+def _key_bytes(parts) -> bytes:
+    """The 16 key bytes of ``parts``: the single definition of a key."""
+    text = "|".join(repr(p) for p in parts)
+    return hashlib.sha256(text.encode("utf-8")).digest()[:16]
+
 
 def derive_key(*parts) -> np.ndarray:
     """Hash arbitrary parts into a 128-bit Philox key (two uint64 words)."""
-    text = "|".join(repr(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return np.frombuffer(digest[:16], dtype=np.uint64).copy()
+    return np.frombuffer(_key_bytes(parts), dtype=np.uint64).copy()
+
+
+def derive_keys(parts_rows) -> np.ndarray:
+    """Keys of many part tuples at once, shape (rows, 2); row r equals
+    ``derive_key(*parts_rows[r])``."""
+    digests = b"".join(_key_bytes(parts) for parts in parts_rows)
+    return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2)
 
 
 def stream(*parts) -> np.random.Generator:
     """A fresh Generator whose state is a pure function of ``parts``."""
     return np.random.Generator(np.random.Philox(key=derive_key(*parts)))
+
+
+def _demand_parts(master_seed, state_index, run_index, policy_tag, crn):
+    tag = CRN_TAG if crn else policy_tag
+    return (master_seed, "demand", state_index, run_index, tag)
+
+
+def _policy_parts(master_seed, state_index, run_index, policy_tag):
+    return (master_seed, "policy", state_index, run_index, policy_tag)
 
 
 def demand_stream(master_seed: int, state_index: int, run_index: int,
@@ -42,11 +71,45 @@ def demand_stream(master_seed: int, state_index: int, run_index: int,
     With common random numbers on, the policy tag is replaced by a
     shared constant so competing policies see identical sample paths.
     """
-    tag = CRN_TAG if crn else policy_tag
-    return stream(master_seed, "demand", state_index, run_index, tag)
+    return stream(*_demand_parts(master_seed, state_index, run_index, policy_tag, crn))
 
 
 def policy_stream(master_seed: int, state_index: int, run_index: int,
                   policy_tag: str) -> np.random.Generator:
     """Policy-randomness stream of one run (never shared across policies)."""
-    return stream(master_seed, "policy", state_index, run_index, policy_tag)
+    return stream(*_policy_parts(master_seed, state_index, run_index, policy_tag))
+
+
+def demand_keys(master_seed: int, states: range, runs: int, policy_tag: str,
+                crn: bool) -> np.ndarray:
+    """Keys of the demand streams of ``runs`` runs for each state index in
+    ``states``, state-major, shape (len(states) * runs, 2)."""
+    return derive_keys(_demand_parts(master_seed, s, r, policy_tag, crn)
+                       for s in states for r in range(runs))
+
+
+def policy_keys(master_seed: int, states: range, runs: int,
+                policy_tag: str) -> np.ndarray:
+    """Keys of the policy streams, laid out like ``demand_keys``."""
+    return derive_keys(_policy_parts(master_seed, s, r, policy_tag)
+                       for s in states for r in range(runs))
+
+
+def fill_streams(out: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Fill ``out[r]`` with the first uniforms of the stream keyed by
+    ``keys[r]``: row r equals ``Generator(Philox(key=keys[r])).random(
+    out.shape[1:])``.  One generator is re-keyed per row, so a call is
+    safe to run alongside others on different threads."""
+    if out.shape[0] != keys.shape[0]:
+        raise ValueError("need one key per output row")
+    bits = np.random.Philox()
+    gen = np.random.Generator(bits)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": _ZERO_BLOCK, "key": None},
+             "buffer": _ZERO_BLOCK, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for row, key in zip(out, keys):
+        state["state"]["key"] = key
+        bits.state = state
+        gen.random(out=row)
+    return out

@@ -5,7 +5,9 @@ holding/backlog is charged on the pre-clamp level x + u - w, then the
 next state clamps into the grid box.  Every (initial state, run) pair
 owns purely derived random streams (see rng), so reports are
 bit-identical regardless of worker count or which other policies were
-estimated in the same session.
+estimated in the same session.  Each run's stream is the same as if
+drawn from its own generator; a chunk of runs is drawn by re-keying one
+Philox generator per chunk, and its demand is transformed in one call.
 
 One batched stepper serves scalar simulation (batch of one) and the
 full-grid estimators, so both consume randomness identically: demand is
@@ -25,8 +27,8 @@ import numpy as np
 
 from . import dp as dp_mod
 from . import rng as rng_mod
-from .model import Finite, Problem, transform_uniform_draws
-from .policies import Policy
+from .model import Finite, Problem, dp_demand_errors, transform_uniform_draws
+from .policies import GridTabulationError, Policy
 
 
 @dataclass(frozen=True)
@@ -111,20 +113,24 @@ def simulate_run(problem: Problem, policy: Policy, x0,
     return float(out[0])
 
 
-def _gather_run_arrays(problem: Problem, policy: Policy, state_index: int,
-                       cfg: SimConfig):
-    """Demand (and policy-uniform) tensors for all runs of one initial
-    state, each run from its own derived stream."""
-    periods = problem.periods
-    demand = np.empty((cfg.runs, periods, problem.m))
-    uniforms = np.empty((cfg.runs, periods, problem.m)) if policy.uses_randomness else None
-    for run in range(cfg.runs):
-        ds = rng_mod.demand_stream(cfg.seed, state_index, run, policy.tag, cfg.crn)
-        demand[run] = transform_uniform_draws(problem.demand,
-                                              ds.random((periods, problem.m)))
-        if uniforms is not None:
-            ps = rng_mod.policy_stream(cfg.seed, state_index, run, policy.tag)
-            uniforms[run] = ps.random((periods, problem.m))
+def _draw_runs(problem: Problem, policy: Policy, cfg: SimConfig, states: range):
+    """Demand (and policy-uniform) tensors of cfg.runs runs for each
+    initial-state index in ``states``, state-major, shape (rows, T, M).
+
+    Row (s - states.start) * cfg.runs + run holds exactly the draws of
+    that run's own streams (``rng.demand_stream``/``rng.policy_stream``);
+    the keys of the block are derived in one pass and the uniforms are
+    transformed into demand in place with one call.
+    """
+    tag = policy.tag
+    shape = (len(states) * cfg.runs, problem.periods, problem.m)
+    demand = rng_mod.fill_streams(
+        np.empty(shape), rng_mod.demand_keys(cfg.seed, states, cfg.runs, tag, cfg.crn))
+    transform_uniform_draws(problem.demand, demand, out=demand)
+    uniforms = None
+    if policy.uses_randomness:
+        uniforms = rng_mod.fill_streams(
+            np.empty(shape), rng_mod.policy_keys(cfg.seed, states, cfg.runs, tag))
     return demand, uniforms
 
 
@@ -137,7 +143,8 @@ def estimate_cost(problem: Problem, policy: Policy, x0, cfg: SimConfig,
     """
     cfg.check()
     problem = _with_horizon(problem, cfg)
-    demand, uniforms = _gather_run_arrays(problem, policy, state_index, cfg)
+    demand, uniforms = _draw_runs(problem, policy, cfg,
+                                  range(state_index, state_index + 1))
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.runs, problem.m))
     out = _simulate_batch(problem, policy, x0, demand, uniforms,
                           collect_orders=collect_orders)
@@ -166,6 +173,7 @@ class RatioReport:
     config: SimConfig
     den_exact: bool
     runtime_s: float = 0.0
+    den_reason: str = ""     # why the denominator is not exact
 
     @property
     def mean_ratio(self) -> float:
@@ -199,7 +207,8 @@ class RatioReport:
     def summary_text(self) -> str:
         lines = [
             f"numerator:   {self.num_tag}",
-            f"denominator: {self.den_tag}" + (" (exact evaluation)" if self.den_exact else ""),
+            f"denominator: {self.den_tag}" + (" (exact evaluation)" if self.den_exact
+                                              else f" (Monte Carlo: {self.den_reason})"),
             f"mean_ratio:  {self.mean_ratio!r}",
             f"max_ratio:   {self.max_ratio!r}",
             f"argmax_state: {self.argmax_state}",
@@ -235,24 +244,12 @@ def _estimate_over_states(problem: Problem, policy: Policy, states: np.ndarray,
     n_states = states.shape[0]
     means = np.empty(n_states)
     ses = np.empty(n_states)
-    periods = problem.periods
     per_chunk = max(1, _CHUNK_SIMS // cfg.runs)
     spans = [(a, min(a + per_chunk, n_states)) for a in range(0, n_states, per_chunk)]
 
     def work(span):
         j0, j1 = span
-        count = (j1 - j0) * cfg.runs
-        demand = np.empty((count, periods, problem.m))
-        uniforms = np.empty((count, periods, problem.m)) if policy.uses_randomness else None
-        for sj in range(j0, j1):
-            for run in range(cfg.runs):
-                row = (sj - j0) * cfg.runs + run
-                ds = rng_mod.demand_stream(cfg.seed, sj, run, policy.tag, cfg.crn)
-                demand[row] = transform_uniform_draws(
-                    problem.demand, ds.random((periods, problem.m)))
-                if uniforms is not None:
-                    ps = rng_mod.policy_stream(cfg.seed, sj, run, policy.tag)
-                    uniforms[row] = ps.random((periods, problem.m))
+        demand, uniforms = _draw_runs(problem, policy, cfg, range(j0, j1))
         x0 = np.repeat(states[j0:j1], cfg.runs, axis=0)
         costs = _simulate_batch(problem, policy, x0, demand, uniforms)
         per_state = costs.reshape(j1 - j0, cfg.runs)
@@ -271,12 +268,33 @@ def _estimate_over_states(problem: Problem, policy: Policy, states: np.ndarray,
     return means, ses
 
 
-def _try_exact(problem: Problem, policy: Policy):
-    """Exact per-state cost for deterministic grid policies, else None."""
+def exact_ineligibility(problem: Problem, policy: Policy) -> str | None:
+    """Why exact evaluation cannot give the policy's per-state cost on this
+    problem, or None when it can (up to a policy whose orders turn out to
+    leave the grid, which ``Policy.tabulate`` reports)."""
+    if policy.uses_randomness:
+        return "randomized policy"
+    if not isinstance(problem.horizon, Finite):
+        return "infinite horizon"
+    errors = dp_demand_errors(problem)
+    if errors:
+        return errors[0]
+    if problem.grid.count ** problem.m > dp_mod.MAX_JOINT_STATES:
+        return "joint grid too large for exact evaluation"
+    return None
+
+
+def _exact_costs(problem: Problem, policy: Policy):
+    """(exact per-state cost table or None, reason when None).  Only a
+    policy without an order table on the grid falls back; any other
+    error of exact evaluation propagates."""
+    reason = exact_ineligibility(problem, policy)
+    if reason is not None:
+        return None, reason
     try:
-        return dp_mod.evaluate_policy_exact(problem, policy)
-    except (ValueError, TypeError):
-        return None
+        return dp_mod.evaluate_policy_exact(problem, policy), ""
+    except GridTabulationError as exc:
+        return None, str(exc)
 
 
 def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
@@ -285,8 +303,10 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
 
     The numerator is always estimated by Monte Carlo.  The denominator
     uses exact forward evaluation when the policy admits it (zero
-    variance, e.g. the DP-optimal tabular policy); otherwise it is
-    estimated on its own derived streams.  Ratios are ratios of mean
+    variance, e.g. the DP-optimal tabular policy; see
+    ``exact_ineligibility``); otherwise it is estimated on its own derived
+    streams and the report records why.  Errors raised inside exact
+    evaluation propagate; they never turn into a Monte Carlo estimate.  Ratios are ratios of mean
     costs, not means of per-run ratios.
     """
     cfg.check()
@@ -303,9 +323,9 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
             mean_den=mean_num.copy(), se_den=se_num.copy(),
             ratio=np.ones_like(mean_num), num_tag=policy_num.tag,
             den_tag=policy_den.tag, config=cfg, den_exact=False,
-            runtime_s=time.perf_counter() - t0)
+            runtime_s=time.perf_counter() - t0, den_reason="same policy")
 
-    exact = _try_exact(problem, policy_den)
+    exact, den_reason = _exact_costs(problem, policy_den)
     if exact is not None:
         idx = tuple(np.rint((states[:, i] - problem.grid.lo) / problem.grid.step).astype(int)
                     for i in range(problem.m))
@@ -320,7 +340,8 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
         states=states, mean_num=mean_num, se_num=se_num,
         mean_den=mean_den, se_den=se_den, ratio=mean_num / mean_den,
         num_tag=policy_num.tag, den_tag=policy_den.tag, config=cfg,
-        den_exact=den_exact, runtime_s=time.perf_counter() - t0)
+        den_exact=den_exact, runtime_s=time.perf_counter() - t0,
+        den_reason=den_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +387,19 @@ def verify_cost_transformation(problem: Problem, policy: Policy, m_slope: float,
     per_period_demand = sum(problem.demand.mean(i) for i in range(problem.m))
     demand_term = m_slope * per_period_demand
 
-    if not policy.uses_randomness:
-        try:
-            lhs = dp_mod.evaluate_policy_exact(problem, policy)
-            rhs = dp_mod.evaluate_policy_exact(hat, policy)
-            orders = dp_mod.expected_total_orders(problem, policy)
-            periods = problem.horizon.periods
-            formula_gap = lhs - (rhs + demand_term)
-            accounting_gap = lhs - rhs - m_slope * orders / periods
-            return {
-                "mode": "exact",
-                "demand_term": demand_term,
-                "max_abs_formula_gap": float(np.max(np.abs(formula_gap))),
-                "max_abs_accounting_gap": float(np.max(np.abs(accounting_gap))),
-            }
-        except ValueError:
-            pass  # fall through to Monte Carlo for non-grid policies
+    lhs, _ = _exact_costs(problem, policy)
+    if lhs is not None:
+        rhs = dp_mod.evaluate_policy_exact(hat, policy)
+        orders = dp_mod.expected_total_orders(problem, policy)
+        periods = problem.horizon.periods
+        formula_gap = lhs - (rhs + demand_term)
+        accounting_gap = lhs - rhs - m_slope * orders / periods
+        return {
+            "mode": "exact",
+            "demand_term": demand_term,
+            "max_abs_formula_gap": float(np.max(np.abs(formula_gap))),
+            "max_abs_accounting_gap": float(np.max(np.abs(accounting_gap))),
+        }
 
     cfg = cfg or SimConfig(runs=200, seed=0, crn=True)
     cfg = replace(cfg, crn=True)

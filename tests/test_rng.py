@@ -1,0 +1,143 @@
+"""Batched stream fills against the per-run reference streams.
+
+``rng.demand_stream``/``rng.policy_stream`` define what each run draws;
+the estimators fill whole blocks of runs by re-keying one Philox
+generator.  Every row of a block must equal its run's own stream.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import multinv as mi
+from multinv import rng
+from multinv.model import (DemandModel, DiscreteMarginal, UniformMarginal,
+                           transform_uniform_draws)
+from multinv.sim import SimConfig, _draw_runs
+
+
+def reference_uniforms(seed, states, runs, tag, crn, shape, purpose):
+    rows = []
+    for s in states:
+        for run in range(runs):
+            if purpose == "demand":
+                gen = rng.demand_stream(seed, s, run, tag, crn)
+            else:
+                gen = rng.policy_stream(seed, s, run, tag)
+            rows.append(gen.random(shape))
+    return np.stack(rows)
+
+
+def filled(seed, states, runs, tag, crn, shape, purpose):
+    if purpose == "demand":
+        keys = rng.demand_keys(seed, states, runs, tag, crn)
+    else:
+        keys = rng.policy_keys(seed, states, runs, tag)
+    return rng.fill_streams(np.empty((len(keys),) + shape), keys)
+
+
+class TestKeys:
+    def test_batched_keys_equal_single_keys(self):
+        parts = [(3, "demand", s, r, "t") for s in range(4) for r in range(3)]
+        keys = rng.derive_keys(parts)
+        assert keys.shape == (12, 2) and keys.dtype == np.uint64
+        for row, p in zip(keys, parts):
+            assert np.array_equal(row, rng.derive_key(*p))
+
+    def test_crn_keys_ignore_the_tag(self):
+        a = rng.demand_keys(5, range(2), 3, "a", crn=True)
+        b = rng.demand_keys(5, range(2), 3, "b", crn=True)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, rng.demand_keys(5, range(2), 3, "a", crn=False))
+
+
+class TestFillStreams:
+    @pytest.mark.parametrize("crn", [False, True])
+    def test_chunk_over_several_states(self, crn):
+        shape = (6, 2)
+        got = filled(11, range(3, 7), 5, "base_stock:abc", crn, shape, "demand")
+        ref = reference_uniforms(11, range(3, 7), 5, "base_stock:abc", crn, shape, "demand")
+        assert np.array_equal(got, ref)
+
+    def test_policy_streams(self):
+        shape = (4, 3)
+        got = filled(2, range(0, 3), 4, "balancing:x", False, shape, "policy")
+        ref = reference_uniforms(2, range(0, 3), 4, "balancing:x", False, shape, "policy")
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 1), (5, 3), (7,)])
+    def test_block_sizes_off_the_philox_buffer(self, shape):
+        # Philox yields 4 words per counter block; a row that ends inside
+        # a block must not leak its leftover words into the next row
+        got = filled(0, range(2), 3, "t", False, shape, "demand")
+        ref = reference_uniforms(0, range(2), 3, "t", False, shape, "demand")
+        assert np.array_equal(got, ref)
+
+    def test_rejects_key_count_mismatch(self):
+        with pytest.raises(ValueError):
+            rng.fill_streams(np.empty((3, 2)), rng.derive_keys([(1,), (2,)]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63 - 1),
+           tag=st.text(max_size=12),
+           first=st.integers(0, 10_000),
+           n_states=st.integers(1, 3),
+           runs=st.integers(1, 4),
+           periods=st.integers(1, 9),
+           m=st.integers(1, 3),
+           crn=st.booleans(),
+           purpose=st.sampled_from(["demand", "policy"]))
+    def test_property_rows_equal_reference_streams(self, seed, tag, first, n_states,
+                                                   runs, periods, m, crn, purpose):
+        states = range(first, first + n_states)
+        got = filled(seed, states, runs, tag, crn, (periods, m), purpose)
+        ref = reference_uniforms(seed, states, runs, tag, crn, (periods, m), purpose)
+        assert np.array_equal(got, ref)
+
+
+def mixed_demand_problem():
+    p = mi.instances.build("fig1_linear")
+    return replace(p, demand=DemandModel(marginals=(
+        DiscreteMarginal((0.0, 1.0, 2.0), (0.2, 0.5, 0.3)),
+        UniformMarginal(0.25, 1.75))))
+
+
+class TestDrawRuns:
+    @pytest.mark.parametrize("crn", [False, True])
+    def test_rows_equal_per_run_streams(self, crn):
+        p = mixed_demand_problem()
+        policy = mi.make_balancing_policy(p, K=2.0)
+        assert policy.uses_randomness
+        cfg = SimConfig(runs=3, seed=17, crn=crn)
+        demand, uniforms = _draw_runs(p, policy, cfg, range(4, 7))
+        shape = (p.periods, p.m)
+        for row, (s, run) in enumerate((s, r) for s in range(4, 7) for r in range(3)):
+            raw = rng.demand_stream(17, s, run, policy.tag, crn).random(shape)
+            assert np.array_equal(demand[row], transform_uniform_draws(p.demand, raw))
+            pol = rng.policy_stream(17, s, run, policy.tag).random(shape)
+            assert np.array_equal(uniforms[row], pol)
+
+    def test_deterministic_policy_draws_no_uniforms(self):
+        p = mixed_demand_problem()
+        _, uniforms = _draw_runs(p, mi.BaseStockPolicy(np.zeros(2)),
+                                 SimConfig(runs=2), range(1))
+        assert uniforms is None
+
+
+class TestTransformInPlace:
+    def test_in_place_equals_fresh_output(self):
+        p = mixed_demand_problem()
+        raw = np.random.default_rng(0).random((6, 5, 2))
+        fresh = transform_uniform_draws(p.demand, raw)
+        block = raw.copy()
+        assert transform_uniform_draws(p.demand, block, out=block) is block
+        assert np.array_equal(block, fresh)
+
+    def test_continuous_values_match_the_affine_map(self):
+        d = DemandModel(marginals=(UniformMarginal(0.3, 2.9),))
+        raw = np.random.default_rng(1).random((50, 1))
+        assert np.array_equal(transform_uniform_draws(d, raw),
+                              0.3 + raw * (2.9 - 0.3))

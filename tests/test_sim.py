@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 import multinv as mi
-from multinv.model import DemandModel, DiscreteMarginal
-from multinv.sim import (SimConfig, estimate_cost, ratio_heatmap,
+from multinv.model import (DemandModel, DiscreteMarginal, InfiniteAveraged,
+                           UniformMarginal)
+from multinv.policies import GridTabulationError
+from multinv.sim import (SimConfig, _draw_runs, _estimate_over_states,
+                         _grid_states, _simulate_batch, estimate_cost,
+                         exact_ineligibility, ratio_heatmap,
                          shift_ordering_slopes, simulate_run,
                          verify_cost_transformation)
 from multinv import rng
@@ -137,6 +141,79 @@ class TestRatioHeatmap:
                             mi.TabularGridPolicy(tab),
                             SimConfig(runs=10, seed=2, initial_states=states))
         assert rep.states.shape == (2, 2)
+
+
+class TestEstimateFold:
+    """estimate_cost at state_index j is row j of the grid estimator."""
+
+    @pytest.mark.parametrize("crn", [False, True])
+    def test_single_state_matches_heatmap_row(self, fig1, crn):
+        policy = mi.make_balancing_policy(fig1, K=2.0)
+        assert policy.uses_randomness
+        states = _grid_states(fig1)[::5]
+        cfg = SimConfig(runs=9, seed=21, crn=crn, initial_states=states)
+        mean_num, se_num = _estimate_over_states(fig1, policy, states, cfg)
+        block_d, block_u = _draw_runs(fig1, policy, cfg, range(len(states)))
+        rep = ratio_heatmap(fig1, policy, mi.make_pi_square(fig1, 2.0), cfg)
+        assert np.array_equal(rep.mean_num, mean_num)
+        for j in (0, 3, len(states) - 1):
+            rows = slice(j * cfg.runs, (j + 1) * cfg.runs)
+            d, u = _draw_runs(fig1, policy, cfg, range(j, j + 1))
+            assert np.array_equal(d, block_d[rows]) and np.array_equal(u, block_u[rows])
+            x0 = np.repeat(states[j:j + 1], cfg.runs, axis=0)
+            single = _simulate_batch(fig1, policy, x0, d, u)
+            block = _simulate_batch(fig1, policy, x0, block_d[rows], block_u[rows])
+            assert np.array_equal(single, block)
+            mean, se = estimate_cost(fig1, policy, states[j], cfg, state_index=j)
+            assert mean == pytest.approx(mean_num[j], rel=1e-12, abs=0.0)
+            assert se == pytest.approx(se_num[j], rel=1e-12, abs=0.0)
+
+
+class TestExactDenominator:
+    def test_exact_evaluation_errors_propagate(self, fig1, fig1_solved, monkeypatch):
+        _, tab = fig1_solved
+        optimal = mi.TabularGridPolicy(tab)
+        original = mi.dp.evaluate_policy_exact
+
+        def broken(problem, policy):
+            if policy is optimal:
+                raise ValueError("boom")
+            return original(problem, policy)
+
+        monkeypatch.setattr(mi.dp, "evaluate_policy_exact", broken)
+        with pytest.raises(ValueError, match="boom"):
+            ratio_heatmap(fig1, mi.make_pi_square(fig1, 2.0), optimal,
+                          SimConfig(runs=3, seed=1))
+
+    def test_randomized_denominator_falls_back_to_monte_carlo(self, fig1):
+        den = mi.make_balancing_policy(fig1, K=2.0)
+        rep = ratio_heatmap(fig1, mi.make_pi_square(fig1, 2.0), den,
+                            SimConfig(runs=4, seed=2))
+        assert not rep.den_exact
+        assert rep.den_reason == "randomized policy"
+        assert np.all(rep.se_den > 0.0)
+        assert "Monte Carlo: randomized policy" in rep.summary_text()
+
+    def test_off_grid_orders_fall_back_to_monte_carlo(self, fig1):
+        den = mi.BaseStockPolicy(np.array([0.5, 0.5]))
+        with pytest.raises(GridTabulationError):
+            den.tabulate(fig1)
+        rep = ratio_heatmap(fig1, mi.make_pi_square(fig1, 2.0), den,
+                            SimConfig(runs=4, seed=2))
+        assert not rep.den_exact
+        assert "leave the grid" in rep.den_reason
+
+    def test_ineligibility_reasons(self, fig1):
+        det = mi.make_pi_square(fig1, 2.0)
+        assert exact_ineligibility(fig1, det) is None
+        cont = replace(fig1, demand=DemandModel(
+            marginals=(UniformMarginal(0.0, 1.0),) * 2))
+        assert "discrete" in exact_ineligibility(cont, det)
+        off = replace(fig1, demand=DemandModel(
+            marginals=(DiscreteMarginal((0.5,), (1.0,)),) * 2))
+        assert "off-grid" in exact_ineligibility(off, det)
+        infinite = replace(fig1, horizon=InfiniteAveraged(sim_periods=5, burn_in=1))
+        assert exact_ineligibility(infinite, det) == "infinite horizon"
 
 
 class TestCommonRandomNumbers:
