@@ -25,8 +25,17 @@ Two readings of the holding proxy's demand term are supported:
   max{0, u - max{0, (w_k + ... + w_n) - x}} with the demand accumulated
   since the order was placed.
 
-Both count the remaining periods k..N-1.  EH is nondecreasing and EB
-nonincreasing in u, so all solves are bisections.
+Both count the remaining periods k..N-1.
+
+In the post-order level y = x + u the proxies are
+EH(u) = scale * (Phi(x+u) - Phi(x)) and EB(u) = b * Psi(max{0, x+u}),
+where Phi(t) = sum_j p_j (t - s_j)^+ over the holding proxy's demand
+atoms (s_j, p_j) and Psi(t) = E (w - t)^+ over one period's demand w.
+Both are convex and fixed for the stage: linear between the atoms and 0
+for discrete demand, quadratic between 0, lo and hi for uniform demand.
+One cached table per stage holds them at those knots (filled from prefix
+sums), so each solve is a search over the knots and one linear or
+quadratic root on the piece found, row by row in closed form.
 """
 
 from __future__ import annotations
@@ -57,7 +66,6 @@ class BalancingState:
     u_cap: float = np.inf
     variant: str = "printed"
     tol: float = 1e-9
-    max_iter: int = 200
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -101,95 +109,139 @@ def _partial_sum_atoms(values: tuple, probs: tuple, horizon: int):
     return out_vals, np.array([merged[v] for v in out_vals])
 
 
-def _holding_atoms(state: BalancingState, k: int):
-    """(values, probs, scale) with EH(u) = scale * sum_j probs_j *
-    max{0, u - max{0, values_j - x}}."""
+@dataclass(frozen=True)
+class _Pieces:
+    """A continuous piecewise-quadratic function of the post-order level:
+    f(t) = value[i] + d * (slope[i] + curv[i] * d) with d = t - knots[i]
+    on [knots[i], knots[i+1]).  The last piece extends to +inf; the first
+    also covers t < knots[0], so its slope and curvature must be 0."""
+
+    knots: np.ndarray
+    value: np.ndarray
+    slope: np.ndarray
+    curv: np.ndarray
+
+    def __post_init__(self):
+        # tables are cached and shared by every caller
+        for arr in (self.knots, self.value, self.slope, self.curv):
+            arr.setflags(write=False)
+
+    def _piece(self, t):
+        i = np.maximum(np.searchsorted(self.knots, t, side="right") - 1, 0)
+        return i, t - self.knots[i]
+
+    def __call__(self, t):
+        i, d = self._piece(t)
+        return self.value[i] + d * (self.slope[i] + self.curv[i] * d)
+
+    def rise(self, t, step):
+        """f(t + step) - f(t).  Within one piece this is step times the
+        mean slope, so that a proxy exactly at a threshold (say EH at the
+        cap equal to K) does not pick up the rounding of two large values."""
+        i, d = self._piece(t)
+        j, e = self._piece(t + step)
+        within = step * (self.slope[i] + self.curv[i] * (d + e))
+        across = (self.value[j] + e * (self.slope[j] + self.curv[j] * e)
+                  - self.value[i] - d * (self.slope[i] + self.curv[i] * d))
+        return np.where(i == j, within, across)
+
+    def __sub__(self, other):
+        return _Pieces(self.knots, self.value - other.value,
+                       self.slope - other.slope, self.curv - other.curv)
+
+    def leftmost(self, target):
+        """Smallest t with f(t) >= target, elementwise, for nondecreasing
+        f: -inf where the flat first piece already reaches the target,
+        +inf where f never does."""
+        i = np.searchsorted(self.value, target, side="left")
+        j = np.maximum(i - 1, 0)
+        gap = target - self.value[j]  # > 0 wherever i > 0
+        slope, curv = self.slope[j], self.curv[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # root of curv*d^2 + slope*d = gap, in the form that stays
+            # exact as curv -> 0 (gap / slope on linear pieces)
+            root = np.sqrt(np.maximum(slope * slope + 4.0 * curv * gap, 0.0))
+            d = 2.0 * gap / (slope + root)
+        return np.where(i == 0, -np.inf, self.knots[j] + d)
+
+
+@functools.lru_cache(maxsize=None)
+def _discrete_table(values: tuple, probs: tuple, variant: str, a: float,
+                    b: float, remaining: int):
+    """(hold, back, hold - back) for discrete demand: scale * Phi and
+    b * Psi(max{0, .}), linear between the holding atoms, the demand
+    atoms and 0.  ``values`` must be sorted."""
+    demand, weights = np.array(values), np.array(probs)
+    if variant == "printed":
+        atoms, mass, scale = demand, weights, a * remaining
+    else:
+        (atoms, mass), scale = _partial_sum_atoms(values, probs, remaining), a
+    # The pad knot -1 carries the flat left end: Phi = 0 and
+    # Psi(max{0, y}) = Psi(0) for y < 0 (all atoms are >= 0).
+    knots = np.array(sorted({-1.0, 0.0, *atoms, *values}))
+    step = np.diff(knots)
+    # holding weight at or below each knot; demand weight above it
+    below = np.concatenate(([0.0], np.cumsum(mass)))[
+        np.searchsorted(atoms, knots, side="right")]
+    above = np.concatenate((np.cumsum(weights[::-1])[::-1], [0.0]))[
+        np.searchsorted(demand, knots, side="right")]
+    phi = np.concatenate(([0.0], np.cumsum(below[:-1] * step)))
+    psi = np.concatenate((np.cumsum((above[:-1] * step)[::-1])[::-1], [0.0]))
+    psi[0], above[0] = psi[1], 0.0
+    flat = np.zeros_like(knots)
+    hold = _Pieces(knots, scale * phi, scale * below, flat)
+    back = _Pieces(knots, b * psi, -b * above, flat)
+    return hold, back, hold - back
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform_table(lo: float, hi: float, scale: float, b: float):
+    """(hold, back, hold - back) for U(lo, hi) demand, where Phi(t) is
+    (t - lo)^2 / 2(hi - lo) on [lo, hi] and t - mean above, and Psi(t) is
+    mean - t below lo and (hi - t)^2 / 2(hi - lo) on [lo, hi]."""
+    knots = np.array(sorted({-1.0, 0.0, lo, hi}))
+    past = knots >= hi
+    mean = 0.5 * (lo + hi)
+    curv = np.where(knots == lo, 0.5 / (hi - lo), 0.0)
+    hold = _Pieces(knots, scale * np.where(past, knots - mean, 0.0),
+                   scale * np.where(past, 1.0, 0.0), scale * curv)
+    back = _Pieces(knots, b * np.where(past, 0.0, mean - np.maximum(knots, 0.0)),
+                   b * np.where((knots >= 0.0) & ~past, -1.0, 0.0), b * curv)
+    return hold, back, hold - back
+
+
+def _table(state: BalancingState, k: int):
+    """(hold, back, balance) of stage k as functions of y = x + u, with
+    EH(u) = hold(x+u) - hold(x), EB(u) = back(x+u) and balance = hold -
+    back; cached under the stage's data."""
     remaining = state.periods - k
+    g = state.marginal
+    if isinstance(g, UniformMarginal):
+        if state.variant != "printed":
+            raise NotImplementedError("cumulative variant needs discrete demand")
+        return _uniform_table(float(g.lo), float(g.hi), state.a * remaining, state.b)
     values, probs = state._atoms()
-    if state.variant == "printed":
-        return values, probs, state.a * remaining
-    vals, ps = _partial_sum_atoms(tuple(values), tuple(probs), remaining)
-    return vals, ps, state.a
-
-
-def _eh_factory(state: BalancingState, k: int, x: np.ndarray):
-    """EH(.) at fixed (k, x) with per-state shortfall thresholds
-    precomputed; called many times during bisection."""
-    if isinstance(state.marginal, UniformMarginal):
-        return lambda u: _eh_uniform(state, k, x, u)
-    values, probs, scale = _holding_atoms(state, k)
-    thresholds = np.maximum(0.0, values[:, None] - np.asarray(x, float)[None, :])
-
-    def eh(u):
-        acc = np.zeros(np.shape(u))
-        for j in range(len(probs)):
-            acc += probs[j] * np.maximum(0.0, u - thresholds[j])
-        return scale * acc
-
-    return eh
-
-
-def _eb_factory(state: BalancingState, k: int, x: np.ndarray):
-    if isinstance(state.marginal, UniformMarginal):
-        return lambda u: _eb_uniform(state, k, x, u)
-    values, probs = state._atoms()
-    x = np.asarray(x, float)
-
-    def eb(u):
-        post = np.maximum(0.0, x + u)
-        acc = np.zeros(np.shape(u))
-        for v, p in zip(values, probs):
-            acc += p * np.maximum(0.0, v - post)
-        return state.b * acc
-
-    return eb
+    return _discrete_table(tuple(values), tuple(probs), state.variant,
+                           state.a, state.b, remaining)
 
 
 def _eh_batch(state: BalancingState, k: int, x: np.ndarray,
               u: np.ndarray) -> np.ndarray:
     x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, float)),
                                np.atleast_1d(np.asarray(u, float)))
-    return _eh_factory(state, k, x)(u)
+    return _table(state, k)[0].rise(x, u)
 
 
 def _eb_batch(state: BalancingState, k: int, x: np.ndarray,
               u: np.ndarray) -> np.ndarray:
     x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, float)),
                                np.atleast_1d(np.asarray(u, float)))
-    return _eb_factory(state, k, x)(u)
-
-
-def _eh_uniform(state, k, x, u):
-    from scipy.integrate import quad
-    if state.variant != "printed":
-        raise NotImplementedError("cumulative variant needs discrete demand")
-    g = state.marginal
-    remaining = state.periods - k
-    x_arr, u_arr = np.broadcast_arrays(np.asarray(x, float), np.asarray(u, float))
-    out = np.empty(x_arr.shape)
-    for idx in np.ndindex(x_arr.shape):
-        xi, ui = x_arr[idx], u_arr[idx]
-        val, _ = quad(lambda w: max(0.0, ui - max(0.0, w - xi)), g.lo, g.hi)
-        out[idx] = state.a * remaining * val / (g.hi - g.lo)
-    return out
-
-
-def _eb_uniform(state, k, x, u):
-    from scipy.integrate import quad
-    g = state.marginal
-    x_arr, u_arr = np.broadcast_arrays(np.asarray(x, float), np.asarray(u, float))
-    out = np.empty(x_arr.shape)
-    for idx in np.ndindex(x_arr.shape):
-        post = max(0.0, x_arr[idx] + u_arr[idx])
-        val, _ = quad(lambda w: max(0.0, w - post), g.lo, g.hi)
-        out[idx] = state.b * val / (g.hi - g.lo)
-    return out
+    return _table(state, k)[1](x + u)
 
 
 def expected_holding_proxy(state: BalancingState, k: int, x: float,
                            u: float) -> float:
-    """EH(u) at (k, x); exact atom sums for discrete demand, quadrature
-    for uniform demand."""
+    """EH(u) at (k, x), in closed form for discrete and uniform demand."""
     if u < 0:
         raise ValueError("order must be >= 0")
     state._check_stage(k)
@@ -205,27 +257,6 @@ def expected_backlog_proxy(state: BalancingState, k: int, x: float,
     return float(_eb_batch(state, k, np.asarray(x, float), np.asarray(u, float)).ravel()[0])
 
 
-# A fixed halving count keeps the solve purely elementwise (results never
-# depend on what else shares the batch) while overshooting the 1e-9 cost
-# tolerance by many orders of magnitude: 64 halvings shrink a bracket of
-# width W to W / 2^64, so the residual is below tolerance whenever
-# slope * W < ~1e9, far beyond any instance here.
-_BISECT_HALVINGS = 64
-
-
-def _bisect(f, lo: np.ndarray, hi: np.ndarray, max_iter: int):
-    """Rootfind a nondecreasing f componentwise on [lo, hi] with
-    f(lo) <= 0 <= f(hi) (clamped endpoints otherwise)."""
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(min(max_iter, _BISECT_HALVINGS)):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) < 0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def _max_demand(state: BalancingState) -> float:
     g = state.marginal
     return float(max(g.values)) if isinstance(g, DiscreteMarginal) else float(g.hi)
@@ -235,21 +266,17 @@ def balancing_order_batch(state: BalancingState, k: int, x: np.ndarray,
                           caps: np.ndarray):
     """(u_hat, theta) arrays for a batch of states.
 
-    The bracket top is min(cap, the order that zeroes the backlog
-    proxy), where the balance gap is certainly nonnegative.
+    u_hat is the leftmost order in [0, hi] where the balance gap EH - EB
+    turns nonnegative, clamped to hi = min(cap, the order that zeroes the
+    backlog proxy), where the gap is certainly nonnegative.
     """
     x = np.asarray(x, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), x.shape)
-    eh = _eh_factory(state, k, x)
-    eb = _eb_factory(state, k, x)
-    eb0 = eb(np.zeros_like(x))
+    hold, back, balance = _table(state, k)
     hi = np.minimum(caps, np.maximum(0.0, _max_demand(state) - x))
-    u_hat = _bisect(lambda u: eh(u) - eb(u),
-                    np.zeros_like(x), hi, state.max_iter)
-    u_hat = np.where(eb0 == 0.0, 0.0, u_hat)
-    theta = eh(u_hat)
-    theta = np.where(eb0 == 0.0, 0.0, theta)
-    return u_hat, theta
+    u_hat = np.clip(balance.leftmost(hold(x)) - x, 0.0, hi)
+    u_hat = np.where(back(x) == 0.0, 0.0, u_hat)
+    return u_hat, hold.rise(x, u_hat)
 
 
 def balancing_order(state: BalancingState, k: int, x: float):
@@ -266,15 +293,14 @@ def holding_cost_K_order_batch(state: BalancingState, k: int, x: np.ndarray,
         raise ValueError("the holding-cost-K order exists only for K > 0")
     x = np.asarray(x, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), x.shape).astype(float)
-    values, _, scale = _holding_atoms(state, k)
-    if scale <= 0 and not np.all(np.isfinite(caps)):
+    hold = _table(state, k)[0]
+    rate = hold.slope[-1]  # EH's slope once the order covers every atom
+    if rate <= 0 and not np.all(np.isfinite(caps)):
         raise ValueError("zero holding rate with an unbounded cap cannot reach K")
-    slack = 0.0 if scale <= 0 else state.K / scale + 1.0
-    bound = np.maximum(0.0, float(np.max(values)) - x) + slack
-    hi = np.minimum(caps, bound)
-    eh = _eh_factory(state, k, x)
-    saturated = eh(hi) < state.K  # only possible when hi == caps
-    u = _bisect(lambda v: eh(v) - state.K, np.zeros_like(x), hi, state.max_iter)
+    slack = 0.0 if rate <= 0 else state.K / rate + 1.0
+    hi = np.minimum(caps, np.maximum(0.0, hold.knots[-1] - x) + slack)
+    saturated = hold.rise(x, hi) < state.K  # only possible when hi == caps
+    u = np.clip(hold.leftmost(hold(x) + state.K) - x, 0.0, hi)
     u = np.where(saturated, caps, u)
     return u, saturated
 

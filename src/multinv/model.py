@@ -26,6 +26,8 @@ PROB_SUM_TOL = 1e-12
 # constructed from the stored discount values land within a few ulps,
 # while continuous demand sums miss the band almost surely.
 DISCOUNT_MATCH_TOL = 1e-12
+# Draws per block of the discrete demand lookup in transform_uniform_draws.
+LOOKUP_BLOCK = 1 << 16
 
 
 class ValidationError(ValueError):
@@ -204,7 +206,13 @@ def transform_uniform_draws(d: DemandModel, raw: np.ndarray,
             values, probs = demand_pmf(d, i)
             cum = np.cumsum(probs)
             cum[-1] = 1.0
-            col[...] = values[np.searchsorted(cum, u, side="right")]
+            # Blocks of leading rows keep the index temporary small; each
+            # block is looked up before it is written, so out may be raw.
+            u, col = np.atleast_1d(u, col)
+            rows = max(1, LOOKUP_BLOCK // max(1, u[0].size))
+            for lo in range(0, len(u), rows):
+                idx = np.searchsorted(cum, u[lo:lo + rows], side="right")
+                np.take(values, idx, out=col[lo:lo + rows], mode="clip")
         else:
             np.multiply(u, g.hi - g.lo, out=col)
             col += g.lo

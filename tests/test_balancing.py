@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import multinv as mi
 from multinv.balancing import (BalancingState, act_balancing,
@@ -123,6 +125,13 @@ class TestHoldingCostKOrder:
                             u_cap=3.0)
         u, saturated = holding_cost_K_order(st, 0, 0.0)
         assert saturated and u == 3.0
+
+    def test_cap_exactly_at_K_is_not_saturated(self):
+        # x past every atom: EH(cap) = 0.2 * 2 periods * 10 = K exactly
+        st = BalancingState(periods=20, a=0.2, b=10.0, K=4.0, marginal=FIG2,
+                            u_cap=10.0)
+        for x in (1.505, 1.61, 3.0):
+            assert holding_cost_K_order(st, 18, x) == (10.0, False)
 
     def test_zero_fixed_charge_is_domain_error(self):
         with pytest.raises(ValueError):
@@ -258,3 +267,144 @@ class TestPolicyIntegration:
         assert all(st.K == 4.0 for st in policy.states)
         p2 = mi.instances.build("sector_sim")
         assert all(st.K == 0.0 for st in make_balancing_policy(p2).states)
+
+
+class TestUniformSolve:
+    """Uniform demand against crossings found on dense grids, with the
+    proxies integrated by the midpoint rule over the demand."""
+
+    W = 1.0 + (np.arange(4000) + 0.5) / 4000  # midpoints of U(1, 2)
+
+    def proxies(self, st, k, x, u):
+        u = u[:, None]
+        eh = np.mean(np.maximum(0.0, u - np.maximum(0.0, self.W - x)), axis=1)
+        eb = np.mean(np.maximum(0.0, self.W - np.maximum(0.0, x + u)), axis=1)
+        return st.a * (st.periods - k) * eh, st.b * eb
+
+    def crossing(self, gap, hi):
+        lo = 0.0
+        for _ in range(3):  # each round narrows the bracket 1000-fold
+            grid = np.linspace(lo, hi, 2001)
+            i = int(np.argmin(np.abs(gap(grid))))
+            lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, 2000)]
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("k,x", [(0, 0.0), (3, 1.2), (4, -0.5)])
+    def test_balancing_order(self, k, x):
+        st = state(UniformMarginal(1.0, 2.0), periods=5, a=2.0, b=3.0)
+        u, theta = balancing_order(st, k, x)
+        expected = self.crossing(lambda g: np.subtract(*self.proxies(st, k, x, g)), 3.0)
+        assert u == pytest.approx(expected, abs=1e-6)
+        assert theta == pytest.approx(self.proxies(st, k, x, np.array([u]))[0][0], abs=1e-6)
+
+    @pytest.mark.parametrize("k,x", [(0, 0.0), (3, 1.2), (4, -0.5)])
+    def test_holding_cost_K_order(self, k, x):
+        st = state(UniformMarginal(1.0, 2.0), periods=5, a=2.0, b=3.0, K=1.5)
+        u, saturated = holding_cost_K_order(st, k, x)
+        expected = self.crossing(lambda g: self.proxies(st, k, x, g)[0] - st.K, 6.0)
+        assert not saturated
+        assert u == pytest.approx(expected, abs=1e-6)
+
+
+def _reference_proxies(st, k, x):
+    """EH and EB at (k, x) as functions of u, by the atom loops of the
+    bisection solve that the knot tables replaced."""
+    from multinv.balancing import _partial_sum_atoms
+    remaining = st.periods - k
+    values, probs = st._atoms()
+    if st.variant == "printed":
+        hv, hp, scale = values, probs, st.a * remaining
+    else:
+        (hv, hp), scale = _partial_sum_atoms(tuple(values), tuple(probs), remaining), st.a
+    thresholds = np.maximum(0.0, hv[:, None] - x[None, :])
+
+    def eh(u):
+        acc = np.zeros(np.shape(u))
+        for j in range(len(hp)):
+            acc += hp[j] * np.maximum(0.0, u - thresholds[j])
+        return scale * acc
+
+    def eb(u):
+        post = np.maximum(0.0, x + u)
+        acc = np.zeros(np.shape(u))
+        for v, p in zip(values, probs):
+            acc += p * np.maximum(0.0, v - post)
+        return st.b * acc
+
+    return eh, eb, float(np.max(hv)), scale
+
+
+def _reference_bisect(f, hi):
+    lo, hi = np.zeros_like(hi), hi.copy()
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _reference_solve(st, k, x, caps):
+    """u_hat, u_tilde and the saturation flags by 64-halving bisections on
+    the reference proxies, plus the rows where EH(cap) = K up to rounding
+    (there either flag is right and both orders are the cap)."""
+    eh, eb, top, scale = _reference_proxies(st, k, x)
+    hi = np.minimum(caps, np.maximum(0.0, max(st.marginal.values) - x))
+    u_hat = _reference_bisect(lambda u: eh(u) - eb(u), hi)
+    u_hat = np.where(eb(np.zeros_like(x)) == 0.0, 0.0, u_hat)
+    slack = st.K / scale + 1.0 if scale > 0 else 0.0
+    hi_k = np.minimum(caps, np.maximum(0.0, top - x) + slack)
+    saturated = eh(hi_k) < st.K
+    u_til = np.where(saturated, caps, _reference_bisect(lambda u: eh(u) - st.K, hi_k))
+    tie = np.abs(eh(hi_k) - st.K) <= 1e-12 * st.K
+    return u_hat, u_til, saturated, tie, (eh, eb, hi)
+
+
+class TestSolveAgainstBisection:
+    """The table solve against the 64-halving bisection it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=hs.lists(hs.integers(0, 6), min_size=1, max_size=6, unique=True),
+           weights=hs.lists(hs.integers(1, 20), min_size=6, max_size=6),
+           variant=hs.sampled_from(["printed", "cumulative"]),
+           periods=hs.integers(1, 8),
+           a=hs.one_of(hs.sampled_from([0.0, 0.1, 0.2, 0.25, 1.0]), hs.floats(0.05, 5.0)),
+           b=hs.floats(0.1, 20.0),
+           K=hs.one_of(hs.sampled_from([0.5, 1.0, 2.0, 4.0]), hs.floats(0.1, 10.0)),
+           xs=hs.lists(hs.one_of(hs.floats(-3.0, 8.0),
+                                 hs.integers(-6, 16).map(lambda n: 0.5 * n)),
+                       min_size=1, max_size=8),
+           cap=hs.one_of(hs.floats(0.5, 12.0), hs.integers(1, 24).map(lambda n: 0.5 * n)))
+    def test_matches_reference(self, grid, weights, variant, periods, a, b, K, xs, cap):
+        from multinv.balancing import (_eb_batch, _eh_batch, balancing_order_batch,
+                                       balancing_probability_batch,
+                                       holding_cost_K_order_batch)
+        w = np.array(weights[:len(grid)], dtype=float)
+        marginal = DiscreteMarginal(tuple(0.5 * v for v in grid), tuple(w / w.sum()))
+        st = BalancingState(periods=periods, a=a, b=b, K=K, marginal=marginal,
+                            u_cap=cap, variant=variant)
+        x = np.array(xs)
+        caps = np.full_like(x, cap)
+        for k in range(periods):
+            ref_hat, ref_til, ref_sat, tie, (eh, eb, hi) = _reference_solve(st, k, x, caps)
+            u_hat, theta = balancing_order_batch(st, k, x, caps)
+            u_til, sat = holding_cost_K_order_batch(st, k, x, caps)
+            assert np.max(np.abs(u_hat - ref_hat)) <= 1e-9
+            assert np.max(np.abs(theta - eh(u_hat))) <= 1e-9
+            assert np.max(np.abs(u_til - ref_til)) <= 1e-9
+            assert np.array_equal(sat[~tie], ref_sat[~tie])
+            interior = (u_hat > 0.0) & (u_hat < hi)
+            assert np.all(np.abs(eh(u_hat) - eb(u_hat))[interior] <= st.tol)
+            assert np.all(np.abs(eh(u_til) - K)[~sat] <= st.tol)
+            for u in (np.zeros_like(x), u_hat, u_til):
+                assert np.max(np.abs(_eh_batch(st, k, x, u) - eh(u))) <= 1e-9
+                assert np.max(np.abs(_eb_batch(st, k, x, u) - eb(u))) <= 1e-9
+            eb0, denom = eb(np.zeros_like(x)), K - eb(u_til) + eb(np.zeros_like(x))
+            ref_p = np.where(denom <= 0, 1.0, eb0 / np.where(denom <= 0, 1.0, denom))
+            p = balancing_probability_batch(st, k, x, u_til)
+            assert np.max(np.abs(p - np.clip(ref_p, 0.0, 1.0))) <= 1e-9
+            for j in range(len(x)):
+                solo = balancing_order_batch(st, k, x[j:j + 1], caps[j:j + 1])
+                assert solo[0][0] == u_hat[j] and solo[1][0] == theta[j]
+                solo = holding_cost_K_order_batch(st, k, x[j:j + 1], caps[j:j + 1])
+                assert solo[0][0] == u_til[j] and solo[1][0] == sat[j]
