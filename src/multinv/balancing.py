@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,28 +86,42 @@ class BalancingState:
                 np.asarray(self.marginal.probs, dtype=float)[order])
 
 
-@functools.lru_cache(maxsize=None)
+# (values, probs) -> partial-sum atoms for horizons 0..H of one marginal;
+# heatmap worker threads share it
+_PARTIAL_SUMS = {}
+_PARTIAL_SUMS_LOCK = threading.Lock()
+
+
 def _partial_sum_atoms(values: tuple, probs: tuple, horizon: int):
     """Merged (value, weight) atoms of the partial sums w_1+...+w_r over
     r = 1..horizon: each r's pmf enters at full weight and equal values
-    from different r coalesce, so the weights sum to ``horizon``."""
-    base = {}
-    for v, p in zip(values, probs):
-        key = round(v, 9)
-        base[key] = base.get(key, 0.0) + p
-    merged = {}
-    current = dict(base)
-    for _ in range(horizon):
-        for s, ps in current.items():
-            merged[s] = merged.get(s, 0.0) + ps
-        nxt = {}
-        for s, ps in current.items():
-            for v, p in base.items():
-                key = round(s + v, 9)
-                nxt[key] = nxt.get(key, 0.0) + ps * p
-        current = nxt
-    out_vals = np.array(sorted(merged))
-    return out_vals, np.array([merged[v] for v in out_vals])
+    from different r coalesce, so the weights sum to ``horizon``.  Each
+    horizon's atoms are a snapshot of any longer accumulation, so one pass
+    per marginal fills every horizon up to the longest asked so far."""
+    with _PARTIAL_SUMS_LOCK:
+        tables = _PARTIAL_SUMS.get((values, probs), ())
+        if len(tables) > horizon:
+            return tables[horizon]
+        base = {}
+        for v, p in zip(values, probs):
+            key = round(v, 9)
+            base[key] = base.get(key, 0.0) + p
+        merged = {}
+        current = dict(base)
+        tables = [(np.array([]), np.array([]))]
+        for _ in range(horizon):
+            for s, ps in current.items():
+                merged[s] = merged.get(s, 0.0) + ps
+            nxt = {}
+            for s, ps in current.items():
+                for v, p in base.items():
+                    key = round(s + v, 9)
+                    nxt[key] = nxt.get(key, 0.0) + ps * p
+            current = nxt
+            out_vals = np.array(sorted(merged))
+            tables.append((out_vals, np.array([merged[v] for v in out_vals])))
+        _PARTIAL_SUMS[(values, probs)] = tables
+        return tables[horizon]
 
 
 @dataclass(frozen=True)

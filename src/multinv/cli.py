@@ -293,29 +293,25 @@ def _suite_theorem1() -> list:
 
 
 def _suite_transform() -> list:
+    from .testing import random_order_table
     problem = instances.build("fig1_linear")
     results = []
     policies = {
         "pi_square": make_pi_square(problem, 2.0),
         "pi_diamond": make_pi_diamond(problem, 1.0, 2.0),
     }
-    rng = np.random.default_rng(7)
-    n = problem.grid.count
-    cap = problem.grid.to_steps(problem.max_order_per_location)
-    table = np.zeros((2,) + (n,) * 2 + (2,), dtype=np.int32)
-    for k in range(2):
-        for i1 in range(n):
-            for i2 in range(n):
-                table[k, i1, i2] = [rng.integers(0, min(cap, n - 1 - i1) + 1),
-                                    rng.integers(0, min(cap, n - 1 - i2) + 1)]
-    policies["random_tabular"] = TabularGridPolicy(
-        dp_mod.TabularPolicy(grid=problem.grid, m=2, orders=table, cap_steps=cap))
+    table = random_order_table(problem, np.random.default_rng(7))
+    policies["random_tabular"] = TabularGridPolicy(dp_mod.TabularPolicy(
+        grid=problem.grid, m=2, orders=table,
+        cap_steps=problem.grid.to_steps(problem.max_order_per_location)))
     for name, policy in policies.items():
         rep = verify_cost_transformation(problem, policy, 2.0)
         ok = rep["max_abs_formula_gap"] <= 1e-9
         results.append(
             (f"transform[{name}] formula gap {rep['max_abs_formula_gap']:.3e} "
-             f"(order-accounting residual {rep['max_abs_accounting_gap']:.1e})", ok))
+             f"(order-accounting residual {rep['max_abs_accounting_gap']:.1e}, "
+             f"displacement-and-clamp residual "
+             f"{rep['max_abs_displacement_gap']:.1e})", ok))
     return results
 
 

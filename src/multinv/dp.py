@@ -1,8 +1,9 @@
 """Exact finite-horizon dynamic programming on the joint state grid.
 
 Backward induction over the discretized joint state space gives the
-optimal coupled policy and its cost-to-go; forward reasoning on the same
-lattice gives exact expected costs of any deterministic grid policy.
+optimal coupled policy and its cost-to-go; the same backward recursion
+under a fixed order table gives exact expected costs (and other
+expectations) of any deterministic grid policy.
 
 Conventions shared with the simulator:
 
@@ -20,12 +21,13 @@ Conventions shared with the simulator:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Finite, Problem, demand_pmf
+from .model import Finite, Problem, demand_pmf, expected_holding_backlog
 
 MAX_JOINT_STATES = 100_000
 
@@ -54,13 +56,6 @@ class ValueFunction:
     m: int
     values: np.ndarray  # shape (N+1,) + (n,)*m
 
-    @property
-    def stages(self) -> int:
-        return self.values.shape[0] - 1
-
-    def table(self, k: int) -> np.ndarray:
-        return self.values[k]
-
 
 @dataclass
 class TabularPolicy:
@@ -82,24 +77,27 @@ class TabularPolicy:
     def stages(self) -> int:
         return self.orders.shape[0]
 
-    def stage_table(self, k: int) -> np.ndarray:
-        return self.orders[k]
-
 
 def _joint_demand(problem: Problem):
-    """All joint demand outcomes as (step-shift vectors, probabilities)."""
+    """All joint demand outcomes as (np.ix_ gather of the clamped next
+    state over the post-order grid, probability)."""
+    n = problem.grid.count
     per_loc = []
     for i in range(problem.m):
         values, probs = demand_pmf(problem.demand, i)
-        steps = [problem.grid.to_steps(v) for v in values]
-        per_loc.append(list(zip(steps, values, probs)))
-    combos = []
-    for combo in itertools.product(*per_loc):
-        shift = np.array([c[0] for c in combo], dtype=int)
-        vals = np.array([c[1] for c in combo], dtype=float)
-        prob = float(np.prod([c[2] for c in combo]))
-        combos.append((shift, vals, prob))
-    return combos
+        per_loc.append([(np.maximum(np.arange(n) - problem.grid.to_steps(v), 0), p)
+                        for v, p in zip(values, probs)])
+    return [(np.ix_(*(c[0] for c in combo)), float(np.prod([c[1] for c in combo])))
+            for combo in itertools.product(*per_loc)]
+
+
+def _expectation(w: np.ndarray, combos) -> np.ndarray:
+    """ev[y] = sum_c p_c * w[clamp(y - shift_c)] over the joint post-order
+    grid y; trailing axes of w (several quantities at once) carry along."""
+    ev = np.zeros_like(w)
+    for gather, prob in combos:
+        ev += prob * w[gather]
+    return ev
 
 
 def _expected_holding_tables(problem: Problem) -> list:
@@ -109,25 +107,16 @@ def _expected_holding_tables(problem: Problem) -> list:
     demand can leave the grid below its minimum, which is intended: the
     cost is charged pre-clamp.
     """
-    tables = []
-    points = problem.grid.points()
-    for i in range(problem.m):
-        values, probs = demand_pmf(problem.demand, i)
-        levels = points[:, None] - values[None, :]
-        a = problem.holding.holding[i]
-        b = problem.holding.backlog[i]
-        cost = a * np.maximum(0.0, levels) + b * np.maximum(0.0, -levels)
-        tables.append(cost @ probs)
-    return tables
+    return [expected_holding_backlog(problem.holding.holding[i],
+                                     problem.holding.backlog[i],
+                                     problem.grid.points(), problem.demand, i)
+            for i in range(problem.m)]
 
 
 def _order_cost_box(problem: Problem, cap_steps: int) -> np.ndarray:
     """c(total order) for every joint order in the action box, indexed by
     per-location step counts."""
-    step = problem.grid.step
-    totals = np.zeros((cap_steps + 1,) * problem.m)
-    for combo in itertools.product(range(cap_steps + 1), repeat=problem.m):
-        totals[combo] = sum(combo) * step
+    totals = np.indices((cap_steps + 1,) * problem.m).sum(axis=0) * problem.grid.step
     return problem.ordering.eval_array(totals)
 
 
@@ -157,28 +146,15 @@ def solve_joint_dp(problem: Problem):
 
     combos = _joint_demand(problem)
     eh = _expected_holding_tables(problem)
-    hold = np.zeros((n,) * m)
-    for i in range(m):
-        shape = [1] * m
-        shape[i] = n
-        hold = hold + eh[i].reshape(shape)
+    hold = functools.reduce(np.add.outer, eh)
     order_cost = _order_cost_box(problem, cap_steps)
-
-    shift_idx = {}
-    for shift, _, _ in combos:
-        key = tuple(shift)
-        if key not in shift_idx:
-            shift_idx[key] = tuple(np.maximum(np.arange(n) - t, 0) for t in shift)
 
     values = np.zeros((periods + 1,) + (n,) * m)
     orders = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)
 
     for k in range(periods - 1, -1, -1):
-        v_next = values[k + 1]
-        ev = np.zeros((n,) * m)
-        for shift, _, prob in combos:
-            ev += prob * v_next[np.ix_(*shift_idx[tuple(shift)])]
-        goal = hold + ev  # cost of landing post-order at y, plus the future
+        # cost of landing post-order at y, plus the future
+        goal = hold + _expectation(values[k + 1], combos)
         v_new = values[k]
         pol = orders[k]
         for state in np.ndindex(*(n,) * m):
@@ -203,7 +179,8 @@ def solve_single_dp(problem: Problem):
 
 def _order_table(problem: Problem, policy) -> np.ndarray:
     """Per-stage order tables (in grid steps) of a deterministic grid
-    policy, with feasibility checked."""
+    policy on a DP-eligible problem, with feasibility checked."""
+    _require_dp(problem)
     if isinstance(policy, TabularPolicy):
         table = policy.orders
     elif hasattr(policy, "tabulate"):
@@ -223,61 +200,78 @@ def _order_table(problem: Problem, policy) -> np.ndarray:
     return table
 
 
+def _policy_recursion(problem: Problem, table: np.ndarray, stage, w: np.ndarray):
+    """Backward recursion w <- stage(u, post) + ev[post] of a fixed order
+    table from the terminal table ``w``, returning w at stage 0.  ``u`` is
+    a stage's orders in steps, ``post`` the per-location post-order
+    indices; w may carry trailing axes of quantities."""
+    m, n = problem.m, problem.grid.count
+    combos = _joint_demand(problem)
+    idx = np.indices((n,) * m)
+    for k in range(problem.horizon.periods - 1, -1, -1):
+        u = table[k]
+        post = tuple(idx[i] + u[..., i] for i in range(m))
+        w = stage(u, post) + _expectation(w, combos)[post]
+    return w
+
+
+def _stage_cost(problem: Problem, u: np.ndarray, post: tuple, eh: list) -> np.ndarray:
+    """c(total order) plus the expected holding/backlog of every location."""
+    cost = problem.ordering.eval_array(u.sum(axis=-1) * problem.grid.step)
+    for i in range(problem.m):
+        cost = cost + eh[i][post[i]]
+    return cost
+
+
 def evaluate_policy_exact(problem: Problem, policy) -> np.ndarray:
     """Expected average cost of a deterministic grid policy from every
     initial grid state, by exact backward recursion of the remaining
     cost under the policy.  Randomized or online policies are not
     representable here; estimate those by Monte Carlo instead.
     """
-    _require_dp(problem)
     table = _order_table(problem, policy)
-    grid, m = problem.grid, problem.m
-    n = grid.count
-    periods = problem.horizon.periods
-    step = grid.step
-
-    combos = _joint_demand(problem)
     eh = _expected_holding_tables(problem)
-    idx = np.indices((n,) * m)
-
-    w = np.zeros((n,) * m)
-    for k in range(periods - 1, -1, -1):
-        u = table[k]
-        totals = u.sum(axis=-1) * step
-        stage = problem.ordering.eval_array(totals)
-        post = [idx[i] + u[..., i] for i in range(m)]
-        for i in range(m):
-            stage = stage + eh[i][post[i]]
-        nxt = np.zeros((n,) * m)
-        for shift, _, prob in combos:
-            gather = tuple(np.clip(post[i] - shift[i], 0, n - 1) for i in range(m))
-            nxt += prob * w[gather]
-        w = stage + nxt
-    return w / periods
+    w = _policy_recursion(problem, table,
+                          lambda u, post: _stage_cost(problem, u, post, eh),
+                          np.zeros((problem.grid.count,) * problem.m))
+    return w / problem.horizon.periods
 
 
-def expected_total_orders(problem: Problem, policy) -> np.ndarray:
-    """Exact E[sum over periods and locations of orders] from every
-    initial grid state, under a deterministic grid policy."""
-    _require_dp(problem)
+@dataclass
+class ExactExpectations:
+    """Per initial grid state (leading axes): the average cost, the
+    expected sum of all orders, E[x_N,i] and the expected mass
+    E sum_k max(0, lo - (y_k,i - w_k,i)) that clamping at the grid floor
+    added to location i.  As x_N - x_0 = sum u - sum w + sum clamp per
+    location, orders = sum_i (final_level_i - x_0,i - clamp_i) + N*E[w]."""
+
+    cost: np.ndarray
+    orders: np.ndarray
+    final_level: np.ndarray  # (..., M)
+    clamp: np.ndarray        # (..., M)
+
+
+def exact_expectations(problem: Problem, policy) -> ExactExpectations:
+    """Cost, total orders, final levels and floor-clamp mass of a
+    deterministic grid policy, by one backward recursion whose value
+    table carries the quantities on a trailing axis."""
     table = _order_table(problem, policy)
-    grid, m = problem.grid, problem.m
-    n = grid.count
-    periods = problem.horizon.periods
-    combos = _joint_demand(problem)
-    idx = np.indices((n,) * m)
+    grid, m, n = problem.grid, problem.m, problem.grid.count
+    eh = _expected_holding_tables(problem)
+    # E max(0, lo - (y - w)) is the backlog term at rate 1 of level y - lo
+    ec = [expected_holding_backlog(0.0, 1.0, grid.step * np.arange(n), problem.demand, i)
+          for i in range(m)]
+    zeros = np.zeros((n,) * m)
 
-    w = np.zeros((n,) * m)
-    for k in range(periods - 1, -1, -1):
-        u = table[k]
-        stage = u.sum(axis=-1) * grid.step
-        post = [idx[i] + u[..., i] for i in range(m)]
-        nxt = np.zeros((n,) * m)
-        for shift, _, prob in combos:
-            gather = tuple(np.clip(post[i] - shift[i], 0, n - 1) for i in range(m))
-            nxt += prob * w[gather]
-        w = stage + nxt
-    return w
+    def stage(u, post):
+        return np.stack([_stage_cost(problem, u, post, eh), u.sum(axis=-1) * grid.step]
+                        + [zeros] * m + [ec[i][post[i]] for i in range(m)], axis=-1)
+
+    w = np.zeros((n,) * m + (2 + 2 * m,))
+    w[..., 2:2 + m] = np.moveaxis(grid.points()[np.indices((n,) * m)], 0, -1)
+    w = _policy_recursion(problem, table, stage, w)
+    return ExactExpectations(w[..., 0] / problem.horizon.periods, w[..., 1],
+                             w[..., 2:2 + m], w[..., 2 + m:])
 
 
 # ---------------------------------------------------------------------------

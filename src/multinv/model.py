@@ -355,13 +355,24 @@ class HoldingBacklogCost:
         return errors
 
     def eval(self, i: int, x: float) -> float:
-        return self.holding[i] * max(0.0, x) + self.backlog[i] * max(0.0, -x)
+        return float(holding_backlog(self.holding[i], self.backlog[i], x))
 
     def eval_batch(self, levels: np.ndarray) -> np.ndarray:
         """Per-location cost for levels of shape (..., M)."""
-        a = np.asarray(self.holding)
-        b = np.asarray(self.backlog)
-        return a * np.maximum(0.0, levels) + b * np.maximum(0.0, -levels)
+        return holding_backlog(np.asarray(self.holding), np.asarray(self.backlog), levels)
+
+
+def holding_backlog(a, b, y):
+    """a*max(0, y) + b*max(0, -y), elementwise: the one holding/backlog
+    expression every cost path uses."""
+    return a * np.maximum(0.0, y) + b * np.maximum(0.0, -y)
+
+
+def expected_holding_backlog(a, b, levels, demand: DemandModel, i: int):
+    """E_w [a*max(0, level - w) + b*max(0, w - level)] over location i's
+    discrete demand, for every entry of ``levels``."""
+    values, probs = demand_pmf(demand, i)
+    return holding_backlog(a, b, np.asarray(levels)[..., None] - values) @ probs
 
 
 def eval_holding_cost(r: HoldingBacklogCost, i: int, x: float) -> float:
@@ -410,12 +421,6 @@ class Problem:
         if isinstance(self.horizon, Finite):
             return self.horizon.periods
         return self.horizon.sim_periods
-
-    @property
-    def averaging_periods(self) -> int:
-        if isinstance(self.horizon, Finite):
-            return self.horizon.periods
-        return self.horizon.sim_periods - self.horizon.burn_in
 
     def order_cap(self, x) -> np.ndarray:
         """Componentwise feasible order cap at state x: stay in the grid

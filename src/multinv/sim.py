@@ -284,15 +284,16 @@ def exact_ineligibility(problem: Problem, policy: Policy) -> str | None:
     return None
 
 
-def _exact_costs(problem: Problem, policy: Policy):
-    """(exact per-state cost table or None, reason when None).  Only a
-    policy without an order table on the grid falls back; any other
-    error of exact evaluation propagates."""
+def _exact_costs(problem: Problem, policy: Policy, evaluate=None):
+    """(exact per-state table or None, reason when None), by ``evaluate``
+    (default ``dp.evaluate_policy_exact``).  Only a policy without an
+    order table on the grid falls back; any other error of exact
+    evaluation propagates."""
     reason = exact_ineligibility(problem, policy)
     if reason is not None:
         return None, reason
     try:
-        return dp_mod.evaluate_policy_exact(problem, policy), ""
+        return (evaluate or dp_mod.evaluate_policy_exact)(problem, policy), ""
     except GridTabulationError as exc:
         return None, str(exc)
 
@@ -378,27 +379,32 @@ def verify_cost_transformation(problem: Problem, policy: Policy, m_slope: float,
 
         J(P) - J(P_hat) - (m/N) * E[total orders]
 
-    which is zero up to rounding by construction; the difference between
-    the demand-based and order-based quantities is the policy's expected
-    terminal inventory displacement.  For randomized policies the check
-    is statistical under common random numbers.
+    which is zero up to rounding by construction.  Expected orders and
+    expected demand differ by the terminal displacement E x_N - x_0 less
+    the backlog clamped away at the grid floor, so the displacement
+    residual  formula gap - (m/N) * sum_i (E x_N,i - x_0,i - E clamp_i)
+    is zero up to rounding too.  For randomized policies the check is
+    statistical under common random numbers.
     """
     hat = shift_ordering_slopes(problem, m_slope)
     per_period_demand = sum(problem.demand.mean(i) for i in range(problem.m))
     demand_term = m_slope * per_period_demand
 
-    lhs, _ = _exact_costs(problem, policy)
-    if lhs is not None:
+    ex, _ = _exact_costs(problem, policy, dp_mod.exact_expectations)
+    if ex is not None:
         rhs = dp_mod.evaluate_policy_exact(hat, policy)
-        orders = dp_mod.expected_total_orders(problem, policy)
         periods = problem.horizon.periods
-        formula_gap = lhs - (rhs + demand_term)
-        accounting_gap = lhs - rhs - m_slope * orders / periods
+        x0 = _grid_states(problem).reshape(ex.final_level.shape)
+        displacement = (ex.final_level - x0 - ex.clamp).sum(axis=-1)
+        formula_gap = ex.cost - (rhs + demand_term)
+        accounting_gap = ex.cost - rhs - m_slope * ex.orders / periods
+        displacement_gap = formula_gap - m_slope * displacement / periods
         return {
             "mode": "exact",
             "demand_term": demand_term,
             "max_abs_formula_gap": float(np.max(np.abs(formula_gap))),
             "max_abs_accounting_gap": float(np.max(np.abs(accounting_gap))),
+            "max_abs_displacement_gap": float(np.max(np.abs(displacement_gap))),
         }
 
     cfg = cfg or SimConfig(runs=200, seed=0, crn=True)

@@ -15,11 +15,13 @@ equality holds argmin-by-argmin, not just in value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Problem, UnsupportedDemandError, demand_pmf
+from .model import (Problem, UnsupportedDemandError, demand_pmf,
+                    expected_holding_backlog)
 
 
 class SizeError(ValueError):
@@ -32,9 +34,6 @@ MAX_JOINT_CANDIDATES = 2_000_000
 @dataclass(frozen=True)
 class StationaryLevels:
     levels: tuple
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.levels, dtype=float)
 
 
 def _require_discrete_iid(problem: Problem):
@@ -68,27 +67,17 @@ def expected_ordering_term(problem: Problem) -> float:
     return float(problem.ordering.eval_array(values) @ probs)
 
 
-def _location_cost_curve(problem: Problem, i: int) -> np.ndarray:
-    """E[r_i(S - w_i)] for every grid level S."""
-    values, probs = demand_pmf(problem.demand, i)
-    levels = problem.grid.points()[:, None] - values[None, :]
-    a = problem.holding.holding[i]
-    b = problem.holding.backlog[i]
-    return (a * np.maximum(0.0, levels) + b * np.maximum(0.0, -levels)) @ probs
+def _location_cost(problem: Problem, i: int, levels) -> np.ndarray:
+    """E[r_i(S - w_i)] for every level S in ``levels``."""
+    return expected_holding_backlog(problem.holding.holding[i],
+                                    problem.holding.backlog[i], levels,
+                                    problem.demand, i)
 
 
 def stationary_cost(levels: StationaryLevels, problem: Problem) -> float:
     """Steady-state per-period average cost of the stationary base-stock
-    policy with the given levels."""
-    _require_discrete_iid(problem)
-    total = expected_ordering_term(problem)
-    for i, s in enumerate(levels.levels):
-        values, probs = demand_pmf(problem.demand, i)
-        post = s - values
-        a = problem.holding.holding[i]
-        b = problem.holding.backlog[i]
-        total += float((a * np.maximum(0.0, post) + b * np.maximum(0.0, -post)) @ probs)
-    return total
+    policy with the given levels: the sum of ``cost_decomposition``."""
+    return sum(cost_decomposition(levels, problem).values())
 
 
 def optimize_individual(problem: Problem) -> StationaryLevels:
@@ -98,7 +87,7 @@ def optimize_individual(problem: Problem) -> StationaryLevels:
     points = problem.grid.points()
     levels = []
     for i in range(problem.m):
-        curve = _location_cost_curve(problem, i)
+        curve = _location_cost(problem, i, points)
         levels.append(float(points[int(np.argmin(curve))]))
     return StationaryLevels(levels=tuple(levels))
 
@@ -113,11 +102,8 @@ def optimize_joint(problem: Problem) -> StationaryLevels:
         raise SizeError(
             f"joint level search has {n}^{problem.m} = {n ** problem.m} candidates "
             f"(limit {MAX_JOINT_CANDIDATES})")
-    total = np.zeros((n,) * problem.m)
-    for i in range(problem.m):
-        shape = [1] * problem.m
-        shape[i] = n
-        total = total + _location_cost_curve(problem, i).reshape(shape)
+    total = functools.reduce(np.add.outer, [_location_cost(problem, i, points)
+                                            for i in range(problem.m)])
     flat = int(np.argmin(total))  # first minimum in C order = lexicographic
     idx = np.unravel_index(flat, total.shape)
     return StationaryLevels(levels=tuple(float(points[j]) for j in idx))
@@ -128,10 +114,5 @@ def cost_decomposition(levels: StationaryLevels, problem: Problem) -> dict:
     holding/backlog terms."""
     parts = {"ordering": expected_ordering_term(problem)}
     for i, s in enumerate(levels.levels):
-        values, probs = demand_pmf(problem.demand, i)
-        post = s - values
-        a = problem.holding.holding[i]
-        b = problem.holding.backlog[i]
-        parts[f"location_{i}"] = float(
-            (a * np.maximum(0.0, post) + b * np.maximum(0.0, -post)) @ probs)
+        parts[f"location_{i}"] = float(_location_cost(problem, i, s))
     return parts

@@ -20,88 +20,89 @@ from .model import (DemandModel, DiscreteMarginal, Finite, Grid,
                     demand_pmf)
 
 
-def brute_force_values(problem: Problem) -> np.ndarray:
-    """Optimal un-normalized cost-to-go at stage 0 for every grid state."""
-    grid, m = problem.grid, problem.m
-    n = grid.count
-    periods = problem.horizon.periods
-    cap = grid.to_steps(problem.max_order_per_location)
+def _scenarios(problem: Problem) -> list:
+    """Every joint demand outcome as (step shifts, values, probability)."""
     per_loc = []
-    for i in range(m):
+    for i in range(problem.m):
         values, probs = demand_pmf(problem.demand, i)
-        per_loc.append([(grid.to_steps(v), float(v), float(p))
+        per_loc.append([(problem.grid.to_steps(v), float(v), float(p))
                         for v, p in zip(values, probs)])
-    scenarios = [
+    return [
         (tuple(c[0] for c in combo), tuple(c[1] for c in combo),
          math.prod(c[2] for c in combo))
         for combo in itertools.product(*per_loc)
     ]
 
-    def best(k, state):
-        if k == periods:
-            return 0.0
-        best_cost = math.inf
-        ranges = [range(min(cap, n - 1 - j) + 1) for j in state]
-        for order in itertools.product(*ranges):
-            post = tuple(j + u for j, u in zip(state, order))
-            total = problem.ordering(sum(order) * grid.step)
-            for shift, values, prob in scenarios:
-                stage = 0.0
-                nxt = []
-                for i in range(m):
-                    level = grid.point(post[i]) - values[i]
-                    stage += (problem.holding.holding[i] * max(0.0, level)
-                              + problem.holding.backlog[i] * max(0.0, -level))
-                    nxt.append(max(post[i] - shift[i], 0))
-                total += prob * (stage + best(k + 1, tuple(nxt)))
-            if total < best_cost:
-                best_cost = total
-        return best_cost
 
-    out = np.zeros((n,) * m)
-    for state in itertools.product(range(n), repeat=m):
-        out[state] = best(0, state)
+def _expected_cost(problem: Problem, scenarios, state, order, future) -> float:
+    """c(order) plus the expected holding/backlog cost and ``future`` of
+    the next state, over every scenario, for one order at one state."""
+    grid = problem.grid
+    post = tuple(j + u for j, u in zip(state, order))
+    total = problem.ordering(sum(order) * grid.step)
+    for shift, values, prob in scenarios:
+        stage = 0.0
+        nxt = []
+        for i in range(problem.m):
+            level = grid.point(post[i]) - values[i]
+            stage += (problem.holding.holding[i] * max(0.0, level)
+                      + problem.holding.backlog[i] * max(0.0, -level))
+            nxt.append(max(post[i] - shift[i], 0))
+        total += prob * (stage + future(tuple(nxt)))
+    return total
+
+
+def _every_state(problem: Problem, cost) -> np.ndarray:
+    n = problem.grid.count
+    out = np.zeros((n,) * problem.m)
+    for state in itertools.product(range(n), repeat=problem.m):
+        out[state] = cost(0, state)
     return out
+
+
+def brute_force_values(problem: Problem) -> np.ndarray:
+    """Optimal un-normalized cost-to-go at stage 0 for every grid state."""
+    n = problem.grid.count
+    cap = problem.grid.to_steps(problem.max_order_per_location)
+    scenarios = _scenarios(problem)
+
+    def best(k, state):
+        if k == problem.horizon.periods:
+            return 0.0
+        ranges = [range(min(cap, n - 1 - j) + 1) for j in state]
+        return min(_expected_cost(problem, scenarios, state, order,
+                                  lambda nxt: best(k + 1, nxt))
+                   for order in itertools.product(*ranges))
+
+    return _every_state(problem, best)
 
 
 def brute_force_policy_cost(problem: Problem, order_table: np.ndarray) -> np.ndarray:
     """Un-normalized expected cost of a fixed per-stage order table by
     scenario-path enumeration, for every grid state."""
-    grid, m = problem.grid, problem.m
-    n = grid.count
-    periods = problem.horizon.periods
-    per_loc = []
-    for i in range(m):
-        values, probs = demand_pmf(problem.demand, i)
-        per_loc.append([(grid.to_steps(v), float(v), float(p))
-                        for v, p in zip(values, probs)])
-    scenarios = [
-        (tuple(c[0] for c in combo), tuple(c[1] for c in combo),
-         math.prod(c[2] for c in combo))
-        for combo in itertools.product(*per_loc)
-    ]
+    scenarios = _scenarios(problem)
 
     def cost(k, state):
-        if k == periods:
+        if k == problem.horizon.periods:
             return 0.0
-        order = order_table[k][state]
-        post = tuple(j + u for j, u in zip(state, order))
-        total = problem.ordering(sum(order) * grid.step)
-        for shift, values, prob in scenarios:
-            stage = 0.0
-            nxt = []
-            for i in range(m):
-                level = grid.point(post[i]) - values[i]
-                stage += (problem.holding.holding[i] * max(0.0, level)
-                          + problem.holding.backlog[i] * max(0.0, -level))
-                nxt.append(max(post[i] - shift[i], 0))
-            total += prob * (stage + cost(k + 1, tuple(nxt)))
-        return total
+        return _expected_cost(problem, scenarios, state, order_table[k][state],
+                              lambda nxt: cost(k + 1, nxt))
 
-    out = np.zeros((n,) * m)
-    for state in itertools.product(range(n), repeat=m):
-        out[state] = cost(0, state)
-    return out
+    return _every_state(problem, cost)
+
+
+def random_order_table(problem: Problem, rng: np.random.Generator) -> np.ndarray:
+    """A feasible random order table (grid steps, shape (N,) + (n,)*M +
+    (M,)): every order is uniform on 0..min(cap, room to the grid top),
+    drawn stage by stage, states in C order, location 1 first."""
+    grid, m = problem.grid, problem.m
+    n = grid.count
+    cap = grid.to_steps(problem.max_order_per_location)
+    table = np.zeros((problem.periods,) + (n,) * m + (m,), dtype=np.int32)
+    for k in range(problem.periods):
+        for state in np.ndindex(*(n,) * m):
+            table[k][state] = [rng.integers(0, min(cap, n - 1 - j) + 1) for j in state]
+    return table
 
 
 def random_small_problem(rng: np.random.Generator) -> Problem:

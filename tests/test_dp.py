@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from multinv.dp import (SizeError, StructureError, TabularPolicy,
 from multinv.model import (DemandModel, DiscreteMarginal, Finite, Grid,
                            HoldingBacklogCost, Problem, linear_cost,
                            single_location_problem)
-from multinv.testing import brute_force_values, random_small_problem
+from multinv.testing import (brute_force_policy_cost, brute_force_values,
+                             random_order_table, random_small_problem)
 
 
 @pytest.fixture(scope="module")
@@ -109,17 +112,10 @@ class TestOracleEquivalence:
     def test_optimality_dominates_random_policies(self, fig1_nonlinear):
         p, vf, tab = fig1_nonlinear
         periods = p.horizon.periods
-        n = p.grid.count
         cap = p.grid.to_steps(p.max_order_per_location)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            table = np.zeros((periods, n, n, 2), dtype=np.int32)
-            for k in range(periods):
-                for i1 in range(n):
-                    for i2 in range(n):
-                        table[k, i1, i2] = [
-                            rng.integers(0, min(cap, n - 1 - i1) + 1),
-                            rng.integers(0, min(cap, n - 1 - i2) + 1)]
+            table = random_order_table(p, rng)
             policy = mi.TabularGridPolicy(TabularPolicy(
                 grid=p.grid, m=2, orders=table, cap_steps=cap))
             j = mi.evaluate_policy_exact(p, policy)
@@ -133,7 +129,6 @@ class TestExactEvaluation:
         assert np.max(np.abs(j - vf.values[0] / 2)) <= 1e-12
 
     def test_matches_scenario_tree_for_fixed_policy(self):
-        from multinv.testing import brute_force_policy_cost
         rng = np.random.default_rng(31)
         for _ in range(3):
             p = random_small_problem(rng)
@@ -142,6 +137,50 @@ class TestExactEvaluation:
             exact = mi.evaluate_policy_exact(p, policy)
             brute = brute_force_policy_cost(p, tab.orders)
             assert np.max(np.abs(exact - brute / p.horizon.periods)) <= 1e-12
+
+    def test_random_tables_match_scenario_tree(self):
+        # non-optimal tables; each expectation of the one recursion is a
+        # scenario-tree cost: total orders under c(z) = z and no holding,
+        # and location i's floor clamp as its backlog at rate 1 on the
+        # same grid shifted to start at 0
+        rng = np.random.default_rng(47)
+        for _ in range(6):
+            p = random_small_problem(rng)
+            table = random_order_table(p, rng)
+            policy = mi.TabularGridPolicy(TabularPolicy(
+                grid=p.grid, m=p.m, orders=table,
+                cap_steps=p.grid.to_steps(p.max_order_per_location)))
+            periods = p.horizon.periods
+            brute = brute_force_policy_cost(p, table) / periods
+            assert np.max(np.abs(mi.evaluate_policy_exact(p, policy) - brute)) <= 1e-12
+            ex = mi.dp.exact_expectations(p, policy)
+            assert np.max(np.abs(ex.cost - brute)) <= 1e-12
+            zeros = (0.0,) * p.m
+            counted = replace(p, ordering=linear_cost(1.0),
+                              holding=HoldingBacklogCost(zeros, zeros))
+            assert np.max(np.abs(ex.orders
+                                 - brute_force_policy_cost(counted, table))) <= 1e-12
+            floor = Grid(0.0, p.grid.hi - p.grid.lo, p.grid.step)
+            for i in range(p.m):
+                rates = tuple(float(j == i) for j in range(p.m))
+                clamped = replace(counted, ordering=linear_cost(0.0), grid=floor,
+                                  holding=HoldingBacklogCost(zeros, rates))
+                assert np.max(np.abs(ex.clamp[..., i]
+                                     - brute_force_policy_cost(clamped, table))) <= 1e-12
+            rep = mi.verify_cost_transformation(p, policy, 0.5)
+            assert rep["max_abs_accounting_gap"] <= 1e-12
+            assert rep["max_abs_displacement_gap"] <= 1e-12
+
+    def test_final_level_without_demand_or_clamp(self):
+        # deterministic zero demand: x_N = x_0 + all orders, no clamping
+        p = single_problem(linear_cost(2.0), DiscreteMarginal((0.0,), (1.0,)),
+                           periods=2, cap=1.0)
+        policy = mi.BaseStockPolicy(np.array([1.0]))
+        ex = mi.dp.exact_expectations(p, policy)
+        x0 = p.grid.points()
+        assert np.array_equal(ex.final_level[:, 0], np.maximum(x0, np.minimum(x0 + 2, 1.0)))
+        assert np.array_equal(ex.orders, ex.final_level[:, 0] - x0)
+        assert np.all(ex.clamp == 0.0)
 
     def test_zero_demand_never_order_costs_nothing(self):
         p = single_problem(linear_cost(2.0), DiscreteMarginal((0.0,), (1.0,)),

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import multinv as mi
 from multinv.model import (DemandModel, DiscreteMarginal, InfiniteAveraged,
@@ -15,6 +17,7 @@ from multinv.sim import (SimConfig, _draw_runs, _estimate_over_states,
                          shift_ordering_slopes, simulate_run,
                          verify_cost_transformation)
 from multinv import rng
+from multinv.testing import random_order_table, random_small_problem
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,22 @@ class TestSimulateRun:
         mean, se = estimate_cost(fig1, policy, [0.0, 0.0],
                                  SimConfig(runs=20_000, seed=8))
         assert abs(mean - exact[i0, i0]) <= 3 * se
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=hs.integers(0, 2 ** 32 - 1))
+    def test_property_mc_within_z_bound_of_exact(self, seed):
+        # random problem, random (non-optimal) order table, random state
+        gen = np.random.default_rng(seed)
+        p = random_small_problem(gen)
+        table = random_order_table(p, gen)
+        policy = mi.TabularGridPolicy(mi.dp.TabularPolicy(
+            grid=p.grid, m=p.m, orders=table,
+            cap_steps=p.grid.to_steps(p.max_order_per_location)))
+        exact = mi.evaluate_policy_exact(p, policy)
+        state = np.unravel_index(int(gen.integers(exact.size)), exact.shape)
+        mean, se = estimate_cost(p, policy, [p.grid.point(j) for j in state],
+                                 SimConfig(runs=400, seed=seed))
+        assert abs(mean - exact[state]) <= 5.0 * se + 1e-12
 
     def test_cost_charged_before_clamping(self, fig1):
         # from the grid floor with no orders, backlog accrues on the
