@@ -25,8 +25,8 @@ from .balancing import (BalancingPolicy, BalancingState, act_balancing,
                         holding_cost_K_order, make_balancing_policy)
 from .stationary import (StationaryLevels, optimize_individual,
                          optimize_joint, stationary_cost)
-from .bounds import (AffineFit, NotSectorBoundableError, SectorFit,
-                     fit_affine, fit_sector, theoretical_ratio)
+from .bounds import (AffineFit, FitUnavailableError, NotSectorBoundableError,
+                     SectorFit, fit_affine, fit_sector, theoretical_ratio)
 from .sim import (RatioReport, SimConfig, estimate_cost, ratio_heatmap,
                   simulate_run, verify_cost_transformation)
 from . import instances

@@ -24,7 +24,11 @@ import numpy as np
 from .model import OrderingCost
 
 
-class NotSectorBoundableError(ValueError):
+class FitUnavailableError(ValueError):
+    """No envelope of the requested kind exists for this cost."""
+
+
+class NotSectorBoundableError(FitUnavailableError):
     pass
 
 
@@ -80,7 +84,7 @@ def fit_sector(cost: OrderingCost) -> SectorFit:
     l, l_wit = min(candidates, key=lambda c: c[0])
     h, h_wit = max(candidates, key=lambda c: c[0])
     if l <= 0:
-        raise ValueError("c vanishes on part of z > 0, the sector lower slope is 0")
+        raise FitUnavailableError("c vanishes on part of z > 0, the sector lower slope is 0")
     return SectorFit(l=l, h=h, l_witness=l_wit, h_witness=h_wit)
 
 
@@ -159,8 +163,8 @@ def fit_affine(cost: OrderingCost, m_locations: int) -> AffineFit:
     region and refines along its edges.
     """
     if cost.fixed_charge_at_zero <= 0:
-        raise ValueError("no lower envelope with a positive fixed charge exists; "
-                         "use fit_sector instead")
+        raise FitUnavailableError("no lower envelope with a positive fixed charge "
+                                  "exists; use fit_sector instead")
     anchors, tail_slope, tail_fixed = _lower_constraints(cost)
 
     def feasible(K, l):
@@ -189,7 +193,7 @@ def fit_affine(cost: OrderingCost, m_locations: int) -> AffineFit:
 
     feas = [(K, l) for K, l in candidates if K > 0 and feasible(K, l)]
     if not feas:
-        raise ValueError("no feasible lower envelope with K > 0 found")
+        raise FitUnavailableError("no feasible lower envelope with K > 0 found")
 
     def objective(K, l):
         return _envelope_ratio(cost, K, l)
@@ -271,7 +275,7 @@ def report(cost: OrderingCost, m_locations: int) -> str:
                      f"{theoretical_ratio(sector, m_locations, 'base_stock'):g}")
         lines.append(f"  online balancing bound 2h/l = "
                      f"{theoretical_ratio(sector, m_locations, 'online'):g}")
-    except (NotSectorBoundableError, ValueError) as exc:
+    except FitUnavailableError as exc:
         lines.append(f"sector fit: unavailable ({exc})")
     try:
         affine = fit_affine(cost, m_locations)
@@ -281,6 +285,6 @@ def report(cost: OrderingCost, m_locations: int) -> str:
                      f"{theoretical_ratio(affine, m_locations, 'sS'):g}")
         lines.append(f"  online balancing bound 3M*max(K_h/K_l, h/l) = "
                      f"{theoretical_ratio(affine, m_locations, 'online'):g}")
-    except ValueError as exc:
+    except FitUnavailableError as exc:
         lines.append(f"affine fit: unavailable ({exc})")
     return "\n".join(lines)

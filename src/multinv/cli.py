@@ -74,8 +74,11 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def build_policy(spec: str, problem: Problem, source: str, variant: str):
-    """Construct a policy from its CLI specifier."""
+def build_policy(spec: str, problem: Problem, source: str, variant: str, *,
+                 from_config: bool = False):
+    """Construct a policy from its CLI specifier.  Instance-specific
+    defaults (pi_diamond's pair, pi_v, S=auto) come from the instance id
+    ``source``; a problem read from a config file has none."""
     name, _, rest = spec.partition(":")
     if name == "config":
         path = Path(rest)
@@ -84,11 +87,7 @@ def build_policy(spec: str, problem: Problem, source: str, variant: str):
         with open(path) as fh:
             return config_mod.policy_from_config(json.load(fh), problem)
     params = _parse_kv(rest) if rest else {}
-    defaults = {}
-    try:
-        defaults = instances.policy_defaults(source)
-    except ValueError:
-        pass
+    defaults = {} if from_config else instances.policy_defaults(source)
 
     if name == "optimal":
         _, tab = dp_mod.solve_joint_dp(problem)
@@ -192,8 +191,11 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     problem, source = _load_problem(args)
-    policy_num = build_policy(args.num, problem, source, args.balancing_variant)
-    policy_den = build_policy(args.den, problem, source, args.balancing_variant)
+    from_config = bool(args.config)
+    policy_num = build_policy(args.num, problem, source, args.balancing_variant,
+                              from_config=from_config)
+    policy_den = build_policy(args.den, problem, source, args.balancing_variant,
+                              from_config=from_config)
     cfg = _sim_config(args)
     report = ratio_heatmap(problem, policy_num, policy_den, cfg)
     out = Path(args.out)

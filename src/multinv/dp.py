@@ -134,37 +134,48 @@ def _require_dp(problem: Problem):
 def solve_joint_dp(problem: Problem):
     """Optimal coupled policy by backward induction.
 
-    Returns (ValueFunction, TabularPolicy).  Within a stage the per-state
-    minimizations are independent; the argmin scans candidate orders in
-    C order, which realizes the lexicographic tie-break.
+    Returns (ValueFunction, TabularPolicy).  Each stage is minimized
+    action-major: the scan visits the order vectors u of the action box
+    in C order and, for all states j with j + u inside the grid at once,
+    forms cand = c(u) + goal[j + u] and keeps it where cand < best holds
+    strictly.  The strict comparison keeps the first minimum in C order,
+    which realizes the lexicographic tie-break; u = 0 is feasible
+    everywhere, so every state gets a value.
     """
     _require_dp(problem)
     grid, m = problem.grid, problem.m
     n = grid.count
     periods = problem.horizon.periods
     cap_steps = grid.to_steps(problem.max_order_per_location)
+    # orders above n - 1 steps are infeasible from every state
+    box = (min(cap_steps, n - 1) + 1,) * m
 
     combos = _joint_demand(problem)
     eh = _expected_holding_tables(problem)
     hold = functools.reduce(np.add.outer, eh)
-    order_cost = _order_cost_box(problem, cap_steps)
+    order_cost = _order_cost_box(problem, box[0] - 1)
+    # per-axis order s: the states that can take it, and where they land
+    heads = [slice(0, n - s) for s in range(box[0])]
+    tails = [slice(s, None) for s in range(box[0])]
 
     values = np.zeros((periods + 1,) + (n,) * m)
     orders = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)
+    arg = np.empty((n,) * m, dtype=np.intp)  # flat index of the best order
 
     for k in range(periods - 1, -1, -1):
         # cost of landing post-order at y, plus the future
         goal = hold + _expectation(values[k + 1], combos)
-        v_new = values[k]
-        pol = orders[k]
-        for state in np.ndindex(*(n,) * m):
-            sizes = tuple(min(cap_steps, n - 1 - j) + 1 for j in state)
-            cand = order_cost[tuple(slice(0, b) for b in sizes)] \
-                + goal[tuple(slice(j, j + b) for j, b in zip(state, sizes))]
-            flat = int(np.argmin(cand))
-            u = np.unravel_index(flat, sizes)
-            v_new[state] = cand[u]
-            pol[state] = u
+        best = values[k]
+        best.fill(np.inf)
+        # order vectors in C order, with c(u) and their state slices
+        scan = zip(order_cost.flat, itertools.product(heads, repeat=m),
+                   itertools.product(tails, repeat=m))
+        for flat, (cost, states, post) in enumerate(scan):
+            cand = cost + goal[post]
+            better = cand < best[states]
+            np.copyto(best[states], cand, where=better)
+            np.copyto(arg[states], flat, where=better)
+        orders[k] = np.stack(np.unravel_index(arg, box), axis=-1)
 
     return (ValueFunction(grid=grid, m=m, values=values),
             TabularPolicy(grid=grid, m=m, orders=orders, cap_steps=cap_steps))

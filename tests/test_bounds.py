@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import multinv as mi
-from multinv.bounds import (AffineFit, NotSectorBoundableError, envelope_gap,
-                            fit_affine, fit_sector, report, theoretical_ratio)
+from multinv import bounds
+from multinv.bounds import (AffineFit, FitUnavailableError, NotSectorBoundableError,
+                            envelope_gap, fit_affine, fit_sector, report,
+                            theoretical_ratio)
 from multinv.model import OrderingCost, Piece
 
 
@@ -173,3 +175,19 @@ class TestTheoreticalRatio:
         assert "h/l = 2" in text
         text = report(affine_cost_14(), 2)
         assert "sector fit: unavailable" in text
+
+    def test_fits_raise_their_own_error(self):
+        assert issubclass(NotSectorBoundableError, FitUnavailableError)
+        with pytest.raises(FitUnavailableError):
+            fit_sector(mi.linear_cost(0.0))
+        with pytest.raises(FitUnavailableError):
+            fit_affine(sector_cost(), 2)
+
+    @pytest.mark.parametrize("name", ["fit_sector", "fit_affine"])
+    def test_report_lets_other_errors_escape(self, monkeypatch, name):
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(bounds, name, boom)
+        with pytest.raises(ValueError, match="boom"):
+            report(sector_cost(), 2)

@@ -97,6 +97,30 @@ class TestCompare:
         with pytest.raises(Exception):
             build_policy("nonsense", p, "fig1_linear", "printed")
 
+    def test_instance_defaults_error_propagates(self, monkeypatch):
+        def boom(source):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(mi.instances, "policy_defaults", boom)
+        p = mi.instances.build("fig1_linear")
+        with pytest.raises(ValueError, match="boom"):
+            build_policy("base_stock:S=1.0", p, "fig1_linear", "printed")
+
+    def test_config_source_has_no_policy_defaults(self, tmp_path, monkeypatch, capsys):
+        # a config read from a tightness instance gets no S=auto level, and
+        # the instance defaults are never consulted for it
+        def boom(source):
+            raise AssertionError("policy_defaults called for a config source")
+
+        cfg = tmp_path / "tight.json"
+        assert run_cli("config", "--instance", "tightness:M=2,eps=0.1,l=1,h=4,p=100",
+                       "--out", str(cfg)) == 0
+        monkeypatch.setattr(mi.instances, "policy_defaults", boom)
+        assert run_cli("compare", "--config", str(cfg),
+                       "--num", "base_stock:S=auto", "--den", "base_stock:S=1.0",
+                       "--runs", "2", "--out", str(tmp_path / "x")) == 2
+        assert "S=auto is defined for tightness instances only" in capsys.readouterr().err
+
     def test_policy_from_config_file(self, tmp_path):
         p = mi.instances.build("fig1_linear")
         spec = tmp_path / "policy.json"

@@ -1,14 +1,20 @@
 from dataclasses import replace
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import multinv as mi
+from multinv import dp
 from multinv.dp import (SizeError, StructureError, TabularPolicy,
                         extract_base_stock, extract_sS)
 from multinv.model import (DemandModel, DiscreteMarginal, Finite, Grid,
-                           HoldingBacklogCost, Problem, linear_cost,
-                           single_location_problem)
+                           HoldingBacklogCost, OrderingCost, Piece, Problem,
+                           affine_cost, linear_cost, single_location_problem)
 from multinv.testing import (brute_force_policy_cost, brute_force_values,
                              random_order_table, random_small_problem)
 
@@ -120,6 +126,94 @@ class TestOracleEquivalence:
                 grid=p.grid, m=2, orders=table, cap_steps=cap))
             j = mi.evaluate_policy_exact(p, policy)
             assert np.all(vf.values[0] / periods <= j + 1e-9)
+
+
+def state_loop_dp(problem):
+    """The per-state backward induction that the action-major scan
+    replaced: each state takes np.argmin over its own feasible box, whose
+    first minimum in C order is the lexicographic tie-break."""
+    grid, m, n = problem.grid, problem.m, problem.grid.count
+    periods = problem.horizon.periods
+    cap_steps = grid.to_steps(problem.max_order_per_location)
+    combos = dp._joint_demand(problem)
+    hold = functools.reduce(np.add.outer, dp._expected_holding_tables(problem))
+    order_cost = dp._order_cost_box(problem, cap_steps)
+    values = np.zeros((periods + 1,) + (n,) * m)
+    orders = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)
+    for k in range(periods - 1, -1, -1):
+        goal = hold + dp._expectation(values[k + 1], combos)
+        for state in np.ndindex(*(n,) * m):
+            sizes = tuple(min(cap_steps, n - 1 - j) + 1 for j in state)
+            cand = order_cost[tuple(slice(0, b) for b in sizes)] \
+                + goal[tuple(slice(j, j + b) for j, b in zip(state, sizes))]
+            u = np.unravel_index(int(np.argmin(cand)), sizes)
+            values[k][state] = cand[u]
+            orders[k][state] = u
+    return values, orders
+
+
+# ordering costs with many exact ties (free or linear orders) and with
+# fixed charges and concave pieces
+TIE_COSTS = [linear_cost(0.0), linear_cost(1.0), affine_cost(1.0, 0.5),
+             OrderingCost(pieces=(Piece(1.0, 0.0, 2.0), Piece(math.inf, 1.0, 1.0)))]
+
+
+@hs.composite
+def dp_problems(draw):
+    m = draw(hs.integers(1, 3))
+    step = draw(hs.sampled_from([0.5, 1.0]))
+    count = draw(hs.integers(2, 6))
+    lo = -step * draw(hs.integers(0, 2))
+    marginals = []
+    for _ in range(m):
+        offsets = draw(hs.lists(hs.integers(0, 3), min_size=1, max_size=3, unique=True))
+        weights = draw(hs.lists(hs.integers(1, 5), min_size=len(offsets),
+                                max_size=len(offsets)))
+        marginals.append(DiscreteMarginal(
+            tuple(step * o for o in sorted(offsets)),
+            tuple(w / sum(weights) for w in weights)))
+    # zero holding or zero backlog rates, never both
+    rates = [draw(hs.sampled_from([(0.0, 1.0), (0.0, 10.0), (0.5, 0.0),
+                                   (0.5, 4.0), (1.0, 1.0)])) for _ in range(m)]
+    return Problem(
+        m=m,
+        horizon=Finite(draw(hs.integers(1, 3))),
+        ordering=draw(hs.sampled_from(TIE_COSTS)),
+        holding=HoldingBacklogCost(tuple(a for a, _ in rates), tuple(b for _, b in rates)),
+        demand=DemandModel(marginals=tuple(marginals)),
+        grid=Grid(lo, lo + step * (count - 1), step),
+        # order caps below, at and above the grid span count - 1
+        max_order_per_location=step * draw(hs.integers(0, 8)),
+    ).validate(dp=True)
+
+
+class TestSolveAgainstStateLoop:
+    """The action-major scan against the per-state loop it replaced."""
+
+    def assert_same(self, problem):
+        vf, tab = mi.solve_joint_dp(problem)
+        values, orders = state_loop_dp(problem)
+        assert np.array_equal(vf.values, values)
+        assert np.array_equal(tab.orders, orders)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=dp_problems())
+    def test_random_problems(self, problem):
+        self.assert_same(problem)
+
+    @pytest.mark.parametrize("cap", [1.0, 5.0])
+    def test_free_orders_and_no_holding_tie_everywhere(self, cap):
+        # with free orders and no holding cost every order that covers the
+        # demand ties; the smallest order vector has to win
+        p = Problem(m=3, horizon=Finite(2), ordering=linear_cost(0.0),
+                    holding=HoldingBacklogCost((0.0,) * 3, (1.0,) * 3),
+                    demand=DemandModel(marginals=(DiscreteMarginal((0.0, 1.0), (0.5, 0.5)),) * 3),
+                    grid=Grid(-1.0, 2.0, 1.0), max_order_per_location=cap).validate(dp=True)
+        self.assert_same(p)
+
+    def test_instances(self, fig1_linear, fig1_nonlinear):
+        for p, _, _ in (fig1_linear, fig1_nonlinear):
+            self.assert_same(p)
 
 
 class TestExactEvaluation:
