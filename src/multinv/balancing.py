@@ -35,7 +35,10 @@ Both are convex and fixed for the stage: linear between the atoms and 0
 for discrete demand, quadratic between 0, lo and hi for uniform demand.
 One cached table per stage holds them at those knots (filled from prefix
 sums), so each solve is a search over the knots and one linear or
-quadratic root on the piece found, row by row in closed form.
+quadratic root on the piece found, row by row in closed form.  The
+three functions share their knots, so the rule fetches a stage's table
+and locates x in its knots once per stage and location; every quantity
+at x, and the start of every difference from x, reuses that lookup.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import functools
 import logging
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,22 +145,27 @@ class _Pieces:
         for arr in (self.knots, self.value, self.slope, self.curv):
             arr.setflags(write=False)
 
-    def _piece(self, t):
+    def locate(self, t):
+        """(i, d): the piece holding t and t's offset d = t - knots[i]."""
         i = np.maximum(np.searchsorted(self.knots, t, side="right") - 1, 0)
         return i, t - self.knots[i]
 
-    def __call__(self, t):
-        i, d = self._piece(t)
+    def evaluate(self, i, d):
+        """f at the point located as (i, d)."""
         return self.value[i] + d * (self.slope[i] + self.curv[i] * d)
 
-    def rise(self, t, step):
-        """f(t + step) - f(t).  Within one piece this is step times the
-        mean slope, so that a proxy exactly at a threshold (say EH at the
-        cap equal to K) does not pick up the rounding of two large values."""
-        i, d = self._piece(t)
-        j, e = self._piece(t + step)
+    def __call__(self, t):
+        return self.evaluate(*self.locate(t))
+
+    def rise(self, t, step, at=None):
+        """f(t + step) - f(t), with ``at`` = ``locate(t)`` if given.  Within
+        one piece this is step times the mean slope, so that a proxy exactly
+        at a threshold (say EH at the cap equal to K) does not pick up the
+        rounding of two large values."""
+        i, d = self.locate(t) if at is None else at
+        j, e = self.locate(t + step)
         within = step * (self.slope[i] + self.curv[i] * (d + e))
-        across = (self.value[j] + e * (self.slope[j] + self.curv[j] * e)
+        across = (self.evaluate(j, e)
                   - self.value[i] - d * (self.slope[i] + self.curv[i] * d))
         return np.where(i == j, within, across)
 
@@ -240,6 +249,29 @@ def _table(state: BalancingState, k: int):
                            state.a, state.b, remaining)
 
 
+class _Located(NamedTuple):
+    """A stage's (hold, back, balance) with a batch of levels x located
+    in their shared knots: x = knots[i] + d."""
+
+    hold: _Pieces
+    back: _Pieces
+    balance: _Pieces
+    i: np.ndarray
+    d: np.ndarray
+
+    @property
+    def at(self):
+        return self.i, self.d
+
+    def rows(self, mask):
+        return self._replace(i=self.i[mask], d=self.d[mask])
+
+
+def _locate(state: BalancingState, k: int, x: np.ndarray) -> _Located:
+    hold, back, balance = _table(state, k)
+    return _Located(hold, back, balance, *hold.locate(x))
+
+
 def _eh_batch(state: BalancingState, k: int, x: np.ndarray,
               u: np.ndarray) -> np.ndarray:
     x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, float)),
@@ -278,20 +310,21 @@ def _max_demand(state: BalancingState) -> float:
 
 
 def balancing_order_batch(state: BalancingState, k: int, x: np.ndarray,
-                          caps: np.ndarray):
+                          caps: np.ndarray, located: _Located | None = None):
     """(u_hat, theta) arrays for a batch of states.
 
     u_hat is the leftmost order in [0, hi] where the balance gap EH - EB
     turns nonnegative, clamped to hi = min(cap, the order that zeroes the
-    backlog proxy), where the gap is certainly nonnegative.
+    backlog proxy), where the gap is certainly nonnegative.  ``located``
+    is x located in stage k's table (``_locate``); found here if omitted.
     """
     x = np.asarray(x, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), x.shape)
-    hold, back, balance = _table(state, k)
+    loc = _locate(state, k, x) if located is None else located
     hi = np.minimum(caps, np.maximum(0.0, _max_demand(state) - x))
-    u_hat = np.clip(balance.leftmost(hold(x)) - x, 0.0, hi)
-    u_hat = np.where(back(x) == 0.0, 0.0, u_hat)
-    return u_hat, hold.rise(x, u_hat)
+    u_hat = np.clip(loc.balance.leftmost(loc.hold.evaluate(*loc.at)) - x, 0.0, hi)
+    u_hat = np.where(loc.back.evaluate(*loc.at) == 0.0, 0.0, u_hat)
+    return u_hat, loc.hold.rise(x, u_hat, loc.at)
 
 
 def balancing_order(state: BalancingState, k: int, x: float):
@@ -303,19 +336,20 @@ def balancing_order(state: BalancingState, k: int, x: float):
 
 
 def holding_cost_K_order_batch(state: BalancingState, k: int, x: np.ndarray,
-                               caps: np.ndarray):
+                               caps: np.ndarray, located: _Located | None = None):
     if state.K <= 0:
         raise ValueError("the holding-cost-K order exists only for K > 0")
     x = np.asarray(x, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), x.shape).astype(float)
-    hold = _table(state, k)[0]
+    loc = _locate(state, k, x) if located is None else located
+    hold = loc.hold
     rate = hold.slope[-1]  # EH's slope once the order covers every atom
     if rate <= 0 and not np.all(np.isfinite(caps)):
         raise ValueError("zero holding rate with an unbounded cap cannot reach K")
     slack = 0.0 if rate <= 0 else state.K / rate + 1.0
     hi = np.minimum(caps, np.maximum(0.0, hold.knots[-1] - x) + slack)
-    saturated = hold.rise(x, hi) < state.K  # only possible when hi == caps
-    u = np.clip(hold.leftmost(hold(x) + state.K) - x, 0.0, hi)
+    saturated = hold.rise(x, hi, loc.at) < state.K  # only possible when hi == caps
+    u = np.clip(hold.leftmost(hold.evaluate(*loc.at) + state.K) - x, 0.0, hi)
     u = np.where(saturated, caps, u)
     return u, saturated
 
@@ -330,11 +364,14 @@ def holding_cost_K_order(state: BalancingState, k: int, x: float):
 
 
 def balancing_probability_batch(state: BalancingState, k: int, x: np.ndarray,
-                                u_tilde: np.ndarray) -> np.ndarray:
+                                u_tilde: np.ndarray,
+                                located: _Located | None = None) -> np.ndarray:
     if state.K <= 0:
         raise ValueError("the balancing probability exists only for K > 0")
-    eb0 = _eb_batch(state, k, np.asarray(x, float), np.zeros_like(np.asarray(x, float)))
-    ebt = _eb_batch(state, k, np.asarray(x, float), np.asarray(u_tilde, float))
+    x = np.asarray(x, dtype=float)
+    loc = _locate(state, k, x) if located is None else located
+    eb0 = loc.back.evaluate(*loc.at)
+    ebt = loc.back(x + np.asarray(u_tilde, float))
     denom = state.K - ebt + eb0
     bad = denom <= 0
     if np.any(bad):
@@ -356,15 +393,18 @@ def act_balancing_batch(state: BalancingState, k: int, x: np.ndarray,
                         caps: np.ndarray, uniforms) -> np.ndarray:
     """Orders for a batch of states; consumes one uniform per state when
     K > 0 (whether or not the randomized branch is taken)."""
-    u_hat, theta = balancing_order_batch(state, k, x, caps)
+    x = np.asarray(x, dtype=float)
+    loc = _locate(state, k, x)
+    u_hat, theta = balancing_order_batch(state, k, x, caps, loc)
     if state.K == 0:
         return u_hat
     order = u_hat.copy()
     low = theta < state.K
     if np.any(low):
-        caps_b = np.broadcast_to(np.asarray(caps, dtype=float), np.shape(x))
-        u_til, _ = holding_cost_K_order_batch(state, k, x[low], caps_b[low])
-        p = balancing_probability_batch(state, k, x[low], u_til)
+        caps_b = np.broadcast_to(np.asarray(caps, dtype=float), x.shape)
+        sub = loc.rows(low)
+        u_til, _ = holding_cost_K_order_batch(state, k, x[low], caps_b[low], sub)
+        p = balancing_probability_batch(state, k, x[low], u_til, sub)
         order[low] = np.where(uniforms[low] < p, u_til, 0.0)
     return order
 

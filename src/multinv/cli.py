@@ -257,34 +257,23 @@ def cmd_config(args) -> int:
 
 def _suite_theorem1() -> list:
     from .stationary import optimize_individual, optimize_joint, stationary_cost
-    from .model import (DemandModel, DiscreteMarginal, Grid,
-                        HoldingBacklogCost, OrderingCost, Piece)
+    from .model import Grid, Piece
+    from .testing import random_problem
     import math
-    results = []
-    rng = np.random.default_rng(20240817)
-    problems = [instances.build("fig1_linear"), instances.build("fig1_nonlinear")]
-    for _ in range(5):
-        m = int(rng.integers(1, 4))
-        atoms = []
-        for _i in range(m):
-            count = int(rng.integers(2, 5))
-            values = tuple(sorted(rng.choice(np.arange(0, 8) * 0.5, size=count,
-                                             replace=False)))
-            probs = rng.random(count)
-            probs = tuple(probs / probs.sum())
-            atoms.append(DiscreteMarginal(values=values, probs=probs))
+
+    def pieces(rng):
         m1 = float(rng.uniform(1, 5))
         m2 = float(rng.uniform(0.5, 3))
         lift = max(0.0, (m1 - m2) * 2.0) + float(rng.uniform(0, 2))
-        pieces = (Piece(2.0, 0.0, m1), Piece(math.inf, lift, m2))
-        problems.append(Problem(
-            m=m, horizon=Finite(2),
-            ordering=OrderingCost(pieces=pieces),
-            holding=HoldingBacklogCost(
-                holding=tuple(rng.uniform(0.1, 2) for _ in range(m)),
-                backlog=tuple(rng.uniform(1, 12) for _ in range(m))),
-            demand=DemandModel(marginals=tuple(atoms)),
-            grid=Grid(-2.0, 5.0, 0.5), max_order_per_location=4.0).validate())
+        return Piece(2.0, 0.0, m1), Piece(math.inf, lift, m2)
+
+    results = []
+    rng = np.random.default_rng(20240817)
+    problems = [instances.build("fig1_linear"), instances.build("fig1_nonlinear")]
+    problems += [random_problem(rng, int(rng.integers(1, 4)), 2, Grid(-2.0, 5.0, 0.5),
+                                atoms=(2, 5), support=8, pieces=pieces,
+                                cap=lambda rng: 4.0)
+                 for _ in range(5)]
     for j, problem in enumerate(problems):
         joint = optimize_joint(problem)
         indiv = optimize_individual(problem)

@@ -18,7 +18,10 @@ fresh ``Generator``.  The batched estimators draw the very same numbers
 through ``fill_streams``: the keys of a whole block of runs are derived
 in one pass, and a single Philox generator is re-keyed (counter reset
 to zero) for each run, so every row equals what that run's own
-``Generator`` would produce.
+``Generator`` would produce.  In that pass each state's key prefix
+(seed, purpose, state) is hashed once and every run extends a copy of
+that hash with its own (run, tag) suffix; the bytes hashed are exactly
+those of ``derive_key``, so the keys are unchanged.
 """
 
 from __future__ import annotations
@@ -32,10 +35,14 @@ CRN_TAG = "__crn__"
 _ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
 
 
+def _key_text(parts) -> bytes:
+    """The hashed text of ``parts``: the single definition of a key."""
+    return "|".join(repr(p) for p in parts).encode("utf-8")
+
+
 def _key_bytes(parts) -> bytes:
-    """The 16 key bytes of ``parts``: the single definition of a key."""
-    text = "|".join(repr(p) for p in parts)
-    return hashlib.sha256(text.encode("utf-8")).digest()[:16]
+    """The 16 key bytes of ``parts``."""
+    return hashlib.sha256(_key_text(parts)).digest()[:16]
 
 
 def derive_key(*parts) -> np.ndarray:
@@ -43,25 +50,30 @@ def derive_key(*parts) -> np.ndarray:
     return np.frombuffer(_key_bytes(parts), dtype=np.uint64).copy()
 
 
-def derive_keys(parts_rows) -> np.ndarray:
-    """Keys of many part tuples at once, shape (rows, 2); row r equals
-    ``derive_key(*parts_rows[r])``."""
-    digests = b"".join(_key_bytes(parts) for parts in parts_rows)
-    return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2)
-
-
 def stream(*parts) -> np.random.Generator:
     """A fresh Generator whose state is a pure function of ``parts``."""
     return np.random.Generator(np.random.Philox(key=derive_key(*parts)))
 
 
-def _demand_parts(master_seed, state_index, run_index, policy_tag, crn):
-    tag = CRN_TAG if crn else policy_tag
-    return (master_seed, "demand", state_index, run_index, tag)
+def _demand_tag(policy_tag, crn):
+    return CRN_TAG if crn else policy_tag
 
 
-def _policy_parts(master_seed, state_index, run_index, policy_tag):
-    return (master_seed, "policy", state_index, run_index, policy_tag)
+def _run_keys(master_seed, purpose, states, runs, tag) -> np.ndarray:
+    """Keys of (master_seed, purpose, s, r, tag) for s in ``states`` and
+    r < ``runs``, state-major, shape (len(states) * runs, 2).  Since
+    "|".join(a + b) == "|".join(a) + "|" + "|".join(b), each state's
+    prefix is hashed once and a copy of that hash is extended by each
+    run's suffix: the bytes hashed, and so the keys, are ``derive_key``'s."""
+    tails = [b"|" + _key_text((r, tag)) for r in range(runs)]
+    keys = bytearray()
+    for s in states:
+        head = hashlib.sha256(_key_text((master_seed, purpose, s)))
+        for tail in tails:
+            h = head.copy()
+            h.update(tail)
+            keys += h.digest()[:16]
+    return np.frombuffer(keys, dtype=np.uint64).reshape(-1, 2)
 
 
 def demand_stream(master_seed: int, state_index: int, run_index: int,
@@ -71,28 +83,28 @@ def demand_stream(master_seed: int, state_index: int, run_index: int,
     With common random numbers on, the policy tag is replaced by a
     shared constant so competing policies see identical sample paths.
     """
-    return stream(*_demand_parts(master_seed, state_index, run_index, policy_tag, crn))
+    return stream(master_seed, "demand", state_index, run_index,
+                  _demand_tag(policy_tag, crn))
 
 
 def policy_stream(master_seed: int, state_index: int, run_index: int,
                   policy_tag: str) -> np.random.Generator:
     """Policy-randomness stream of one run (never shared across policies)."""
-    return stream(*_policy_parts(master_seed, state_index, run_index, policy_tag))
+    return stream(master_seed, "policy", state_index, run_index, policy_tag)
 
 
 def demand_keys(master_seed: int, states: range, runs: int, policy_tag: str,
                 crn: bool) -> np.ndarray:
     """Keys of the demand streams of ``runs`` runs for each state index in
     ``states``, state-major, shape (len(states) * runs, 2)."""
-    return derive_keys(_demand_parts(master_seed, s, r, policy_tag, crn)
-                       for s in states for r in range(runs))
+    return _run_keys(master_seed, "demand", states, runs,
+                     _demand_tag(policy_tag, crn))
 
 
 def policy_keys(master_seed: int, states: range, runs: int,
                 policy_tag: str) -> np.ndarray:
     """Keys of the policy streams, laid out like ``demand_keys``."""
-    return derive_keys(_policy_parts(master_seed, s, r, policy_tag)
-                       for s in states for r in range(runs))
+    return _run_keys(master_seed, "policy", states, runs, policy_tag)
 
 
 def fill_streams(out: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -105,6 +105,34 @@ def random_order_table(problem: Problem, rng: np.random.Generator) -> np.ndarray
     return table
 
 
+def random_problem(rng: np.random.Generator, m: int, periods: int, grid: Grid, *,
+                   atoms: tuple, support: int, pieces, cap) -> Problem:
+    """A random discrete-demand problem on ``grid``, drawn in this order:
+    for each of the ``m`` locations ``rng.integers(*atoms)`` distinct demand
+    atoms among 0, 1, ..., ``support`` - 1 grid steps with normalized uniform
+    probabilities; the ordering cost's ``pieces(rng)``; holding rates
+    U(0.1, 2) and backlog rates U(1, 12); the order cap ``cap(rng)``."""
+    marginals = []
+    for _ in range(m):
+        n_atoms = int(rng.integers(*atoms))
+        offsets = rng.choice(np.arange(support), size=n_atoms, replace=False)
+        values = tuple(float(grid.step * o) for o in sorted(offsets))
+        raw = rng.random(n_atoms)
+        probs = tuple(float(p) for p in raw / raw.sum())
+        marginals.append(DiscreteMarginal(values=values, probs=probs))
+    return Problem(
+        m=m,
+        horizon=Finite(periods),
+        ordering=OrderingCost(pieces=tuple(pieces(rng))),
+        holding=HoldingBacklogCost(
+            holding=tuple(float(rng.uniform(0.1, 2.0)) for _ in range(m)),
+            backlog=tuple(float(rng.uniform(1.0, 12.0)) for _ in range(m))),
+        demand=DemandModel(marginals=tuple(marginals)),
+        grid=grid,
+        max_order_per_location=cap(rng),
+    ).validate(dp=True)
+
+
 def random_small_problem(rng: np.random.Generator) -> Problem:
     """A random instance small enough for brute-force enumeration:
     N <= 2, M <= 2, at most 6 grid points per dimension."""
@@ -113,36 +141,19 @@ def random_small_problem(rng: np.random.Generator) -> Problem:
     step = float(rng.choice([0.5, 1.0]))
     count = int(rng.integers(4, 7))
     lo = -step * int(rng.integers(0, 3))
-    grid = Grid(lo=lo, hi=lo + step * (count - 1), step=step)
-    marginals = []
-    for _ in range(m):
-        n_atoms = int(rng.integers(2, 4))
-        offsets = rng.choice(np.arange(4), size=n_atoms, replace=False)
-        values = tuple(float(step * o) for o in sorted(offsets))
-        raw = rng.random(n_atoms)
-        probs = tuple(float(p) for p in raw / raw.sum())
-        marginals.append(DiscreteMarginal(values=values, probs=probs))
-    pieces = []
-    if rng.random() < 0.5:
-        b = float(step * rng.integers(1, 4))
-        m1 = float(rng.uniform(0.5, 4.0))
-        m2 = float(rng.uniform(0.5, 4.0))
-        # keep the cost lower semicontinuous: no downward jump at b
-        lift = max(0.0, (m1 - m2) * b) + float(rng.choice([0.0, rng.uniform(0, 2)]))
-        pieces.append(Piece(b, 0.0, m1))
-        pieces.append(Piece(math.inf, lift, m2))
-    else:
-        pieces.append(Piece(math.inf,
-                            float(rng.choice([0.0, rng.uniform(0.5, 3.0)])),
-                            float(rng.uniform(0.5, 4.0))))
-    return Problem(
-        m=m,
-        horizon=Finite(periods),
-        ordering=OrderingCost(pieces=tuple(pieces)),
-        holding=HoldingBacklogCost(
-            holding=tuple(float(rng.uniform(0.1, 2.0)) for _ in range(m)),
-            backlog=tuple(float(rng.uniform(1.0, 12.0)) for _ in range(m))),
-        demand=DemandModel(marginals=tuple(marginals)),
-        grid=grid,
-        max_order_per_location=float(step * int(rng.integers(2, 4))),
-    ).validate(dp=True)
+
+    def pieces(rng):
+        if rng.random() < 0.5:
+            b = float(step * rng.integers(1, 4))
+            m1 = float(rng.uniform(0.5, 4.0))
+            m2 = float(rng.uniform(0.5, 4.0))
+            # keep the cost lower semicontinuous: no downward jump at b
+            lift = max(0.0, (m1 - m2) * b) + float(rng.choice([0.0, rng.uniform(0, 2)]))
+            return Piece(b, 0.0, m1), Piece(math.inf, lift, m2)
+        return (Piece(math.inf, float(rng.choice([0.0, rng.uniform(0.5, 3.0)])),
+                      float(rng.uniform(0.5, 4.0))),)
+
+    return random_problem(rng, m, periods,
+                          Grid(lo=lo, hi=lo + step * (count - 1), step=step),
+                          atoms=(2, 4), support=4, pieces=pieces,
+                          cap=lambda rng: float(step * int(rng.integers(2, 4))))

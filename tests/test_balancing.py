@@ -1,13 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import multinv as mi
-from multinv.balancing import (BalancingState, act_balancing,
-                               balancing_order, balancing_probability,
+from multinv.balancing import (BalancingPolicy, BalancingState, act_balancing,
+                               act_balancing_batch, balancing_order,
+                               balancing_order_batch, balancing_probability,
+                               balancing_probability_batch,
                                expected_backlog_proxy, expected_holding_proxy,
-                               holding_cost_K_order, make_balancing_policy)
+                               holding_cost_K_order, holding_cost_K_order_batch,
+                               make_balancing_policy)
 from multinv.model import DiscreteMarginal, UniformMarginal
 from multinv import rng
 
@@ -408,3 +413,98 @@ class TestSolveAgainstBisection:
                 assert solo[0][0] == u_hat[j] and solo[1][0] == theta[j]
                 solo = holding_cost_K_order_batch(st, k, x[j:j + 1], caps[j:j + 1])
                 assert solo[0][0] == u_til[j] and solo[1][0] == sat[j]
+
+
+def _unshared_act(st, k, x, caps, uniforms):
+    """The rule composed from the public batch functions, each of which
+    fetches the stage table and locates its x on its own."""
+    u_hat, theta = balancing_order_batch(st, k, x, caps)
+    if st.K == 0:
+        return u_hat
+    order = u_hat.copy()
+    low = theta < st.K
+    if np.any(low):
+        u_til, _ = holding_cost_K_order_batch(st, k, x[low], caps[low])
+        p = balancing_probability_batch(st, k, x[low], u_til)
+        order[low] = np.where(uniforms[low] < p, u_til, 0.0)
+    return order
+
+
+class TestSharedLookup:
+    """act_balancing_batch locates x once per stage and location; its
+    orders must be bit-identical to the unshared composition."""
+
+    def check(self, states, x, cap, top=8.0, seed=0):
+        """Compare every stage for two locations (x and x shifted by one
+        row); return the set of observed ``theta < K`` outcomes."""
+        X = np.stack([x, np.roll(x, 1)], axis=1)
+        uniforms = np.random.default_rng(seed).random(X.shape)
+        problem = SimpleNamespace(order_cap=lambda X: np.minimum(cap, top - X))
+        policy = BalancingPolicy(states)
+        caps = problem.order_cap(X)
+        sides = set()
+        for k in range(states[0].periods):
+            expected = np.stack([_unshared_act(st, k, X[:, i], caps[:, i], uniforms[:, i])
+                                 for i, st in enumerate(states)], axis=1)
+            for i, st in enumerate(states):
+                got = act_balancing_batch(st, k, X[:, i], caps[:, i], uniforms[:, i])
+                assert np.array_equal(got, expected[:, i])
+                theta = balancing_order_batch(st, k, X[:, i], caps[:, i])[1]
+                sides.update((theta < st.K).tolist())
+            assert np.array_equal(policy.act_batch(problem, k, X, uniforms), expected)
+        return sides
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=hs.lists(hs.integers(0, 6), min_size=1, max_size=6, unique=True),
+           weights=hs.lists(hs.integers(1, 20), min_size=6, max_size=6),
+           variant=hs.sampled_from(["printed", "cumulative"]),
+           periods=hs.integers(1, 6),
+           a=hs.one_of(hs.sampled_from([0.0, 0.1, 1.0]), hs.floats(0.05, 5.0)),
+           b=hs.floats(0.1, 20.0),
+           K=hs.one_of(hs.sampled_from([0.0, 0.5, 1.0, 4.0]), hs.floats(0.1, 10.0)),
+           xs=hs.lists(hs.one_of(hs.floats(-3.0, 8.0),
+                                 hs.integers(-6, 16).map(lambda n: 0.5 * n)),
+                       min_size=1, max_size=12),
+           cap=hs.one_of(hs.floats(0.5, 12.0), hs.integers(1, 24).map(lambda n: 0.5 * n)),
+           seed=hs.integers(0, 2 ** 32 - 1))
+    def test_random_marginals(self, grid, weights, variant, periods, a, b, K, xs,
+                              cap, seed):
+        w = np.array(weights[:len(grid)], dtype=float)
+        marginal = DiscreteMarginal(tuple(0.5 * v for v in grid), tuple(w / w.sum()))
+        states = [BalancingState(periods=periods, a=a, b=b, K=K, marginal=marginal,
+                                 u_cap=cap, variant=variant),
+                  BalancingState(periods=periods, a=a, b=2.0 * b, K=K,
+                                 marginal=FIG2, u_cap=cap, variant=variant)]
+        self.check(states, np.array(xs), cap, top=max(xs) + 1.0, seed=seed)
+
+    @pytest.mark.parametrize("variant", ["printed", "cumulative"])
+    @pytest.mark.parametrize("K", [0.0, 0.25, 0.45])
+    def test_rows_on_both_sides_of_K(self, variant, K):
+        x = np.concatenate((np.linspace(-3.0, 5.0, 41), np.arange(-6, 11) * 0.5))
+        states = [state(FIG2, periods=8, a=1.0, K=K, variant=variant),
+                  state(FIG1, periods=8, a=1.0, K=K, variant=variant)]
+        sides = self.check(states, x, cap=4.0)
+        if K > 0:
+            assert sides == {True, False}
+
+    @pytest.mark.parametrize("K", [0.0, 0.3, 0.9])
+    def test_uniform_demand(self, K):
+        x = np.linspace(-3.0, 4.0, 57)
+        states = [state(UniformMarginal(1.0, 2.0), periods=6, a=1.0, b=10.0, K=K),
+                  state(UniformMarginal(0.25, 1.75), periods=6, a=1.0, b=8.0, K=K)]
+        sides = self.check(states, x, cap=3.0, seed=1)
+        if K > 0:
+            assert sides == {True, False}
+
+    @pytest.mark.parametrize("variant", ["printed", "cumulative"])
+    def test_affine_instance_grid(self, variant):
+        problem = mi.instances.build("affine_sim")
+        policy = make_balancing_policy(problem, variant=variant)
+        X = np.stack(np.meshgrid(*(problem.grid.points(),) * 2, indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+        uniforms = np.random.default_rng(3).random(X.shape)
+        caps = problem.order_cap(X)
+        for k in range(problem.periods):
+            expected = np.stack([_unshared_act(st, k, X[:, i], caps[:, i], uniforms[:, i])
+                                 for i, st in enumerate(policy.states)], axis=1)
+            assert np.array_equal(policy.act_batch(problem, k, X, uniforms), expected)

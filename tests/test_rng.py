@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multinv as mi
@@ -42,7 +42,7 @@ def filled(seed, states, runs, tag, crn, shape, purpose):
 class TestKeys:
     def test_batched_keys_equal_single_keys(self):
         parts = [(3, "demand", s, r, "t") for s in range(4) for r in range(3)]
-        keys = rng.derive_keys(parts)
+        keys = rng.demand_keys(3, range(4), 3, "t", crn=False)
         assert keys.shape == (12, 2) and keys.dtype == np.uint64
         for row, p in zip(keys, parts):
             assert np.array_equal(row, rng.derive_key(*p))
@@ -52,6 +52,32 @@ class TestKeys:
         b = rng.demand_keys(5, range(2), 3, "b", crn=True)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, rng.demand_keys(5, range(2), 3, "a", crn=False))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                          st.sampled_from([-1, 0, 2 ** 63, -2 ** 63 - 1, 10 ** 40])),
+           tag=st.one_of(st.text(max_size=12),
+                         st.sampled_from(["'", '"', "\\", "|", "a|b", "'|\"",
+                                          "\\'", "\u00e9\u4e2d|\U0001f600",
+                                          "\ud800", ""])),
+           first=st.integers(0, 10 ** 6),
+           n_states=st.integers(1, 3),
+           runs=st.integers(1, 4),
+           crn=st.booleans())
+    @example(seed=-2 ** 63 - 1, tag="'|\\", first=7, n_states=2, runs=1, crn=False)
+    def test_property_block_keys_equal_derive_key(self, seed, tag, first,
+                                                  n_states, runs, crn):
+        # the block path hashes each state's prefix once and extends copies
+        # of it per run; the bytes hashed must still be derive_key's
+        states = range(first, first + n_states)
+        pairs = [(s, r) for s in states for r in range(runs)]
+        demand = rng.demand_keys(seed, states, runs, tag, crn)
+        policy = rng.policy_keys(seed, states, runs, tag)
+        assert demand.shape == policy.shape == (len(pairs), 2)
+        dtag = rng.CRN_TAG if crn else tag
+        for row, (s, r) in enumerate(pairs):
+            assert np.array_equal(demand[row], rng.derive_key(seed, "demand", s, r, dtag))
+            assert np.array_equal(policy[row], rng.derive_key(seed, "policy", s, r, tag))
 
 
 class TestFillStreams:
@@ -78,7 +104,7 @@ class TestFillStreams:
 
     def test_rejects_key_count_mismatch(self):
         with pytest.raises(ValueError):
-            rng.fill_streams(np.empty((3, 2)), rng.derive_keys([(1,), (2,)]))
+            rng.fill_streams(np.empty((3, 2)), rng.policy_keys(1, range(2), 1, "t"))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 63 - 1),
