@@ -20,14 +20,16 @@ Policy specifiers for --num/--den:
     sS:s=..,S=..               stationary (s,S), same pair everywhere
 
 Exit codes: 0 success, 1 property/acceptance failure, 2 usage or
-configuration error.  Every command writes a manifest JSON next to its
-outputs; rerunning with the same manifest inputs reproduces the CSVs
-byte for byte.
+configuration error (a ``UsageError`` or ``ValidationError``).  Any other
+exception is an internal fault and propagates.  Every command writes a
+manifest JSON next to its outputs; rerunning with the same manifest
+inputs reproduces the CSVs byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -48,20 +50,34 @@ class UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _parsing():
+    """Read user input: a ValueError raised here is a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _load_problem(args) -> tuple[Problem, str]:
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
-        return config_mod.load_problem(path), str(path)
+        with _parsing():
+            return config_mod.load_problem(path), str(path)
     if getattr(args, "instance", None):
-        return instances.build(args.instance), args.instance
+        with _parsing():
+            return instances.build(args.instance), args.instance
     raise UsageError("provide --instance NAME or --config PATH")
 
 
 def _sim_config(args) -> SimConfig:
-    return SimConfig(runs=args.runs, seed=args.seed, crn=args.crn,
-                     horizon_override=args.horizon, threads=args.threads)
+    cfg = SimConfig(runs=args.runs, seed=args.seed, crn=args.crn,
+                    horizon_override=args.horizon, threads=args.threads)
+    with _parsing():
+        cfg.check()
+    return cfg
 
 
 def _parse_kv(text: str) -> dict:
@@ -84,7 +100,7 @@ def build_policy(spec: str, problem: Problem, source: str, variant: str, *,
         path = Path(rest)
         if not path.exists():
             raise UsageError(f"policy config not found: {path}")
-        with open(path) as fh:
+        with open(path) as fh, _parsing():
             return config_mod.policy_from_config(json.load(fh), problem)
     params = _parse_kv(rest) if rest else {}
     defaults = {} if from_config else instances.policy_defaults(source)
@@ -93,24 +109,27 @@ def build_policy(spec: str, problem: Problem, source: str, variant: str, *,
         _, tab = dp_mod.solve_joint_dp(problem)
         return TabularGridPolicy(tab)
     if name == "pi_square":
-        if "l" in params:
-            slope = float(params["l"])
-        else:
-            slope = bounds.fit_sector(problem.ordering).l
+        with _parsing():
+            if "l" in params:
+                slope = float(params["l"])
+            else:
+                slope = bounds.fit_sector(problem.ordering).l
         return make_pi_square(problem, slope)
     if name == "pi_diamond":
-        if "Kh" in params and "h" in params:
-            pair = (float(params["Kh"]), float(params["h"]))
-        elif "pi_diamond" in defaults:
-            pair = defaults["pi_diamond"]
-        else:
-            fit = bounds.fit_affine(problem.ordering, problem.m)
-            pair = (fit.K_h, fit.h)
+        with _parsing():
+            if "Kh" in params and "h" in params:
+                pair = (float(params["Kh"]), float(params["h"]))
+            elif "pi_diamond" in defaults:
+                pair = defaults["pi_diamond"]
+            else:
+                fit = bounds.fit_affine(problem.ordering, problem.m)
+                pair = (fit.K_h, fit.h)
         return make_pi_diamond(problem, pair[0], pair[1])
     if name == "balancing":
-        K = float(params["K"]) if "K" in params else None
-        return make_balancing_policy(problem, K=K,
-                                      variant=params.get("variant", variant))
+        with _parsing():
+            K = float(params["K"]) if "K" in params else None
+            return make_balancing_policy(problem, K=K,
+                                          variant=params.get("variant", variant))
     if name == "pi_v":
         if "pi_v" not in defaults:
             raise UsageError("pi_v is defined for tightness instances only")
@@ -123,13 +142,15 @@ def build_policy(spec: str, problem: Problem, source: str, variant: str, *,
                 raise UsageError("S=auto is defined for tightness instances only")
             level = defaults["base_stock_auto"]
         else:
-            level = float(params["S"])
+            with _parsing():
+                level = float(params["S"])
         return BaseStockPolicy(np.full(problem.m, level))
     if name == "sS":
         if "s" not in params or "S" not in params:
             raise UsageError("sS needs s=<level>,S=<level>")
-        return SSPolicy(np.full(problem.m, float(params["s"])),
-                        np.full(problem.m, float(params["S"])))
+        with _parsing():
+            return SSPolicy(np.full(problem.m, float(params["s"])),
+                            np.full(problem.m, float(params["S"])))
     raise UsageError(f"unknown policy {name!r}")
 
 
@@ -421,10 +442,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, ValueError) as exc:
+    except (UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

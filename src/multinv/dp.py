@@ -11,7 +11,8 @@ Conventions shared with the simulator:
   the per-location order cap, in whole grid steps.
 * Holding/backlog cost is charged on the pre-clamp level x + u - w; the
   next state is then clamped into the grid box componentwise, so
-  boundary truncation never hides cost.
+  boundary truncation never hides cost.  Expectations read the floor
+  clamp as an edge pad of the value table, one slice view per outcome.
 * Ties in the minimization break toward the lexicographically smallest
   order vector (location 1 first).
 * Value tables hold un-normalized sums of stage costs; terminal values
@@ -79,24 +80,33 @@ class TabularPolicy:
 
 
 def _joint_demand(problem: Problem):
-    """All joint demand outcomes as (np.ix_ gather of the clamped next
-    state over the post-order grid, probability)."""
-    n = problem.grid.count
+    """All joint demand outcomes as (per-location demand in grid steps,
+    probability)."""
     per_loc = []
     for i in range(problem.m):
         values, probs = demand_pmf(problem.demand, i)
-        per_loc.append([(np.maximum(np.arange(n) - problem.grid.to_steps(v), 0), p)
-                        for v, p in zip(values, probs)])
-    return [(np.ix_(*(c[0] for c in combo)), float(np.prod([c[1] for c in combo])))
+        per_loc.append([(problem.grid.to_steps(v), p) for v, p in zip(values, probs)])
+    return [(tuple(c[0] for c in combo), float(np.prod([c[1] for c in combo])))
             for combo in itertools.product(*per_loc)]
 
 
 def _expectation(w: np.ndarray, combos) -> np.ndarray:
-    """ev[y] = sum_c p_c * w[clamp(y - shift_c)] over the joint post-order
-    grid y; trailing axes of w (several quantities at once) carry along."""
+    """ev[y] = sum_c p_c * w[max(y - shift_c, 0)] over the joint post-order
+    grid y; trailing axes of w (several quantities at once) carry along.
+    The clamp is an edge pad: w is copied once behind ``pad`` copies of
+    its first row on each location axis, and each outcome is a slice view
+    of the copy; shifts of n - 1 or more read row 0 throughout."""
+    m, n = len(combos[0][0]), w.shape[0]
+    pad = min(max(max(shifts) for shifts, _ in combos), n - 1)
+    padded = np.empty((n + pad,) * m + w.shape[m:], dtype=w.dtype)
+    padded[(slice(pad, None),) * m] = w
+    for a in range(m):
+        lead = (slice(None),) * a
+        padded[lead + (slice(0, pad),)] = padded[lead + (slice(pad, pad + 1),)]
+    cut = [slice(pad - s, pad - s + n) for s in range(pad + 1)]  # view of shift s <= pad
     ev = np.zeros_like(w)
-    for gather, prob in combos:
-        ev += prob * w[gather]
+    for shifts, prob in combos:
+        ev += prob * padded[tuple(cut[min(s, pad)] for s in shifts)]
     return ev
 
 

@@ -45,6 +45,8 @@ class SimConfig:
             raise ValueError("runs must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.horizon_override is not None and self.horizon_override < 1:
+            raise ValueError("horizon_override must be >= 1")
 
 
 def _with_horizon(problem: Problem, cfg: SimConfig | None) -> Problem:
@@ -308,7 +310,8 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
     ``exact_ineligibility``); otherwise it is estimated on its own derived
     streams and the report records why.  Errors raised inside exact
     evaluation propagate; they never turn into a Monte Carlo estimate.  Ratios are ratios of mean
-    costs, not means of per-run ratios.
+    costs, not means of per-run ratios; a state where both mean costs are
+    exactly 0 has ratio 1.0 (equal costs), not 0/0.
     """
     cfg.check()
     t0 = time.perf_counter()
@@ -337,9 +340,11 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
         mean_den, se_den = _estimate_over_states(problem, policy_den, states, cfg)
         den_exact = False
 
+    free = (mean_num == 0) & (mean_den == 0)
+    ratio = np.divide(mean_num, mean_den, out=np.ones_like(mean_num), where=~free)
     return RatioReport(
         states=states, mean_num=mean_num, se_num=se_num,
-        mean_den=mean_den, se_den=se_den, ratio=mean_num / mean_den,
+        mean_den=mean_den, se_den=se_den, ratio=ratio,
         num_tag=policy_num.tag, den_tag=policy_den.tag, config=cfg,
         den_exact=den_exact, runtime_s=time.perf_counter() - t0,
         den_reason=den_reason)

@@ -137,6 +137,66 @@ class TestCompare:
         assert "splot" in (out / "heatmap.gp").read_text()
 
 
+class TestExitCodes:
+    """Exit 2 is for usage and configuration errors only; any other
+    exception is an internal fault and leaves main."""
+
+    def test_internal_value_error_propagates(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(mi.dp, "solve_joint_dp", boom)
+        with pytest.raises(ValueError, match="boom"):
+            run_cli("solve", "--instance", "fig1_linear", "--out", str(tmp_path))
+
+    def test_instance_defaults_error_propagates_from_main(self, tmp_path, monkeypatch):
+        def boom(source):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(mi.instances, "policy_defaults", boom)
+        with pytest.raises(ValueError, match="boom"):
+            run_cli("compare", "--instance", "fig1_linear", "--num", "pi_square",
+                    "--den", "optimal", "--runs", "2", "--out", str(tmp_path))
+
+    @pytest.mark.parametrize("instance, message", [
+        ("nope", "unknown instance 'nope'"),
+        ("tightness:M", "malformed instance parameter 'M'"),
+        ("tightness:M=x", "could not convert string to float"),
+    ])
+    def test_bad_instance_exits_2(self, tmp_path, capsys, instance, message):
+        assert run_cli("solve", "--instance", instance, "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unknown_config_kind_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "p.json"
+        assert run_cli("config", "--instance", "fig1_linear", "--out", str(cfg)) == 0
+        data = json.loads(cfg.read_text())
+        data["horizon"]["kind"] = "forever"
+        cfg.write_text(json.dumps(data))
+        assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "unknown horizon kind 'forever'" in capsys.readouterr().err
+
+    def test_unreconstructable_policy_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "policy.json"
+        spec.write_text(json.dumps({"kind": "tabular"}))
+        assert run_cli("compare", "--instance", "fig1_linear", "--num", f"config:{spec}",
+                       "--den", "optimal", "--runs", "2", "--out", str(tmp_path / "o")) == 2
+        assert "cannot be reconstructed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (("--num", "pi_square:l=abc"), "could not convert string to float"),
+        (("--num", "sS:s=3,S=1"), "every s must be <= its S"),
+        (("--num", "balancing:variant=zz"), "unknown balancing variant 'zz'"),
+        (("--num", "pi_square", "--runs", "0"), "runs must be >= 1"),
+        (("--num", "pi_square", "--horizon", "0"), "horizon_override must be >= 1"),
+    ])
+    def test_bad_policy_or_simulation_input_exits_2(self, tmp_path, capsys, args, message):
+        argv = ["compare", "--instance", "fig1_linear", "--den", "optimal",
+                "--runs", "2", "--out", str(tmp_path)] + list(args)
+        assert run_cli(*argv) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestBoundsAndConfig:
     def test_bounds_sector(self, capsys):
         assert run_cli("bounds", "--instance", "sector_sim") == 0

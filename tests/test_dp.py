@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from multinv.dp import (SizeError, StructureError, TabularPolicy,
                         extract_base_stock, extract_sS)
 from multinv.model import (DemandModel, DiscreteMarginal, Finite, Grid,
                            HoldingBacklogCost, OrderingCost, Piece, Problem,
-                           affine_cost, linear_cost, single_location_problem)
+                           affine_cost, demand_pmf, linear_cost,
+                           single_location_problem)
 from multinv.testing import (brute_force_policy_cost, brute_force_values,
                              random_order_table, random_small_problem)
 
@@ -128,6 +130,22 @@ class TestOracleEquivalence:
             assert np.all(vf.values[0] / periods <= j + 1e-9)
 
 
+def gather_expectation(problem, w):
+    """The expectation that the edge-padded views replaced: each joint
+    demand outcome gathers w at the clamped next state with np.ix_, in
+    the same outcome order and with the same probabilities."""
+    n = problem.grid.count
+    per_loc = []
+    for i in range(problem.m):
+        values, probs = demand_pmf(problem.demand, i)
+        per_loc.append([(np.maximum(np.arange(n) - problem.grid.to_steps(v), 0), p)
+                        for v, p in zip(values, probs)])
+    ev = np.zeros_like(w)
+    for combo in itertools.product(*per_loc):
+        ev += float(np.prod([c[1] for c in combo])) * w[np.ix_(*(c[0] for c in combo))]
+    return ev
+
+
 def state_loop_dp(problem):
     """The per-state backward induction that the action-major scan
     replaced: each state takes np.argmin over its own feasible box, whose
@@ -135,13 +153,12 @@ def state_loop_dp(problem):
     grid, m, n = problem.grid, problem.m, problem.grid.count
     periods = problem.horizon.periods
     cap_steps = grid.to_steps(problem.max_order_per_location)
-    combos = dp._joint_demand(problem)
     hold = functools.reduce(np.add.outer, dp._expected_holding_tables(problem))
     order_cost = dp._order_cost_box(problem, cap_steps)
     values = np.zeros((periods + 1,) + (n,) * m)
     orders = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)
     for k in range(periods - 1, -1, -1):
-        goal = hold + dp._expectation(values[k + 1], combos)
+        goal = hold + gather_expectation(problem, values[k + 1])
         for state in np.ndindex(*(n,) * m):
             sizes = tuple(min(cap_steps, n - 1 - j) + 1 for j in state)
             cand = order_cost[tuple(slice(0, b) for b in sizes)] \
@@ -214,6 +231,63 @@ class TestSolveAgainstStateLoop:
     def test_instances(self, fig1_linear, fig1_nonlinear):
         for p, _, _ in (fig1_linear, fig1_nonlinear):
             self.assert_same(p)
+
+
+def expectation_problem(marginals, count):
+    """A DP problem on the unit-step grid of ``count`` points whose only
+    use here is its joint demand."""
+    m = len(marginals)
+    return Problem(m=m, horizon=Finite(1), ordering=linear_cost(1.0),
+                   holding=HoldingBacklogCost((1.0,) * m, (2.0,) * m),
+                   demand=DemandModel(marginals=tuple(marginals)),
+                   grid=Grid(-1.0, count - 2.0, 1.0),
+                   max_order_per_location=1.0).validate(dp=True)
+
+
+def random_table(rng, shape):
+    """Signed entries over seven decades, so rounding order would show."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+
+@hs.composite
+def expectation_cases(draw):
+    # demand atoms from 0 (no shift) up to twice the grid (shifts >= n),
+    # with or without the 2 + 2M trailing quantities of exact_expectations
+    m = draw(hs.integers(1, 3))
+    count = draw(hs.integers(2, 7))
+    marginals = []
+    for _ in range(m):
+        steps = draw(hs.lists(hs.integers(0, 2 * count), min_size=1, max_size=4, unique=True))
+        weights = draw(hs.lists(hs.integers(1, 9), min_size=len(steps), max_size=len(steps)))
+        marginals.append(DiscreteMarginal(tuple(float(v) for v in steps),
+                                          tuple(w / sum(weights) for w in weights)))
+    shape = (count,) * m + ((2 + 2 * m,) if draw(hs.booleans()) else ())
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    return expectation_problem(marginals, count), random_table(rng, shape)
+
+
+class TestExpectationViews:
+    """dp._expectation (slice views of one edge-padded copy) against the
+    np.ix_ gather it replaced, bit for bit."""
+
+    def assert_same(self, problem, w):
+        ev = dp._expectation(w, dp._joint_demand(problem))
+        assert np.array_equal(ev, gather_expectation(problem, w))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=expectation_cases())
+    def test_random_tables(self, case):
+        self.assert_same(*case)
+
+    # zero demand only (pad width 0), every shift >= n, and a mix of both
+    @pytest.mark.parametrize("steps", [(0.0,), (5.0, 9.0), (0.0, 2.0, 6.0)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("trailing", [False, True])
+    def test_edge_shifts(self, steps, m, trailing):
+        probs = tuple(np.full(len(steps), 1.0 / len(steps)))
+        p = expectation_problem([DiscreteMarginal(steps, probs)] * m, 4)
+        rng = np.random.default_rng(len(steps) * 10 + m)
+        self.assert_same(p, random_table(rng, (4,) * m + ((2 + 2 * m,) if trailing else ())))
 
 
 class TestExactEvaluation:

@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -152,6 +153,27 @@ class TestRatioHeatmap:
                                 SimConfig(runs=30, seed=7, threads=threads))
             texts.add(rep.csv_text())
         assert len(texts) == 1
+
+    def test_zero_cost_state_has_unit_ratio(self, fig1):
+        # with no demand, the state at 0 costs nothing under either policy:
+        # its ratio is defined as 1, without a 0/0 warning, and every other
+        # ratio is the plain quotient of the mean costs
+        p = zero_demand(fig1).validate()
+        _, tab = mi.solve_joint_dp(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = ratio_heatmap(p, mi.make_pi_square(p, 2.0), mi.TabularGridPolicy(tab),
+                                SimConfig(runs=3, seed=1))
+        free = (rep.mean_num == 0) & (rep.mean_den == 0)
+        assert np.array_equal(rep.states[free], [[0.0, 0.0]])
+        assert rep.ratio[free].tolist() == [1.0]
+        assert np.array_equal(rep.ratio[~free], rep.mean_num[~free] / rep.mean_den[~free])
+
+    def test_nonpositive_horizon_override_rejected_before_simulating(self, fig1, fig1_solved):
+        _, tab = fig1_solved
+        with pytest.raises(ValueError, match="horizon_override"):
+            ratio_heatmap(fig1, mi.make_pi_square(fig1, 2.0), mi.TabularGridPolicy(tab),
+                          SimConfig(runs=2, seed=1, horizon_override=0))
 
     def test_explicit_initial_state_list(self, fig1, fig1_solved):
         _, tab = fig1_solved
