@@ -76,42 +76,73 @@ def problem_to_config(problem: Problem) -> dict:
     }
 
 
+_REQUIRED = object()
+
+
+def _field(cfg, *path, default=_REQUIRED):
+    """``cfg[path[0]][path[1]]...``.  A missing field is a ValueError
+    naming its path, e.g. ``config: missing field 'holding[1].backlog_rate'``,
+    unless a ``default`` for the last key is given."""
+    node = cfg
+    for j, key in enumerate(path):
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            if default is not _REQUIRED and j == len(path) - 1:
+                return default
+            where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                            for k in path[:j + 1]).lstrip(".")
+            raise ValueError(f"config: missing field {where!r}") from None
+    return node
+
+
 def problem_from_config(cfg: dict) -> Problem:
-    h = cfg["horizon"]
-    if h["kind"] == "finite":
-        horizon = Finite(int(h["periods"]))
-    elif h["kind"] == "infinite_averaged":
-        horizon = InfiniteAveraged(int(h["sim_periods"]), int(h.get("burn_in", 0)))
+    kind = _field(cfg, "horizon", "kind")
+    if kind == "finite":
+        horizon = Finite(int(_field(cfg, "horizon", "periods")))
+    elif kind == "infinite_averaged":
+        horizon = InfiniteAveraged(int(_field(cfg, "horizon", "sim_periods")),
+                                   int(_field(cfg, "horizon", "burn_in", default=0)))
     else:
-        raise ValueError(f"unknown horizon kind {h['kind']!r}")
+        raise ValueError(f"unknown horizon kind {kind!r}")
     marginals = []
-    for loc in cfg["demand"]["locations"]:
-        if loc["kind"] == "discrete":
+    for i in range(len(_field(cfg, "demand", "locations"))):
+        loc = ("demand", "locations", i)
+        kind = _field(cfg, *loc, "kind")
+        if kind == "discrete":
+            atoms = _field(cfg, *loc, "atoms")
             marginals.append(DiscreteMarginal(
-                values=tuple(float(v) for v, _ in loc["atoms"]),
-                probs=tuple(float(p) for _, p in loc["atoms"])))
-        elif loc["kind"] == "uniform":
-            marginals.append(UniformMarginal(lo=float(loc["lo"]), hi=float(loc["hi"])))
+                values=tuple(float(v) for v, _ in atoms),
+                probs=tuple(float(p) for _, p in atoms)))
+        elif kind == "uniform":
+            marginals.append(UniformMarginal(lo=float(_field(cfg, *loc, "lo")),
+                                             hi=float(_field(cfg, *loc, "hi"))))
         else:
-            raise ValueError(f"unknown demand kind {loc['kind']!r}")
-    ordering = OrderingCost(
-        pieces=tuple(Piece(math.inf if p["upper"] is None else float(p["upper"]),
-                           float(p["fixed"]), float(p["slope"]))
-                     for p in cfg["ordering"]["pieces"]),
-        discounts=tuple((float(d["z"]), float(d["slope"]))
-                        for d in cfg["ordering"].get("discounts", [])))
+            raise ValueError(f"unknown demand kind {kind!r}")
+    pieces = []
+    for j in range(len(_field(cfg, "ordering", "pieces"))):
+        upper = _field(cfg, "ordering", "pieces", j, "upper")
+        pieces.append(Piece(math.inf if upper is None else float(upper),
+                            float(_field(cfg, "ordering", "pieces", j, "fixed")),
+                            float(_field(cfg, "ordering", "pieces", j, "slope"))))
+    discounts = tuple(
+        (float(_field(cfg, "ordering", "discounts", j, "z")),
+         float(_field(cfg, "ordering", "discounts", j, "slope")))
+        for j in range(len(_field(cfg, "ordering", "discounts", default=[]))))
+    rates = range(len(_field(cfg, "holding")))
     return Problem(
-        m=int(cfg["locations"]),
+        m=int(_field(cfg, "locations")),
         horizon=horizon,
-        ordering=ordering,
+        ordering=OrderingCost(pieces=tuple(pieces), discounts=discounts),
         holding=HoldingBacklogCost(
-            holding=tuple(float(e["holding_rate"]) for e in cfg["holding"]),
-            backlog=tuple(float(e["backlog_rate"]) for e in cfg["holding"])),
-        demand=DemandModel(marginals=tuple(marginals),
-                           iid_across_periods=bool(cfg["demand"]["iid_across_periods"])),
-        grid=Grid(lo=float(cfg["grid"]["min"]), hi=float(cfg["grid"]["max"]),
-                  step=float(cfg["grid"]["step"])),
-        max_order_per_location=float(cfg["max_order_per_location"]),
+            holding=tuple(float(_field(cfg, "holding", i, "holding_rate")) for i in rates),
+            backlog=tuple(float(_field(cfg, "holding", i, "backlog_rate")) for i in rates)),
+        demand=DemandModel(
+            marginals=tuple(marginals),
+            iid_across_periods=bool(_field(cfg, "demand", "iid_across_periods"))),
+        grid=Grid(lo=float(_field(cfg, "grid", "min")), hi=float(_field(cfg, "grid", "max")),
+                  step=float(_field(cfg, "grid", "step"))),
+        max_order_per_location=float(_field(cfg, "max_order_per_location")),
     )
 
 
@@ -129,19 +160,28 @@ def load_problem(path) -> Problem:
 def policy_from_config(cfg: dict, problem: Problem):
     """Reconstruct a serialized policy; balancing policies rebuild from
     their parameters against the given problem."""
-    kind = cfg["kind"]
+    return _policy_from_config(cfg, (), problem)
+
+
+def _policy_from_config(cfg: dict, where: tuple, problem: Problem):
+    """The policy serialized at path ``where`` of ``cfg``."""
+    def field(name):
+        return _field(cfg, *where, name)
+
+    kind = field("kind")
     if kind == "base_stock":
-        return pol_mod.BaseStockPolicy(np.asarray(cfg["levels"]))
+        return pol_mod.BaseStockPolicy(np.asarray(field("levels")))
     if kind == "sS":
-        return pol_mod.SSPolicy(np.asarray(cfg["small_s"]), np.asarray(cfg["big_s"]))
+        return pol_mod.SSPolicy(np.asarray(field("small_s")), np.asarray(field("big_s")))
     if kind == "decoupled":
         return pol_mod.DecoupledPolicy(
-            [policy_from_config(c, problem) for c in cfg["components"]])
+            [_policy_from_config(cfg, where + ("components", i), problem)
+             for i in range(len(field("components")))])
     if kind == "pi_v":
-        return pol_mod.ExplicitVPolicy(v_values=cfg["v_values"],
-                                       threshold=cfg["threshold"])
+        return pol_mod.ExplicitVPolicy(v_values=field("v_values"),
+                                       threshold=field("threshold"))
     if kind == "balancing":
         from .balancing import make_balancing_policy
-        return make_balancing_policy(problem, K=cfg["fixed_charge"],
-                                     variant=cfg["variant"])
+        return make_balancing_policy(problem, K=field("fixed_charge"),
+                                     variant=field("variant"))
     raise ValueError(f"policy kind {kind!r} cannot be reconstructed from config")

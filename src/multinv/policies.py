@@ -21,7 +21,7 @@ import logging
 import numpy as np
 
 from . import dp as dp_mod
-from .model import (Problem, linear_cost, affine_cost,
+from .model import (Problem, linear_cost, affine_cost, location_sum,
                     single_location_problem)
 
 logger = logging.getLogger(__name__)
@@ -197,11 +197,11 @@ class DecoupledPolicy(Policy):
     def act_batch(self, problem, k, X, uniforms):
         if len(self.components) != X.shape[1]:
             raise ValueError("component count does not match the location count")
-        cols = []
+        out = np.empty_like(X)
         for i, comp in enumerate(self.components):
-            u = None if uniforms is None else uniforms[:, [i]]
-            cols.append(comp.act_batch(problem, k, X[:, [i]], u))
-        return np.concatenate(cols, axis=1)
+            u = None if uniforms is None else uniforms[:, i:i + 1]
+            out[:, i:i + 1] = comp.act_batch(problem, k, X[:, i:i + 1], u)
+        return out
 
     def to_config(self):
         return {"kind": self.kind,
@@ -233,42 +233,50 @@ class ExplicitVPolicy(Policy):
 
     def act_batch(self, problem, k, X, uniforms):
         self._check_instance(problem)
-        B, m = X.shape
-        sx = X.sum(axis=1)
-        total = np.full(B, self.v_values[0])
+        sx = location_sum(X)
+        total = np.full(X.shape[0], self.v_values[0])
         for v in reversed(self.v_values):
             total[sx + v >= self.threshold] = v
         total[sx >= self.threshold] = 0.0
-        orders = np.zeros_like(X)
-        active = total > 0
-        if np.any(active):
-            orders[active] = _waterfill(X[active], total[active])
-        return _truncate(orders, problem, X, self.kind)
+        return _truncate(_waterfill(X, total), problem, X, self.kind)
 
     def to_config(self):
         return {"kind": self.kind, "v_values": list(self.v_values),
                 "threshold": self.threshold}
 
 
+def _sorted_columns(X: np.ndarray) -> list:
+    """The columns of X (B, M) with every row sorted ascending, as M
+    arrays, by min/max compare-exchanges of whole columns (a bubble
+    network); exact, like ``np.sort(X, axis=1)``."""
+    xs = [X[:, i] for i in range(X.shape[1])]
+    for top in range(len(xs) - 1, 0, -1):
+        for i in range(top):
+            xs[i], xs[i + 1] = np.minimum(xs[i], xs[i + 1]), np.maximum(xs[i], xs[i + 1])
+    return xs
+
+
 def _waterfill(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rowwise orders max(L - x, 0) with the common level L chosen so the
-    row sums to v.  Reduces to the equal split when feasible."""
-    B, m = X.shape
-    xs = np.sort(X, axis=1)
-    prefix = np.cumsum(xs, axis=1)
-    level = (v + prefix[:, m - 1]) / m
-    found = np.zeros(B, dtype=bool)
-    out_level = np.empty(B)
-    for q in range(1, m + 1):
-        cand = (v + prefix[:, q - 1]) / q
-        ok = cand >= xs[:, q - 1] - 1e-15
-        if q < m:
-            ok &= cand <= xs[:, q] + 1e-15
-        newly = ok & ~found
-        out_level[newly] = cand[newly]
-        found |= newly
-    out_level[~found] = level[~found]
-    return np.maximum(out_level[:, None] - X, 0.0)
+    row sums to v.  Reduces to the equal split when feasible; a row with
+    v = 0 orders nothing (every entry +0.0).
+
+    L is the candidate (v + sum of the q lowest levels) / q of the
+    smallest q that lies between the q-th and (q+1)-th lowest level, and
+    the q = M candidate when none does.  The prefix sums are a running
+    sum of the sorted columns, which is the order ``np.cumsum`` adds in.
+    """
+    m = X.shape[1]
+    xs = _sorted_columns(X)
+    prefix = [xs[0]]
+    for i in range(1, m):
+        prefix.append(prefix[-1] + xs[i])
+    level = (v + prefix[m - 1]) / m
+    for q in range(m - 1, 0, -1):
+        cand = (v + prefix[q - 1]) / q
+        ok = (cand >= xs[q - 1] - 1e-15) & (cand <= xs[q] + 1e-15)
+        level = np.where(ok, cand, level)
+    return np.maximum(level[:, None] - X, 0.0)
 
 
 # ---------------------------------------------------------------------------

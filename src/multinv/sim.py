@@ -12,7 +12,9 @@ Philox generator per chunk, and its demand is transformed in one call.
 One batched stepper serves scalar simulation (batch of one) and the
 full-grid estimators, so both consume randomness identically: demand is
 one uniform per location per period, policy randomness (when a policy
-is randomized) likewise.
+is randomized) likewise.  The stepper runs the dynamics period by period
+and charges costs per block of periods, adding the periods' costs to
+each trajectory's total in period order.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 
 from . import dp as dp_mod
 from . import rng as rng_mod
-from .model import Finite, Problem, dp_demand_errors, transform_uniform_draws
+from .model import (Finite, Problem, dp_demand_errors, location_sum,
+                    transform_uniform_draws)
 from .policies import GridTabulationError, Policy
 
 
@@ -59,6 +62,12 @@ def _with_horizon(problem: Problem, cfg: SimConfig | None) -> Problem:
 # Core stepper
 # ---------------------------------------------------------------------------
 
+# Periods are stepped one at a time, but their costs are evaluated once per
+# block of up to this many (period, trajectory) rows, so the cost calls
+# are amortized when the batch is small.
+_BLOCK_ROWS = 4096
+
+
 def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray,
                     demand: np.ndarray, uniforms, collect_orders: bool = False):
     """Average cost of B trajectories fed with pre-drawn demand.
@@ -66,27 +75,42 @@ def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray,
     x0: (B, M); demand: (B, T, M); uniforms: (B, T, M) or None.
     Returns costs (B,), and with ``collect_orders`` also the per-period
     total orders and ordering costs, each (B, T).
+
+    The dynamics (policy, orders, post-demand level, clamp) run period
+    by period.  The order totals and post-demand levels of a block of
+    periods are kept, and the block's ordering and holding/backlog costs
+    are evaluated in one call each; every period's cost is then added to
+    the running total in period order, so the result is the same as
+    charging each period as it is stepped.
     """
     grid = problem.grid
     burn = 0 if isinstance(problem.horizon, Finite) else problem.horizon.burn_in
     periods = demand.shape[1]
     x = np.array(x0, dtype=float)
-    total = np.zeros(x.shape[0])
-    z_trace = np.zeros((x.shape[0], periods)) if collect_orders else None
-    c_trace = np.zeros((x.shape[0], periods)) if collect_orders else None
-    for k in range(periods):
-        uni = None if uniforms is None else uniforms[:, k, :]
-        orders = policy.act_batch(problem, k, x, uni)
-        z = orders.sum(axis=1)
-        order_cost = problem.ordering.eval_array(z)
-        post = x + orders - demand[:, k, :]
-        stage = order_cost + problem.holding.eval_batch(post).sum(axis=1)
-        if k >= burn:
-            total += stage
+    batch, m = x.shape
+    total = np.zeros(batch)
+    z_trace = np.empty((batch, periods)) if collect_orders else None
+    c_trace = np.empty((batch, periods)) if collect_orders else None
+    span = max(1, min(periods, _BLOCK_ROWS // batch))
+    z = np.empty((span, batch))
+    post = np.empty((span, batch, m))
+    for k0 in range(0, periods, span):
+        n = min(span, periods - k0)
+        for j in range(n):
+            k = k0 + j
+            uni = None if uniforms is None else uniforms[:, k, :]
+            orders = policy.act_batch(problem, k, x, uni)
+            z[j] = location_sum(orders)
+            np.add(x, orders, out=post[j])
+            post[j] -= demand[:, k, :]
+            x = np.clip(post[j], grid.lo, grid.hi)
+        order_cost = problem.ordering.eval_array(z[:n])
+        stage = order_cost + location_sum(problem.holding.eval_batch(post[:n]))
+        for j in range(max(0, burn - k0), n):
+            total += stage[j]
         if collect_orders:
-            z_trace[:, k] = z
-            c_trace[:, k] = order_cost
-        x = np.clip(post, grid.lo, grid.hi)
+            z_trace[:, k0:k0 + n] = z[:n].T
+            c_trace[:, k0:k0 + n] = order_cost.T
     costs = total / (periods - burn)
     if collect_orders:
         return costs, z_trace, c_trace

@@ -176,6 +176,32 @@ class TestExitCodes:
         assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert "unknown horizon kind 'forever'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, message", [
+        (("grid",), "config: missing field 'grid'"),
+        (("holding", 1, "backlog_rate"), "config: missing field 'holding[1].backlog_rate'"),
+        (("demand", "locations", 0, "atoms"),
+         "config: missing field 'demand.locations[0].atoms'"),
+    ])
+    def test_missing_config_field_exits_2(self, tmp_path, capsys, path, message):
+        cfg = tmp_path / "p.json"
+        assert run_cli("config", "--instance", "fig1_linear", "--out", str(cfg)) == 0
+        data = json.loads(cfg.read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        cfg.write_text(json.dumps(data))
+        assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+
+    def test_missing_nested_policy_field_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "policy.json"
+        spec.write_text(json.dumps({"kind": "decoupled",
+                                    "components": [{"kind": "base_stock"}]}))
+        assert run_cli("compare", "--instance", "fig1_linear", "--num", f"config:{spec}",
+                       "--den", "optimal", "--runs", "2", "--out", str(tmp_path / "o")) == 2
+        assert "config: missing field 'components[0].levels'" in capsys.readouterr().err
+
     def test_unreconstructable_policy_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "policy.json"
         spec.write_text(json.dumps({"kind": "tabular"}))

@@ -82,6 +82,13 @@ class TestConfigRoundTrip:
         save_problem(p, path)
         assert load_problem(path) == p
 
+    @pytest.mark.parametrize("instance_id", ALL_IDS)
+    def test_file_round_trip_is_byte_equal(self, instance_id, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_problem(mi.instances.build(instance_id), first)
+        save_problem(load_problem(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_schema_field_names(self):
         cfg = problem_to_config(mi.instances.build("affine_sim"))
         assert cfg["locations"] == 2

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import multinv as mi
 from multinv.policies import (BaseStockPolicy, DecoupledPolicy, SSPolicy,
-                              act)
+                              _sorted_columns, _waterfill, act)
 from multinv import rng
 
 TIGHT = "tightness:M=2,eps=0.1,l=1,h=4,p=100"
@@ -162,6 +164,52 @@ class TestExplicitV:
         p, policy = self.build()
         with pytest.raises(ValueError):
             policy.tabulate(p)
+
+
+
+def waterfill_inputs(m, seed, ties):
+    """Levels on [-4, 4] (whole numbers when ``ties``, so rows repeat
+    values), signed zeros included, and order totals with zeros."""
+    gen = np.random.default_rng(seed)
+    X = gen.uniform(-4.0, 4.0, (64, m))
+    if ties:
+        X = np.round(X)
+    X[gen.random(X.shape) < 0.1] = -0.0
+    v = gen.choice([0.0, 0.5, 1.0, 2.0 + 1e-3, 7.0, 30.0], 64)
+    return X, v
+
+
+class TestWaterfill:
+    @settings(max_examples=100, deadline=None)
+    @given(m=hs.integers(1, 6), seed=hs.integers(0, 2 ** 32 - 1), ties=hs.booleans())
+    def test_zero_total_orders_positive_zero(self, m, seed, ties):
+        X, _ = waterfill_inputs(m, seed, ties)
+        u = _waterfill(X, np.zeros(X.shape[0]))
+        assert np.all(u == 0.0) and not np.any(np.signbit(u))
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=hs.integers(1, 6), seed=hs.integers(0, 2 ** 32 - 1), ties=hs.booleans())
+    def test_rows_sum_to_total(self, m, seed, ties):
+        X, v = waterfill_inputs(m, seed, ties)
+        u = _waterfill(X, v)
+        assert np.all(u >= 0)
+        assert np.allclose(u.sum(axis=1), v, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=hs.integers(1, 6), seed=hs.integers(0, 2 ** 32 - 1), ties=hs.booleans())
+    def test_equal_split_whenever_feasible(self, m, seed, ties):
+        X, v = waterfill_inputs(m, seed, ties)
+        level = (X.sum(axis=1) + v) / m
+        feasible = level >= X.max(axis=1)
+        u = _waterfill(X, v)
+        assert np.allclose(u[feasible], level[feasible, None] - X[feasible],
+                           rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=hs.integers(1, 6), seed=hs.integers(0, 2 ** 32 - 1), ties=hs.booleans())
+    def test_column_sort_equals_row_sort(self, m, seed, ties):
+        X, _ = waterfill_inputs(m, seed, ties)
+        assert np.array_equal(np.column_stack(_sorted_columns(X)), np.sort(X, axis=1))
 
 
 class TestSerialization:

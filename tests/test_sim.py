@@ -2,6 +2,7 @@ import csv
 import io
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from multinv.sim import (SimConfig, _draw_runs, _estimate_over_states,
                          shift_ordering_slopes, simulate_run,
                          verify_cost_transformation)
 from multinv import rng
+from multinv import sim as sim_mod
 from multinv.testing import random_order_table, random_small_problem
 
 
@@ -316,3 +318,166 @@ class TestCostTransformation:
             SimConfig(runs=60, seed=3, initial_states=[[0.0, 0.0]]))
         assert rep["mode"] == "monte_carlo"
         assert "max_gap_in_se" in rep
+
+
+# ---------------------------------------------------------------------------
+# Block-accounting stepper against the per-period reference
+# ---------------------------------------------------------------------------
+
+def reference_simulate_batch(problem, policy, x0, demand, uniforms,
+                             collect_orders=False):
+    """The per-period stepper: every period's costs are evaluated as it is
+    stepped, with ``sum(axis=1)`` row reductions."""
+    grid = problem.grid
+    burn = 0 if isinstance(problem.horizon, mi.model.Finite) else problem.horizon.burn_in
+    periods = demand.shape[1]
+    x = np.array(x0, dtype=float)
+    total = np.zeros(x.shape[0])
+    z_trace = np.zeros((x.shape[0], periods))
+    c_trace = np.zeros((x.shape[0], periods))
+    for k in range(periods):
+        uni = None if uniforms is None else uniforms[:, k, :]
+        orders = policy.act_batch(problem, k, x, uni)
+        z = orders.sum(axis=1)
+        order_cost = problem.ordering.eval_array(z)
+        post = x + orders - demand[:, k, :]
+        stage = order_cost + problem.holding.eval_batch(post).sum(axis=1)
+        if k >= burn:
+            total += stage
+        z_trace[:, k] = z
+        c_trace[:, k] = order_cost
+        x = np.clip(post, grid.lo, grid.hi)
+    costs = total / (periods - burn)
+    if collect_orders:
+        return costs, z_trace, c_trace
+    return costs
+
+
+def reference_waterfill(X, v):
+    """Waterfilling by a row sort and a cumulative sum along the rows."""
+    B, m = X.shape
+    xs = np.sort(X, axis=1)
+    prefix = np.cumsum(xs, axis=1)
+    level = (v + prefix[:, m - 1]) / m
+    found = np.zeros(B, dtype=bool)
+    out_level = np.empty(B)
+    for q in range(1, m + 1):
+        cand = (v + prefix[:, q - 1]) / q
+        ok = cand >= xs[:, q - 1] - 1e-15
+        if q < m:
+            ok &= cand <= xs[:, q] + 1e-15
+        newly = ok & ~found
+        out_level[newly] = cand[newly]
+        found |= newly
+    out_level[~found] = level[~found]
+    return np.maximum(out_level[:, None] - X, 0.0)
+
+
+class ReferenceExplicitV(mi.ExplicitVPolicy):
+    """pi_v that waterfills only the rows with a positive order total."""
+
+    def act_batch(self, problem, k, X, uniforms):
+        self._check_instance(problem)
+        sx = X.sum(axis=1)
+        total = np.full(X.shape[0], self.v_values[0])
+        for v in reversed(self.v_values):
+            total[sx + v >= self.threshold] = v
+        total[sx >= self.threshold] = 0.0
+        orders = np.zeros_like(X)
+        active = total > 0
+        if np.any(active):
+            orders[active] = reference_waterfill(X[active], total[active])
+        return mi.policies._truncate(orders, problem, X, self.kind)
+
+
+def stepper_case(kind, m, batch, periods, burn, gen):
+    """(problem, policy, reference policy, x0, demand, uniforms) for one
+    policy family: pi_square on sector_sim and randomized balancing on
+    affine_sim, widened to m locations, and pi_v on a tightness instance
+    with burn-in."""
+    if kind == "pi_v":
+        p = mi.instances.build(f"tightness:M={m}")
+        p = replace(p, horizon=InfiniteAveraged(sim_periods=periods, burn_in=burn))
+        delta = mi.instances.tightness_delta(0.1, 1.0)
+        policy = mi.make_pi_v(m, delta)
+        ref = ReferenceExplicitV(policy.v_values, policy.threshold)
+        x0 = gen.uniform(p.grid.lo, p.grid.hi, (batch, m))
+    else:
+        base = mi.instances.build("sector_sim" if kind == "pi_square" else "affine_sim")
+        p = replace(base, m=m, horizon=mi.model.Finite(periods),
+                    holding=mi.model.HoldingBacklogCost(base.holding.holding[:1] * m,
+                                                        base.holding.backlog[:1] * m),
+                    demand=DemandModel(base.demand.marginals[:1] * m))
+        policy = (mi.make_pi_square(p, 2.0) if kind == "pi_square"
+                  else mi.make_balancing_policy(p))
+        ref = policy
+        x0 = p.grid.points()[gen.integers(0, p.grid.count, (batch, m))]
+    demand = mi.model.transform_uniform_draws(p.demand, gen.random((batch, periods, m)))
+    uniforms = gen.random((batch, periods, m)) if policy.uses_randomness else None
+    return p, policy, ref, x0, demand, uniforms
+
+
+def run_both(case):
+    p, policy, ref, x0, demand, uniforms = case
+    inputs = (demand.copy(), None if uniforms is None else uniforms.copy())
+    got = _simulate_batch(p, policy, x0, demand, uniforms, collect_orders=True)
+    assert np.array_equal(demand, inputs[0])
+    assert uniforms is None or np.array_equal(uniforms, inputs[1])
+    want = reference_simulate_batch(p, ref, x0, demand, uniforms, collect_orders=True)
+    return got, want
+
+
+# horizons around the block span: one block cut short, one full block,
+# one period into the second block, two full blocks and a partial third
+HORIZONS = {"span-1": lambda s: max(1, s - 1), "span": lambda s: s,
+            "span+1": lambda s: s + 1, "2*span+3": lambda s: 2 * s + 3}
+
+
+class TestBlockStepper:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=hs.sampled_from(["pi_square", "balancing", "pi_v"]),
+           m=hs.integers(1, 4), batch=hs.sampled_from([1, 7, 600]),
+           span=hs.sampled_from([1, 2, 5]), horizon=hs.sampled_from(list(HORIZONS)),
+           burn_frac=hs.floats(0.0, 0.999), seed=hs.integers(0, 2 ** 32 - 1))
+    def test_bit_equal_to_per_period_stepper(self, kind, m, batch, span, horizon,
+                                             burn_frac, seed):
+        # block rows = span * batch makes the blocks span periods long
+        periods = HORIZONS[horizon](span)
+        burn = int(burn_frac * periods) if kind == "pi_v" else 0
+        case = stepper_case(kind, m, batch, periods, burn, np.random.default_rng(seed))
+        with mock.patch.object(sim_mod, "_BLOCK_ROWS", span * batch):
+            got, want = run_both(case)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("batch, periods, burn", [
+        (600, 15, 7),      # 6-period blocks; burn-in ends inside the second
+        (7, 1173, 586),    # 585-period blocks
+        (1, 50, 3),        # one block of the whole horizon
+    ])
+    def test_bit_equal_at_default_block_size(self, batch, periods, burn):
+        case = stepper_case("pi_v", 2, batch, periods, burn, np.random.default_rng(batch))
+        got, want = run_both(case)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["pi_square", "pi_v"])
+    @pytest.mark.parametrize("m", [8, 9, 12])
+    def test_many_locations_within_rounding(self, kind, m):
+        # numpy sums 8 or more terms pairwise, the stepper column by column
+        case = stepper_case(kind, m, 50, 12, 4 if kind == "pi_v" else 0,
+                            np.random.default_rng(m))
+        got, want = run_both(case)
+        for a, b in zip(got, want):
+            assert np.allclose(a, b, rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=hs.integers(1, 6), seed=hs.integers(0, 2 ** 32 - 1),
+           ties=hs.booleans())
+    def test_waterfill_bit_equal_to_sorted_reference(self, m, seed, ties):
+        gen = np.random.default_rng(seed)
+        X = gen.uniform(-4.0, 4.0, (40, m))
+        if ties:
+            X = np.round(X)
+        v = gen.choice([0.5, 1.0, 2.0 + 1e-3, 7.0], 40)
+        assert np.array_equal(mi.policies._waterfill(X, v), reference_waterfill(X, v))
