@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DiscreteMarginal, Finite, Problem, UniformMarginal
+from .model import Finite, Problem, UniformMarginal, convolve_atoms
 from .policies import Policy
 
 logger = logging.getLogger(__name__)
@@ -70,7 +70,6 @@ class BalancingState:
     marginal: object = None  # DiscreteMarginal or UniformMarginal
     u_cap: float = np.inf
     variant: str = "printed"
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -81,13 +80,6 @@ class BalancingState:
     def _check_stage(self, k: int):
         if not 0 <= k < self.periods:
             raise IndexError(f"stage {k} out of range")
-
-    def _atoms(self):
-        if not isinstance(self.marginal, DiscreteMarginal):
-            raise TypeError("discrete demand required here")
-        order = np.argsort(np.asarray(self.marginal.values))
-        return (np.asarray(self.marginal.values, dtype=float)[order],
-                np.asarray(self.marginal.probs, dtype=float)[order])
 
 
 # (values, probs) -> partial-sum atoms for horizons 0..H of one marginal;
@@ -106,22 +98,14 @@ def _partial_sum_atoms(values: tuple, probs: tuple, horizon: int):
         tables = _PARTIAL_SUMS.get((values, probs), ())
         if len(tables) > horizon:
             return tables[horizon]
-        base = {}
-        for v, p in zip(values, probs):
-            key = round(v, 9)
-            base[key] = base.get(key, 0.0) + p
+        base = convolve_atoms({0.0: 1.0}, list(zip(values, probs)))
         merged = {}
-        current = dict(base)
+        current = base
         tables = [(np.array([]), np.array([]))]
         for _ in range(horizon):
             for s, ps in current.items():
                 merged[s] = merged.get(s, 0.0) + ps
-            nxt = {}
-            for s, ps in current.items():
-                for v, p in base.items():
-                    key = round(s + v, 9)
-                    nxt[key] = nxt.get(key, 0.0) + ps * p
-            current = nxt
+            current = convolve_atoms(current, base.items())
             out_vals = np.array(sorted(merged))
             tables.append((out_vals, np.array([merged[v] for v in out_vals])))
         _PARTIAL_SUMS[(values, probs)] = tables
@@ -244,7 +228,7 @@ def _table(state: BalancingState, k: int):
         if state.variant != "printed":
             raise NotImplementedError("cumulative variant needs discrete demand")
         return _uniform_table(float(g.lo), float(g.hi), state.a * remaining, state.b)
-    values, probs = state._atoms()
+    values, probs = g.sorted_pmf()
     return _discrete_table(tuple(values), tuple(probs), state.variant,
                            state.a, state.b, remaining)
 
@@ -304,11 +288,6 @@ def expected_backlog_proxy(state: BalancingState, k: int, x: float,
     return float(_eb_batch(state, k, np.asarray(x, float), np.asarray(u, float)).ravel()[0])
 
 
-def _max_demand(state: BalancingState) -> float:
-    g = state.marginal
-    return float(max(g.values)) if isinstance(g, DiscreteMarginal) else float(g.hi)
-
-
 def balancing_order_batch(state: BalancingState, k: int, x: np.ndarray,
                           caps: np.ndarray, located: _Located | None = None):
     """(u_hat, theta) arrays for a batch of states.
@@ -321,7 +300,7 @@ def balancing_order_batch(state: BalancingState, k: int, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), x.shape)
     loc = _locate(state, k, x) if located is None else located
-    hi = np.minimum(caps, np.maximum(0.0, _max_demand(state) - x))
+    hi = np.minimum(caps, np.maximum(0.0, state.marginal.max_value - x))
     u_hat = np.clip(loc.balance.leftmost(loc.hold.evaluate(*loc.at)) - x, 0.0, hi)
     u_hat = np.where(loc.back.evaluate(*loc.at) == 0.0, 0.0, u_hat)
     return u_hat, loc.hold.rise(x, u_hat, loc.at)

@@ -53,8 +53,7 @@ class AffineFit:
 def _ratio_candidates(cost: OrderingCost):
     """Candidate (value, witness) extrema of c(z)/z over z > 0."""
     out = []
-    lower = 0.0
-    for piece in cost.pieces:
+    for lower, piece in cost.spans():
         if piece.fixed == 0.0:
             witness = piece.upper if math.isfinite(piece.upper) else lower + 1.0
             out.append((piece.slope, witness))
@@ -67,7 +66,6 @@ def _ratio_candidates(cost: OrderingCost):
                 out.append((piece.fixed / piece.upper + piece.slope, piece.upper))
             else:
                 out.append((piece.slope, "limit"))  # z -> infinity
-        lower = piece.upper
     for z, slope in cost.discounts:
         out.append((slope, z))
     return out
@@ -98,15 +96,13 @@ def _lower_constraints(cost: OrderingCost):
     anchors = []
     tail_slope = None
     tail_fixed = None
-    lower = 0.0
-    for piece in cost.pieces:
+    for lower, piece in cost.spans():
         anchors.append((lower, piece.fixed + piece.slope * lower))  # z -> lower+
         if math.isfinite(piece.upper):
             anchors.append((piece.upper, piece.fixed + piece.slope * piece.upper))
         else:
             tail_slope = piece.slope
             tail_fixed = piece.fixed
-        lower = piece.upper
     for z, slope in cost.discounts:
         anchors.append((z, slope * z))
     return anchors, tail_slope, tail_fixed
@@ -134,8 +130,7 @@ def _envelope_ratio(cost: OrderingCost, K: float, l: float) -> float:
     if K <= 0:
         return math.inf
     best = 0.0
-    lower = 0.0
-    for piece in cost.pieces:
+    for lower, piece in cost.spans():
         ends = [lower]
         if math.isfinite(piece.upper):
             ends.append(piece.upper)
@@ -146,7 +141,6 @@ def _envelope_ratio(cost: OrderingCost, K: float, l: float) -> float:
                 return math.inf
             if l > 0:
                 best = max(best, piece.slope / l)
-        lower = piece.upper
     for z, slope in cost.discounts:
         best = max(best, slope * z / (K + l * z))
     return best

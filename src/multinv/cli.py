@@ -168,18 +168,15 @@ def _table_csv(problem: Problem, array: np.ndarray, value_columns) -> str:
     Columns: stage, x1..xM, then the value columns; states enumerate in
     C order of the grid indices.
     """
-    grid, m = problem.grid, problem.m
-    n = grid.count
-    idx = np.stack([g.ravel() for g in np.indices((n,) * m)], axis=1)
-    coords = grid.points()[idx]
+    coords = problem.grid.states(problem.m)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["stage"] + [f"x{i + 1}" for i in range(m)] + list(value_columns))
+    writer.writerow(["stage"] + [f"x{i + 1}" for i in range(problem.m)]
+                    + list(value_columns))
     for k in range(array.shape[0]):
-        flat = array[k].reshape(n ** m, -1)
-        for j in range(n ** m):
-            writer.writerow([k] + [repr(float(c)) for c in coords[j]]
-                            + [repr(float(v)) for v in flat[j]])
+        for x, row in zip(coords, array[k].reshape(len(coords), -1)):
+            writer.writerow([k] + [repr(float(c)) for c in x]
+                            + [repr(float(v)) for v in row])
     return buf.getvalue()
 
 

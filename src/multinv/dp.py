@@ -28,13 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Finite, Problem, demand_pmf, expected_holding_backlog
+from .model import (Finite, Problem, SizeError, demand_pmf,
+                    expected_holding_backlog)
 
 MAX_JOINT_STATES = 100_000
-
-
-class SizeError(ValueError):
-    """Joint table would not fit sensibly in memory."""
 
 
 class StructureError(ValueError):
@@ -72,7 +69,6 @@ class TabularPolicy:
     m: int
     orders: np.ndarray  # int array, shape (N,) + (n,)*m + (m,)
     cap_steps: int = 10 ** 9
-    tie_break: str = "lexicographic-smallest-order"
 
     @property
     def stages(self) -> int:
@@ -289,7 +285,7 @@ def exact_expectations(problem: Problem, policy) -> ExactExpectations:
                         + [zeros] * m + [ec[i][post[i]] for i in range(m)], axis=-1)
 
     w = np.zeros((n,) * m + (2 + 2 * m,))
-    w[..., 2:2 + m] = np.moveaxis(grid.points()[np.indices((n,) * m)], 0, -1)
+    w[..., 2:2 + m] = grid.states(m).reshape((n,) * m + (m,))
     w = _policy_recursion(problem, table, stage, w)
     return ExactExpectations(w[..., 0] / problem.horizon.periods, w[..., 1],
                              w[..., 2:2 + m], w[..., 2 + m:])

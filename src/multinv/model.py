@@ -46,9 +46,15 @@ class UnsupportedDemandError(ValueError):
 # Grid
 # ---------------------------------------------------------------------------
 
+class SizeError(ValueError):
+    """A joint table or search would not fit sensibly in memory."""
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Regular one-dimensional state grid shared by every location."""
+    """Regular one-dimensional state grid shared by every location.  The
+    joint grid is its M-fold product, whose one layout is ``states`` and
+    whose one coordinate-to-index rule is ``indices``."""
 
     lo: float
     hi: float
@@ -76,13 +82,28 @@ class Grid:
     def points(self) -> np.ndarray:
         return self.lo + self.step * np.arange(self.count)
 
+    def states(self, m: int) -> np.ndarray:
+        """Every joint state of m locations, shape (count**m, m), in C order
+        of the grid indices (location 1 slowest)."""
+        idx = np.stack([g.ravel() for g in np.indices((self.count,) * m)], axis=1)
+        return self.points()[idx]
+
+    def indices(self, X) -> np.ndarray:
+        """Per-location grid indices of states X (..., M).  A value more
+        than GRID_ALIGN_TOL steps off the grid, or outside [lo, hi],
+        raises a ValueError naming it."""
+        X = np.asarray(X, dtype=float)
+        i = (X - self.lo) / self.step
+        j = np.rint(i)
+        bad = ~((np.abs(i - j) <= GRID_ALIGN_TOL) & (j >= 0) & (j < self.count))
+        if np.any(bad):
+            raise ValueError(f"value {float(X[bad][0])} is not on the grid "
+                             f"[{self.lo}, {self.hi}] with step {self.step}")
+        return j.astype(int)
+
     def index(self, value: float) -> int:
         """Grid index of ``value``; rejects off-grid values."""
-        i = (value - self.lo) / self.step
-        j = int(round(i))
-        if abs(i - j) > GRID_ALIGN_TOL or j < 0 or j >= self.count:
-            raise ValueError(f"value {value} is not on the grid")
-        return j
+        return int(self.indices(value))
 
     def to_steps(self, quantity: float) -> int:
         """Express a nonnegative quantity as a whole number of grid steps."""
@@ -119,6 +140,16 @@ class DiscreteMarginal:
             errors.append(f"{where}: demand values must be distinct")
         return errors
 
+    @property
+    def max_value(self) -> float:
+        return float(max(self.values))
+
+    def sorted_pmf(self):
+        """(values ascending, probs) as float arrays."""
+        order = np.argsort(np.asarray(self.values))
+        return (np.asarray(self.values, dtype=float)[order],
+                np.asarray(self.probs, dtype=float)[order])
+
 
 @dataclass(frozen=True)
 class UniformMarginal:
@@ -136,6 +167,10 @@ class UniformMarginal:
         if not math.isfinite(self.hi):
             errors.append(f"{where}: uniform hi must be finite (bounded support)")
         return errors
+
+    @property
+    def max_value(self) -> float:
+        return float(self.hi)
 
 
 @dataclass(frozen=True)
@@ -168,8 +203,7 @@ class DemandModel:
         return errors
 
     def max_value(self, i: int) -> float:
-        g = self.marginals[i]
-        return max(g.values) if isinstance(g, DiscreteMarginal) else g.hi
+        return self.marginals[i].max_value
 
     def mean(self, i: int) -> float:
         g = self.marginals[i]
@@ -183,9 +217,19 @@ def demand_pmf(d: DemandModel, i: int):
     g = d.marginals[i]
     if not isinstance(g, DiscreteMarginal):
         raise UnsupportedDemandError("pmf queries require discrete demand")
-    order = np.argsort(np.asarray(g.values))
-    return (np.asarray(g.values, dtype=float)[order],
-            np.asarray(g.probs, dtype=float)[order])
+    return g.sorted_pmf()
+
+
+def convolve_atoms(a: dict, b) -> dict:
+    """Atoms {value: prob} of the sum of independent atom sets ``a`` (a
+    dict, outer loop) and ``b`` (re-iterable (value, prob) pairs, inner
+    loop); sums equal to 9 decimals coalesce into one atom."""
+    out = {}
+    for s, ps in a.items():
+        for v, p in b:
+            key = round(s + v, 9)
+            out[key] = out.get(key, 0.0) + ps * p
+    return out
 
 
 def transform_uniform_draws(d: DemandModel, raw: np.ndarray,
@@ -255,13 +299,11 @@ class OrderingCost:
         if not self.pieces:
             errors.append("ordering: needs at least one piece")
             return errors
-        prev = 0.0
-        for j, piece in enumerate(self.pieces):
-            if piece.upper <= prev:
+        for j, (lower, piece) in enumerate(self.spans()):
+            if piece.upper <= lower:
                 errors.append(f"ordering.pieces[{j}]: upper bounds must increase")
             if piece.fixed < 0 or piece.slope < 0:
                 errors.append(f"ordering.pieces[{j}]: fixed and slope must be >= 0")
-            prev = piece.upper
         if not math.isinf(self.pieces[-1].upper):
             errors.append("ordering.pieces: last piece must extend to infinity")
         for j in range(len(self.pieces) - 1):
@@ -280,7 +322,7 @@ class OrderingCost:
         if any(s < 0 for _, s in self.discounts):
             errors.append("ordering.discounts: slopes must be >= 0")
         for z, slope in self.discounts:
-            piece = self.piece_at(z)
+            piece = self.pieces[self.piece_index(z)]
             if slope * z > piece.fixed + piece.slope * z + 1e-9:
                 errors.append(
                     f"ordering.discounts: value at z={z} exceeds the covering "
@@ -292,25 +334,31 @@ class OrderingCost:
         """The jump of c at 0+, i.e. the first piece's fixed charge."""
         return self.pieces[0].fixed
 
-    def piece_at(self, z: float) -> Piece:
+    def spans(self):
+        """(lower, piece) per piece: the piece covers (lower, piece.upper],
+        where lower is the previous piece's upper (0 for the first)."""
+        lower = 0.0
         for piece in self.pieces:
-            if z <= piece.upper:
-                return piece
-        return self.pieces[-1]
+            yield lower, piece
+            lower = piece.upper
+
+    def piece_index(self, z):
+        """Index of the piece covering z, elementwise: the number of finite
+        upper bounds below z (the last piece's upper is inf)."""
+        return sum(z > p.upper for p in self.pieces[:-1])
 
     def __call__(self, z: float) -> float:
         return float(self.eval_array(np.asarray(z, dtype=float)))
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
         if np.any(z < 0):
             raise ValueError("ordering cost is defined for z >= 0 only")
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        lower = 0.0
-        for piece in self.pieces:
-            mask = (z > lower) & (z <= piece.upper)
-            out[mask] = piece.fixed + piece.slope * z[mask]
-            lower = piece.upper
+        j = self.piece_index(z)
+        fixed = np.array([p.fixed for p in self.pieces])
+        rate = np.array([p.slope for p in self.pieces])
+        out = np.asarray(fixed[j] + rate[j] * z)
+        out[z == 0] = 0.0
         for zv, slope in self.discounts:
             mask = np.abs(z - zv) <= DISCOUNT_MATCH_TOL
             out[mask] = slope * z[mask]
@@ -326,8 +374,6 @@ def affine_cost(K: float, m: float) -> OrderingCost:
 
 
 def eval_ordering_cost(c: OrderingCost, z: float) -> float:
-    if z < 0:
-        raise ValueError("ordering cost is defined for z >= 0 only")
     return c(z)
 
 

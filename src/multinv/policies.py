@@ -60,8 +60,7 @@ class Policy:
             raise ValueError(f"{self.kind} policy is randomized; use Monte Carlo")
         grid = problem.grid
         n, m = grid.count, problem.m
-        idx = np.stack([g.ravel() for g in np.indices((n,) * m)], axis=1)
-        X = grid.points()[idx]
+        X = grid.states(m)
         periods = problem.periods
         table = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)
         for k in range(periods):
@@ -164,11 +163,7 @@ class TabularGridPolicy(Policy):
         grid = self.table.grid
         if not 0 <= k < self.table.stages:
             raise IndexError(f"stage {k} out of range")
-        idx = np.rint((X - grid.lo) / grid.step).astype(int)
-        if np.max(np.abs(X - (grid.lo + idx * grid.step))) > 1e-9:
-            raise ValueError("tabular policy queried off the grid")
-        steps = self.table.orders[k][tuple(idx[:, i] for i in range(X.shape[1]))]
-        return steps * grid.step
+        return self.table.orders[k][tuple(grid.indices(X).T)] * grid.step
 
     def tabulate(self, problem):
         table = self.table.orders

@@ -246,16 +246,16 @@ class RatioReport:
         return "\n".join(lines)
 
 
-def _grid_states(problem: Problem) -> np.ndarray:
-    n = problem.grid.count
-    idx = np.stack([g.ravel() for g in np.indices((n,) * problem.m)], axis=1)
-    return problem.grid.points()[idx]
-
-
 def initial_states(problem: Problem, cfg: SimConfig) -> np.ndarray:
+    """The (S, M) initial states of a report: every joint grid state in
+    ``Grid.states`` order for "grid", else the given list, each of whose
+    states must be a grid state (``Grid.indices`` raises a ValueError
+    naming the first value that is not)."""
     if isinstance(cfg.initial_states, str) and cfg.initial_states == "grid":
-        return _grid_states(problem)
-    return np.asarray(cfg.initial_states, dtype=float).reshape(-1, problem.m)
+        return problem.grid.states(problem.m)
+    states = np.asarray(cfg.initial_states, dtype=float).reshape(-1, problem.m)
+    problem.grid.indices(states)
+    return states
 
 
 # States are estimated in chunks so the batched stepper sees large
@@ -328,6 +328,10 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
                   cfg: SimConfig) -> RatioReport:
     """Per-initial-state cost ratio of two policies.
 
+    The initial states are ``initial_states(problem, cfg)``: the whole
+    joint grid, or a given list of grid states (a state off the grid or
+    outside it raises a ValueError that names it).
+
     The numerator is always estimated by Monte Carlo.  The denominator
     uses exact forward evaluation when the policy admits it (zero
     variance, e.g. the DP-optimal tabular policy; see
@@ -355,9 +359,7 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
 
     exact, den_reason = _exact_costs(problem, policy_den)
     if exact is not None:
-        idx = tuple(np.rint((states[:, i] - problem.grid.lo) / problem.grid.step).astype(int)
-                    for i in range(problem.m))
-        mean_den = exact[idx]
+        mean_den = exact[tuple(problem.grid.indices(states).T)]
         se_den = np.zeros_like(mean_den)
         den_exact = True
     else:
@@ -423,7 +425,7 @@ def verify_cost_transformation(problem: Problem, policy: Policy, m_slope: float,
     if ex is not None:
         rhs = dp_mod.evaluate_policy_exact(hat, policy)
         periods = problem.horizon.periods
-        x0 = _grid_states(problem).reshape(ex.final_level.shape)
+        x0 = problem.grid.states(problem.m).reshape(ex.final_level.shape)
         displacement = (ex.final_level - x0 - ex.clamp).sum(axis=-1)
         formula_gap = ex.cost - (rhs + demand_term)
         accounting_gap = ex.cost - rhs - m_slope * ex.orders / periods

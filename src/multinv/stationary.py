@@ -20,12 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Problem, UnsupportedDemandError, demand_pmf,
-                    expected_holding_backlog)
-
-
-class SizeError(ValueError):
-    pass
+from .model import (Problem, SizeError, UnsupportedDemandError,
+                    convolve_atoms, demand_pmf, expected_holding_backlog)
 
 
 MAX_JOINT_CANDIDATES = 2_000_000
@@ -49,16 +45,9 @@ def total_demand_pmf(problem: Problem):
     _require_discrete_iid(problem)
     atoms = {0.0: 1.0}
     for i in range(problem.m):
-        values, probs = demand_pmf(problem.demand, i)
-        nxt = {}
-        for s, ps in atoms.items():
-            for v, p in zip(values, probs):
-                key = round(s + v, 9)
-                nxt[key] = nxt.get(key, 0.0) + ps * p
-        atoms = nxt
+        atoms = convolve_atoms(atoms, list(zip(*demand_pmf(problem.demand, i))))
     values = np.array(sorted(atoms))
-    probs = np.array([atoms[v] for v in values])
-    return values, probs
+    return values, np.array([atoms[v] for v in values])
 
 
 def expected_ordering_term(problem: Problem) -> float:

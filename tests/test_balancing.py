@@ -114,7 +114,7 @@ class TestBalancingOrder:
                 u, _ = balancing_order(st, k, x)
                 gap = abs(expected_holding_proxy(st, k, x, u)
                           - expected_backlog_proxy(st, k, x, u))
-                assert gap <= st.tol
+                assert gap <= 1e-9
 
 
 class TestHoldingCostKOrder:
@@ -316,7 +316,7 @@ def _reference_proxies(st, k, x):
     bisection solve that the knot tables replaced."""
     from multinv.balancing import _partial_sum_atoms
     remaining = st.periods - k
-    values, probs = st._atoms()
+    values, probs = st.marginal.sorted_pmf()
     if st.variant == "printed":
         hv, hp, scale = values, probs, st.a * remaining
     else:
@@ -399,8 +399,8 @@ class TestSolveAgainstBisection:
             assert np.max(np.abs(u_til - ref_til)) <= 1e-9
             assert np.array_equal(sat[~tie], ref_sat[~tie])
             interior = (u_hat > 0.0) & (u_hat < hi)
-            assert np.all(np.abs(eh(u_hat) - eb(u_hat))[interior] <= st.tol)
-            assert np.all(np.abs(eh(u_til) - K)[~sat] <= st.tol)
+            assert np.all(np.abs(eh(u_hat) - eb(u_hat))[interior] <= 1e-9)
+            assert np.all(np.abs(eh(u_til) - K)[~sat] <= 1e-9)
             for u in (np.zeros_like(x), u_hat, u_til):
                 assert np.max(np.abs(_eh_batch(st, k, x, u) - eh(u))) <= 1e-9
                 assert np.max(np.abs(_eb_batch(st, k, x, u) - eb(u))) <= 1e-9

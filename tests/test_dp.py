@@ -94,6 +94,15 @@ class TestSolveDP:
         with pytest.raises(SizeError):
             mi.solve_joint_dp(q)
 
+    def test_one_size_error_class(self):
+        from multinv import stationary
+        assert stationary.SizeError is SizeError is mi.SizeError
+        p = mi.instances.build("sector_sim")
+        q = replace(p, m=5, holding=HoldingBacklogCost((0.1,) * 5, (10.0,) * 5),
+                    demand=DemandModel(marginals=p.demand.marginals * 5))
+        with pytest.raises(mi.SizeError, match="candidates"):
+            stationary.optimize_joint(q)
+
     def test_terminal_values_zero_and_tables_nonnegative(self, fig1_nonlinear):
         _, vf, _ = fig1_nonlinear
         assert np.all(vf.values[-1] == 0.0)

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 import multinv as mi
 from multinv.model import (DemandModel, DiscreteMarginal, Finite, Grid,
@@ -32,6 +35,40 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.index(0.5)
 
+    @pytest.mark.parametrize("grid", [Grid(-2.0, 4.0, 1.0), Grid(-2.0, 8.0, 0.5),
+                                      Grid(0.1, 0.7, 0.3), Grid(3.0, 3.0, 1.0)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_states_in_c_order_and_indices_roundtrip(self, grid, m):
+        n = grid.count
+        idx = np.stack([g.ravel() for g in np.indices((n,) * m)], axis=1)
+        X = grid.states(m)
+        assert X.shape == (n ** m, m)
+        assert X.tobytes() == grid.points()[idx].tobytes()
+        assert np.array_equal(grid.indices(X), idx)
+        assert np.array_equal(grid.indices(X.reshape((n,) * m + (m,))),
+                              idx.reshape((n,) * m + (m,)))
+
+    @given(i=hs.integers(0, 20), frac=hs.floats(1e-6, 1 - 1e-6),
+           row=hs.integers(0, 2), col=hs.integers(0, 1))
+    def test_indices_rejects_off_grid_values(self, i, frac, row, col):
+        g = Grid(-2.0, 8.0, 0.5)
+        value = g.point(i) + frac * g.step
+        X = g.states(2)[:3].copy()
+        X[row, col] = value
+        with pytest.raises(ValueError, match=re.escape(f"value {value} ")):
+            g.indices(X)
+
+    @given(steps=hs.integers(1, 50), frac=hs.floats(0.0, 0.5),
+           above=hs.booleans())
+    def test_indices_rejects_values_outside_lo_hi(self, steps, frac, above):
+        g = Grid(-2.0, 8.0, 0.5)
+        offset = (steps - frac) * g.step  # at least one half step outside
+        value = g.hi + offset if above else g.lo - offset
+        with pytest.raises(ValueError, match=re.escape(f"value {value} ")):
+            g.indices(np.array([[0.0, value]]))
+        with pytest.raises(ValueError, match=re.escape(f"value {value} ")):
+            g.index(value)
+
     def test_invalid_grids(self):
         assert Grid(lo=0.0, hi=1.0, step=-1.0).check()
         assert Grid(lo=0.0, hi=1.0, step=0.3).check()
@@ -49,6 +86,14 @@ class TestOrderingCost:
         c = mi.instances.build("sector_sim").ordering
         assert c(8.0) == 28.0
         assert c(6.0) == 24.0
+
+    def test_spans_start_at_the_previous_upper(self):
+        c = mi.instances.build("sector_sim").ordering
+        assert [(lo, p.upper) for lo, p in c.spans()] == [(0.0, 6.0), (6.0, math.inf)]
+        z = np.array([0.0, 1e-9, 6.0, np.nextafter(6.0, 7.0), 1e6])
+        expected = [0.0] + [p.fixed + p.slope * v for v in z[1:]
+                            for lo, p in c.spans() if lo < v <= p.upper]
+        assert c.eval_array(z).tolist() == expected
 
     def test_negative_order_rejected(self):
         c = mi.linear_cost(2.0)

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -14,7 +15,7 @@ from multinv.model import (DemandModel, DiscreteMarginal, InfiniteAveraged,
                            UniformMarginal)
 from multinv.policies import GridTabulationError
 from multinv.sim import (SimConfig, _draw_runs, _estimate_over_states,
-                         _grid_states, _simulate_batch, estimate_cost,
+                         _simulate_batch, estimate_cost,
                          exact_ineligibility, ratio_heatmap,
                          shift_ordering_slopes, simulate_run,
                          verify_cost_transformation)
@@ -185,6 +186,21 @@ class TestRatioHeatmap:
                             SimConfig(runs=10, seed=2, initial_states=states))
         assert rep.states.shape == (2, 2)
 
+    @pytest.mark.parametrize("state", [(0.4, 0.4), (-3.0, 0.0)])
+    def test_initial_state_off_or_outside_the_grid_raises(self, fig1, fig1_solved,
+                                                          state):
+        # exact denominators are read from the grid table by index: a
+        # non-grid state must not read another state's cost
+        _, tab = fig1_solved
+        with pytest.raises(ValueError, match=re.escape(f"value {state[0]} ")):
+            ratio_heatmap(fig1, mi.make_pi_square(fig1, 2.0), mi.TabularGridPolicy(tab),
+                          SimConfig(runs=2, seed=1, initial_states=[state]))
+
+    def test_tabular_policy_rejects_state_outside_the_grid(self, fig1, fig1_solved):
+        _, tab = fig1_solved
+        with pytest.raises(ValueError, match=re.escape("value -3.0 ")):
+            mi.TabularGridPolicy(tab).act_batch(fig1, 0, np.array([[-3.0, 0.0]]), None)
+
 
 class TestEstimateFold:
     """estimate_cost at state_index j is row j of the grid estimator."""
@@ -193,7 +209,7 @@ class TestEstimateFold:
     def test_single_state_matches_heatmap_row(self, fig1, crn):
         policy = mi.make_balancing_policy(fig1, K=2.0)
         assert policy.uses_randomness
-        states = _grid_states(fig1)[::5]
+        states = fig1.grid.states(fig1.m)[::5]
         cfg = SimConfig(runs=9, seed=21, crn=crn, initial_states=states)
         mean_num, se_num = _estimate_over_states(fig1, policy, states, cfg)
         block_d, block_u = _draw_runs(fig1, policy, cfg, range(len(states)))
