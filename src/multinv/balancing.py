@@ -35,10 +35,18 @@ Both are convex and fixed for the stage: linear between the atoms and 0
 for discrete demand, quadratic between 0, lo and hi for uniform demand.
 One cached table per stage holds them at those knots (filled from prefix
 sums), so each solve is a search over the knots and one linear or
-quadratic root on the piece found, row by row in closed form.  The
-three functions share their knots, so the rule fetches a stage's table
+quadratic root on the piece found, in closed form.  The three functions
+share their knots, so the rule fetches a stage's table
 and locates x in its knots once per stage and location; every quantity
 at x, and the start of every difference from x, reuses that lookup.
+
+The rule is decoupled: a location's order depends only on (k, x_i), its
+cap and one uniform.  A Monte Carlo batch holds many rows at few levels,
+so ``act_balancing_batch`` solves u_hat, theta, u_tilde and p once per
+distinct level of x (found by one sort) and gathers them back to the
+rows; only the ``uniform < p`` pick is made row by row.  That is exact
+only when rows at one level share their cap, as ``Problem.order_cap``
+(a function of x) guarantees; a batch that breaks this raises.
 """
 
 from __future__ import annotations
@@ -355,7 +363,7 @@ def balancing_probability_batch(state: BalancingState, k: int, x: np.ndarray,
     bad = denom <= 0
     if np.any(bad):
         logger.warning("balancing probability: nonpositive denominator at "
-                       "%d states, forcing p = 1", int(bad.sum()))
+                       "%d levels, forcing p = 1", int(bad.sum()))
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(bad, 1.0, eb0 / np.where(bad, 1.0, denom))
     return np.clip(p, 0.0, 1.0)
@@ -368,24 +376,56 @@ def balancing_probability(state: BalancingState, k: int, x: float,
                                              np.asarray([u_tilde]))[0])
 
 
+def _levels(x: np.ndarray):
+    """(levels, inverse, first) of a 1-D batch: its distinct values in
+    ascending order, each row's index into them, and the row each level
+    was taken from.  One unstable sort; equal values (0.0 and -0.0 too)
+    form one level, and each NaN its own."""
+    order = np.argsort(x)
+    head = np.empty(x.shape, dtype=bool)
+    head[:1] = True
+    ordered = x[order]
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    inverse = np.empty(x.shape, dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    first = order[head]
+    return x[first], inverse, first
+
+
 def act_balancing_batch(state: BalancingState, k: int, x: np.ndarray,
                         caps: np.ndarray, uniforms) -> np.ndarray:
     """Orders for a batch of states; consumes one uniform per state when
-    K > 0 (whether or not the randomized branch is taken)."""
+    K > 0 (whether or not the randomized branch is taken).
+
+    The rule is solved once per distinct level of x and gathered back to
+    the rows, so every row at one level must have the same cap (true of
+    ``Problem.order_cap``, a function of x); a ValueError says otherwise.
+    """
     x = np.asarray(x, dtype=float)
-    loc = _locate(state, k, x)
-    u_hat, theta = balancing_order_batch(state, k, x, caps, loc)
+    caps = np.broadcast_to(np.asarray(caps, dtype=float), x.shape)
+    levels, inverse, first = _levels(x)
+    level_caps = caps[first]
+    gathered = level_caps[inverse]
+    # a NaN level holds one row, so its NaN cap is its own (equal_nan is
+    # the slow comparison; most batches never reach it)
+    if np.any(caps != gathered) and not np.array_equal(caps, gathered, equal_nan=True):
+        raise ValueError("rows at one inventory level have different caps")
+    loc = _locate(state, k, levels)
+    u_hat, theta = balancing_order_batch(state, k, levels, level_caps, loc)
     if state.K == 0:
-        return u_hat
-    order = u_hat.copy()
+        return u_hat[inverse]
     low = theta < state.K
-    if np.any(low):
-        caps_b = np.broadcast_to(np.asarray(caps, dtype=float), x.shape)
-        sub = loc.rows(low)
-        u_til, _ = holding_cost_K_order_batch(state, k, x[low], caps_b[low], sub)
-        p = balancing_probability_batch(state, k, x[low], u_til, sub)
-        order[low] = np.where(uniforms[low] < p, u_til, 0.0)
-    return order
+    if not np.any(low):
+        return u_hat[inverse]
+    sub = loc.rows(low)
+    u_til, _ = holding_cost_K_order_batch(state, k, levels[low], level_caps[low], sub)
+    p = balancing_probability_batch(state, k, levels[low], u_til, sub)
+    # per level: take `hit` when the row's uniform is below `bar`, else
+    # `miss`; a level with theta >= K orders u_hat whatever its uniform
+    bar = np.full(levels.shape, np.inf)
+    hit, miss = u_hat.copy(), u_hat.copy()
+    bar[low], hit[low], miss[low] = p, u_til, 0.0
+    return np.where(uniforms < bar[inverse], hit[inverse], miss[inverse])
 
 
 def act_balancing(state: BalancingState, k: int, x: float,

@@ -92,7 +92,8 @@ def act(policy: Policy, problem: Problem, k: int, x, stream=None) -> np.ndarray:
 def _truncate(raw: np.ndarray, problem: Problem, X: np.ndarray,
               kind: str) -> np.ndarray:
     cap = problem.order_cap(X)
-    clipped = np.clip(raw, 0.0, cap)
+    clipped = np.maximum(raw, 0.0)
+    np.minimum(clipped, cap, out=clipped)
     if logger.isEnabledFor(logging.DEBUG) and np.any(raw > cap + 1e-12):
         logger.debug("%s: truncated %d orders to the feasible box",
                      kind, int(np.sum(raw > cap + 1e-12)))
@@ -168,7 +169,7 @@ class TabularGridPolicy(Policy):
     def tabulate(self, problem):
         table = self.table.orders
         expected = (problem.periods,) + (problem.grid.count,) * problem.m + (problem.m,)
-        if table.shape != expected:
+        if self.table.grid != problem.grid or table.shape != expected:
             raise GridTabulationError("tabular policy does not match the problem's grid/horizon")
         return table
 

@@ -103,7 +103,8 @@ def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray,
             z[j] = location_sum(orders)
             np.add(x, orders, out=post[j])
             post[j] -= demand[:, k, :]
-            x = np.clip(post[j], grid.lo, grid.hi)
+            np.maximum(post[j], grid.lo, out=x)
+            np.minimum(x, grid.hi, out=x)
         order_cost = problem.ordering.eval_array(z[:n])
         stage = order_cost + location_sum(problem.holding.eval_batch(post[:n]))
         for j in range(max(0, burn - k0), n):

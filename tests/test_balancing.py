@@ -508,3 +508,74 @@ class TestSharedLookup:
             expected = np.stack([_unshared_act(st, k, X[:, i], caps[:, i], uniforms[:, i])
                                  for i, st in enumerate(policy.states)], axis=1)
             assert np.array_equal(policy.act_batch(problem, k, X, uniforms), expected)
+
+
+# knots of FIG2/FIG1/DET and their partial sums, off-knot values, and
+# both signed zeros
+LEVEL_POOL = np.array([-2.0, -1.0, -0.3, -0.0, 0.0, 0.25, 0.5, 1.0, 1.1, 1.5,
+                       2.0, 2.7, 3.0, 4.5, 7.3])
+
+
+class TestPerLevelSolve:
+    """act_balancing_batch solves the rule once per distinct level of x;
+    batches with heavy repetition must get the per-row composition's
+    orders, signed zeros included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(marginal=hs.sampled_from([FIG2, FIG1, DET]),
+           variant=hs.sampled_from(["printed", "cumulative"]),
+           periods=hs.integers(1, 6),
+           a=hs.one_of(hs.sampled_from([0.0, 0.1, 1.0]), hs.floats(0.05, 5.0)),
+           b=hs.floats(0.1, 20.0),
+           K=hs.one_of(hs.sampled_from([0.0, 0.25, 1.0, 4.0]), hs.floats(0.1, 10.0)),
+           picks=hs.lists(hs.integers(0, len(LEVEL_POOL) - 1), min_size=1,
+                          max_size=80),
+           cap=hs.one_of(hs.sampled_from([0.5, 2.0, np.inf]), hs.floats(0.5, 12.0)),
+           seed=hs.integers(0, 2 ** 32 - 1))
+    def test_repeated_levels_match_per_row_composition(self, marginal, variant,
+                                                       periods, a, b, K, picks,
+                                                       cap, seed):
+        st = BalancingState(periods=periods, a=a, b=b, K=K, marginal=marginal,
+                            u_cap=cap, variant=variant)
+        x = LEVEL_POOL[picks]
+        caps = np.minimum(cap, 8.0 - x)
+        uniforms = np.random.default_rng(seed).random(x.shape)
+        for k in range(periods):
+            got = act_balancing_batch(st, k, x, caps, uniforms)
+            want = _unshared_act(st, k, x, caps, uniforms)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_rows_at_one_level_with_different_caps_raise(self, K):
+        x = np.array([0.5, 1.0, 0.5])
+        with pytest.raises(ValueError, match="different caps"):
+            act_balancing_batch(state(K=K), 0, x, np.array([2.0, 1.0, 3.0]),
+                                np.full(3, 0.5))
+
+    def test_forced_p1_warning_counts_levels(self, caplog, monkeypatch):
+        import multinv.balancing as bal
+        st = state(K=1.0)
+        # an order that empties the level has EB(u) = b * E w = 7.5 > K
+        # with EB(0) = 0 above the demand's support: denominator < 0
+        with caplog.at_level("WARNING", logger="multinv.balancing"):
+            p = balancing_probability_batch(st, 0, np.array([2.0, 2.0, 3.0, 1.5]),
+                                            np.array([-3.0, -3.0, -4.0, 0.0]))
+        assert np.array_equal(p, [1.0, 1.0, 1.0, 0.0])
+        (record,) = caplog.records
+        assert record.getMessage() == ("balancing probability: nonpositive "
+                                       "denominator at 3 levels, forcing p = 1")
+        assert type(record.args[0]) is int
+        caplog.clear()
+        k_order = bal.holding_cost_K_order_batch
+
+        def emptying(state, k, x, caps, located=None):
+            _, sat = k_order(state, k, x, caps, located)
+            return -1.0 - x, sat
+
+        monkeypatch.setattr(bal, "holding_cost_K_order_batch", emptying)
+        x = np.array([2.0, 3.0, 2.0, 2.0, 3.0, 3.0])
+        with caplog.at_level("WARNING", logger="multinv.balancing"):
+            act_balancing_batch(st, 0, x, np.full(6, 10.0), np.full(6, 0.5))
+        (record,) = caplog.records
+        assert record.args[0] == 2  # two levels, six rows

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import multinv as mi
-from multinv.model import (DemandModel, DiscreteMarginal, InfiniteAveraged,
+from multinv.model import (DemandModel, DiscreteMarginal, Grid, InfiniteAveraged,
                            UniformMarginal)
 from multinv.policies import GridTabulationError
 from multinv.sim import (SimConfig, _draw_runs, _estimate_over_states,
@@ -262,6 +262,30 @@ class TestExactDenominator:
         assert not rep.den_exact
         assert "leave the grid" in rep.den_reason
 
+    def test_table_of_another_grid_is_not_tabulated(self, fig1, fig1_solved):
+        # same shape, grid shifted by one step: read as if it were fig1's
+        # grid, the optimum would cost 10.0 at (lo, lo) instead of 8.0
+        _, tab = fig1_solved
+        shifted = replace(fig1, grid=Grid(fig1.grid.lo + 1.0, fig1.grid.hi + 1.0,
+                                          fig1.grid.step))
+        with pytest.raises(GridTabulationError, match="grid"):
+            mi.evaluate_policy_exact(shifted, mi.TabularGridPolicy(tab))
+
+    def test_table_of_another_grid_falls_back_to_monte_carlo(self, fig1, fig1_solved):
+        # an all-zero table: trajectories only fall, and the shifted
+        # grid's floor lies inside the table's grid
+        _, tab = fig1_solved
+        shifted = replace(fig1, grid=Grid(fig1.grid.lo + 1.0, fig1.grid.hi + 1.0,
+                                          fig1.grid.step))
+        den = mi.TabularGridPolicy(mi.dp.TabularPolicy(
+            grid=fig1.grid, m=fig1.m, orders=np.zeros_like(tab.orders)))
+        rep = ratio_heatmap(shifted, mi.make_pi_square(shifted, 2.0), den,
+                            SimConfig(runs=4, seed=2,
+                                      initial_states=[[0.0, 0.0], [4.0, -1.0]]))
+        assert not rep.den_exact
+        assert "grid" in rep.den_reason
+        assert np.all(np.isfinite(rep.mean_den))
+
     def test_ineligibility_reasons(self, fig1):
         det = mi.make_pi_square(fig1, 2.0)
         assert exact_ineligibility(fig1, det) is None
@@ -476,6 +500,19 @@ class TestBlockStepper:
         got, want = run_both(case)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["pi_square", "balancing", "pi_v"])
+    def test_nan_demand_propagates_with_the_same_bits(self, kind):
+        # a NaN level passes the clamp and the order truncation as NaN
+        p, policy, ref, x0, demand, uniforms = stepper_case(
+            kind, 2, 7, 6, 0, np.random.default_rng(5))
+        demand[1, 2, 0] = demand[3, 0, 1] = np.nan
+        got = _simulate_batch(p, policy, x0, demand, uniforms, collect_orders=True)
+        want = reference_simulate_batch(p, ref, x0, demand, uniforms,
+                                        collect_orders=True)
+        assert np.isnan(got[0]).sum() == 2
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("kind", ["pi_square", "pi_v"])
     @pytest.mark.parametrize("m", [8, 9, 12])
