@@ -358,10 +358,9 @@ class OrderingCost:
         fixed = np.array([p.fixed for p in self.pieces])
         rate = np.array([p.slope for p in self.pieces])
         out = np.asarray(fixed[j] + rate[j] * z)
-        out[z == 0] = 0.0
+        np.copyto(out, 0.0, where=z == 0)
         for zv, slope in self.discounts:
-            mask = np.abs(z - zv) <= DISCOUNT_MATCH_TOL
-            out[mask] = slope * z[mask]
+            np.copyto(out, slope * z, where=np.abs(z - zv) <= DISCOUNT_MATCH_TOL)
         return out
 
 
@@ -406,6 +405,17 @@ class HoldingBacklogCost:
     def eval_batch(self, levels: np.ndarray) -> np.ndarray:
         """Per-location cost for levels of shape (..., M)."""
         return holding_backlog(np.asarray(self.holding), np.asarray(self.backlog), levels)
+
+    def location_total(self, levels: np.ndarray) -> np.ndarray:
+        """Cost of levels (..., M) summed over locations: bit-equal to
+        ``location_sum(self.eval_batch(levels))`` for every M.  Each
+        column is costed with its own scalar rates and added in
+        ``location_sum``'s column order; this skips broadcasting an (M,)
+        rate array, whose inner loop runs only M elements at a time."""
+        out = holding_backlog(self.holding[0], self.backlog[0], levels[..., 0])
+        for i in range(1, self.m):
+            out += holding_backlog(self.holding[i], self.backlog[i], levels[..., i])
+        return out
 
 
 def location_sum(a: np.ndarray) -> np.ndarray:

@@ -232,8 +232,8 @@ class ExplicitVPolicy(Policy):
         sx = location_sum(X)
         total = np.full(X.shape[0], self.v_values[0])
         for v in reversed(self.v_values):
-            total[sx + v >= self.threshold] = v
-        total[sx >= self.threshold] = 0.0
+            np.copyto(total, v, where=sx + v >= self.threshold)
+        np.copyto(total, 0.0, where=sx >= self.threshold)
         return _truncate(_waterfill(X, total), problem, X, self.kind)
 
     def to_config(self):

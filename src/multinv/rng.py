@@ -32,8 +32,6 @@ import numpy as np
 
 CRN_TAG = "__crn__"
 
-_ZERO_BLOCK = np.zeros(4, dtype=np.uint64)
-
 
 def _key_text(parts) -> bytes:
     """The hashed text of ``parts``: the single definition of a key."""
@@ -111,17 +109,24 @@ def fill_streams(out: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Fill ``out[r]`` with the first uniforms of the stream keyed by
     ``keys[r]``: row r equals ``Generator(Philox(key=keys[r])).random(
     out.shape[1:])``.  One generator is re-keyed per row, so a call is
-    safe to run alongside others on different threads."""
+    safe to run alongside others on different threads.
+
+    The re-key template holds its zero ``counter`` and ``buffer`` words
+    as lists of Python ints: the Philox ``state`` setter reads every word,
+    and each word read from a uint64 array makes a numpy scalar, which
+    makes the setter 1.5-2x slower per row (numpy 2.4.6).  The stream is
+    the same either way.  Only the key changes between rows, so it is
+    written into the template's inner ``state`` dict in place."""
     if out.shape[0] != keys.shape[0]:
         raise ValueError("need one key per output row")
     bits = np.random.Philox()
     gen = np.random.Generator(bits)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": _ZERO_BLOCK, "key": None},
-             "buffer": _ZERO_BLOCK, "buffer_pos": 4,
+    inner = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": inner,
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     for row, key in zip(out, keys):
-        state["state"]["key"] = key
+        inner["key"] = key
         bits.state = state
         gen.random(out=row)
     return out

@@ -106,7 +106,7 @@ def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray,
             np.maximum(post[j], grid.lo, out=x)
             np.minimum(x, grid.hi, out=x)
         order_cost = problem.ordering.eval_array(z[:n])
-        stage = order_cost + location_sum(problem.holding.eval_batch(post[:n]))
+        stage = order_cost + problem.holding.location_total(post[:n])
         for j in range(max(0, burn - k0), n):
             total += stage[j]
         if collect_orders:
@@ -220,11 +220,9 @@ class RatioReport:
         m = self.states.shape[1]
         writer.writerow([f"x{i + 1}" for i in range(m)]
                         + ["mean_num", "se_num", "mean_den", "se_den", "ratio"])
-        for j in range(self.states.shape[0]):
-            writer.writerow([repr(float(v)) for v in self.states[j]]
-                            + [repr(float(self.mean_num[j])), repr(float(self.se_num[j])),
-                               repr(float(self.mean_den[j])), repr(float(self.se_den[j])),
-                               repr(float(self.ratio[j]))])
+        table = np.column_stack((self.states, self.mean_num, self.se_num,
+                                 self.mean_den, self.se_den, self.ratio)).tolist()
+        writer.writerows(map(repr, row) for row in table)
         return buf.getvalue()
 
     def write_csv(self, path):

@@ -3,15 +3,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import multinv as mi
 from multinv.model import (DemandModel, DiscreteMarginal, Finite, Grid,
-                           HoldingBacklogCost, OrderingCost, Piece, Problem,
-                           UniformMarginal, UnsupportedDemandError,
-                           sample_demand, single_location_problem,
-                           validate_problem)
+                           DISCOUNT_MATCH_TOL, HoldingBacklogCost, OrderingCost,
+                           Piece, Problem, UniformMarginal,
+                           UnsupportedDemandError, location_sum, sample_demand,
+                           single_location_problem, validate_problem)
 from multinv import rng
 
 
@@ -127,6 +127,87 @@ class TestOrderingCost:
         assert c.check()
 
 
+def reference_eval_array(c, z):
+    """The ordering cost with its overrides applied by boolean indexing."""
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise ValueError("ordering cost is defined for z >= 0 only")
+    j = c.piece_index(z)
+    fixed = np.array([p.fixed for p in c.pieces])
+    rate = np.array([p.slope for p in c.pieces])
+    out = np.asarray(fixed[j] + rate[j] * z)
+    out[z == 0] = 0.0
+    for zv, slope in c.discounts:
+        mask = np.abs(z - zv) <= DISCOUNT_MATCH_TOL
+        out[mask] = slope * z[mask]
+    return out
+
+
+# three pieces, a discount inside a piece and one on a piece boundary
+MULTI_PIECE = OrderingCost(
+    pieces=(Piece(2.0, 1.0, 3.0), Piece(5.0, 2.0, 2.5), Piece(math.inf, 4.0, 2.0)),
+    discounts=((1.5, 2.0), (5.0, 2.0)))
+
+
+def near(v, ulps):
+    """v moved by ``ulps`` units in the last place (either sign)."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        v = np.nextafter(v, toward)
+    return float(v)
+
+
+def override_points(c):
+    """Zeros, every discount point and piece bound a few ULPs either side,
+    and points just inside and just outside the discount match tolerance."""
+    points = [0.0, -0.0, 0.5, 7.0, 1e6]
+    for zv in [z for z, _ in c.discounts] + [p.upper for p in c.pieces[:-1]]:
+        points += [near(zv, k) for k in range(-3, 4)]
+        points += [zv + f * DISCOUNT_MATCH_TOL for f in (-2.0, -0.99, 0.99, 2.0)]
+    return np.array(points)
+
+
+def same_array(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a, b, equal_nan=True) and a.tobytes() == b.tobytes())
+
+
+class TestOrderingOverrides:
+    @pytest.mark.parametrize("cost", [
+        MULTI_PIECE, mi.instances.build("sector_sim").ordering,
+        mi.instances.build("tightness:M=2").ordering, mi.affine_cost(4.0, 1.0)])
+    def test_matches_boolean_index_version(self, cost):
+        z = override_points(cost)
+        for arr in (z, z.reshape(1, -1), np.append(z, np.nan).reshape(-1, 1),
+                    z[:0]):
+            assert same_array(cost.eval_array(arr), reference_eval_array(cost, arr))
+        assert np.count_nonzero(cost.eval_array(z) == 0.0) >= 2
+
+    def test_scalar_input_through_call(self):
+        for v in override_points(MULTI_PIECE):
+            got = MULTI_PIECE.eval_array(np.asarray(v))
+            want = reference_eval_array(MULTI_PIECE, np.asarray(v))
+            assert same_array(got, want) and got.shape == ()
+            assert MULTI_PIECE(float(v)) == float(want)
+            assert math.copysign(1.0, MULTI_PIECE(float(v))) == math.copysign(1.0, float(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(z=hs.lists(hs.one_of(hs.floats(0.0, 12.0),
+                                hs.sampled_from([0.0, -0.0, 1.5, 2.0, 5.0]),
+                                hs.tuples(hs.sampled_from([1.5, 2.0, 5.0]),
+                                          hs.integers(-4, 4)).map(lambda t: near(*t))),
+                      max_size=12))
+    def test_property_matches_boolean_index_version(self, z):
+        z = np.array(z, dtype=float)
+        assert same_array(MULTI_PIECE.eval_array(z), reference_eval_array(MULTI_PIECE, z))
+
+    def test_negative_order_still_raises(self):
+        with pytest.raises(ValueError, match="z >= 0"):
+            MULTI_PIECE.eval_array(np.array([1.0, -1e-300, 2.0]))
+        with pytest.raises(ValueError, match="z >= 0"):
+            MULTI_PIECE(-2.0)
+
+
 class TestHoldingCost:
     def test_backlog_dominates(self):
         r = HoldingBacklogCost(holding=(1.0,), backlog=(10.0,))
@@ -147,6 +228,21 @@ class TestHoldingCost:
 
     def test_degenerate_rates_rejected(self):
         assert HoldingBacklogCost(holding=(0.0,), backlog=(0.0,)).check()
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_location_total_equals_summed_eval_batch(self, m):
+        gen = np.random.default_rng(m)
+        holding, backlog = gen.uniform(0.0, 20.0, (2, m)).tolist()
+        holding[::3] = [0] * len(holding[::3])  # zero and integer rates as well
+        backlog[1::3] = [3] * len(backlog[1::3])
+        r = HoldingBacklogCost(holding=tuple(holding), backlog=tuple(backlog))
+        levels = gen.normal(0.0, 5.0, (4, 37, m))
+        levels[0, :6] = [[0.0], [-0.0], [1e300], [-1e300], [5e-324], [np.nan]]
+        for arr in (levels, levels[1], levels[:, 3:4]):
+            got = r.location_total(arr)
+            want = location_sum(r.eval_batch(arr))
+            assert np.array_equal(got, want, equal_nan=True)
+            assert got.tobytes() == want.tobytes() and got.shape == arr.shape[:-1]
 
 
 class TestDemand:

@@ -14,7 +14,7 @@ import multinv as mi
 from multinv.model import (DemandModel, DiscreteMarginal, Grid, InfiniteAveraged,
                            UniformMarginal)
 from multinv.policies import GridTabulationError
-from multinv.sim import (SimConfig, _draw_runs, _estimate_over_states,
+from multinv.sim import (RatioReport, SimConfig, _draw_runs, _estimate_over_states,
                          _simulate_batch, estimate_cost,
                          exact_ineligibility, ratio_heatmap,
                          shift_ordering_slopes, simulate_run,
@@ -200,6 +200,61 @@ class TestRatioHeatmap:
         _, tab = fig1_solved
         with pytest.raises(ValueError, match=re.escape("value -3.0 ")):
             mi.TabularGridPolicy(tab).act_batch(fig1, 0, np.array([[-3.0, 0.0]]), None)
+
+
+def reference_csv_text(rep):
+    """The report CSV formatted cell by cell from numpy scalars."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    m = rep.states.shape[1]
+    writer.writerow([f"x{i + 1}" for i in range(m)]
+                    + ["mean_num", "se_num", "mean_den", "se_den", "ratio"])
+    for j in range(rep.states.shape[0]):
+        writer.writerow([repr(float(v)) for v in rep.states[j]]
+                        + [repr(float(rep.mean_num[j])), repr(float(rep.se_num[j])),
+                           repr(float(rep.mean_den[j])), repr(float(rep.se_den[j])),
+                           repr(float(rep.ratio[j]))])
+    return buf.getvalue()
+
+
+CSV_EDGE_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300,
+                   -1e300, 3.0, -2.0, 1e16, 2.0 ** 53 + 2, 0.1, 1 / 3]
+
+
+def report_from_columns(columns, m):
+    cols = np.asarray(columns, dtype=float).reshape(-1, m + 5)
+    return RatioReport(states=cols[:, :m], mean_num=cols[:, m], se_num=cols[:, m + 1],
+                       mean_den=cols[:, m + 2], se_den=cols[:, m + 3],
+                       ratio=cols[:, m + 4], num_tag="a", den_tag="b",
+                       config=SimConfig(runs=1), den_exact=False)
+
+
+class TestCsvText:
+    @settings(max_examples=80, deadline=None)
+    @given(m=hs.integers(1, 3), rows=hs.integers(0, 5), data=hs.data())
+    def test_property_bytes_match_cell_formatter(self, m, rows, data):
+        cell = hs.one_of(hs.sampled_from(CSV_EDGE_FLOATS), hs.floats(),
+                         hs.integers(-10 ** 6, 10 ** 6).map(float))
+        cells = data.draw(hs.lists(cell, min_size=rows * (m + 5), max_size=rows * (m + 5)))
+        rep = report_from_columns(cells, m)
+        assert rep.csv_text() == reference_csv_text(rep)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_edge_value_in_every_column(self, m):
+        cells = [CSV_EDGE_FLOATS[(i * 7) % len(CSV_EDGE_FLOATS)]
+                 for i in range(len(CSV_EDGE_FLOATS) * (m + 5))]
+        rep = report_from_columns(cells, m)
+        text = rep.csv_text()
+        assert text == reference_csv_text(rep)
+        for token in ("nan", "inf", "-inf", "-0.0", "5e-324", "1e+300", "3.0"):
+            assert token in text.replace("\n", ",").split(",")
+
+    def test_single_run_report_with_nan_errors(self, fig1, fig1_solved):
+        _, tab = fig1_solved
+        rep = ratio_heatmap(fig1, mi.make_pi_square(fig1, 2.0), mi.TabularGridPolicy(tab),
+                            SimConfig(runs=1, seed=4))
+        assert np.all(np.isnan(rep.se_num)) and np.all(rep.se_den == 0.0)
+        assert rep.csv_text() == reference_csv_text(rep)
 
 
 class TestEstimateFold:
@@ -428,6 +483,22 @@ class ReferenceExplicitV(mi.ExplicitVPolicy):
         if np.any(active):
             orders[active] = reference_waterfill(X[active], total[active])
         return mi.policies._truncate(orders, problem, X, self.kind)
+
+
+class TestExplicitVTotals:
+    def test_rows_on_the_threshold_boundaries(self):
+        # system inventory exactly at the threshold orders nothing, and
+        # exactly v below it orders v; a ULP either side picks the neighbour
+        p = mi.instances.build("tightness:M=2")
+        policy = mi.make_pi_v(2, mi.instances.tightness_delta(0.1, 1.0))
+        ref = ReferenceExplicitV(policy.v_values, policy.threshold)
+        t = policy.threshold
+        edges = [t] + [t - v for v in policy.v_values]
+        firsts = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + edges
+        X = np.column_stack((firsts, np.zeros(len(firsts))))
+        got = policy.act_batch(p, 0, X, None)
+        assert got.tobytes() == ref.act_batch(p, 0, X, None).tobytes()
+        assert got[len(firsts) - 3:].sum(axis=1).tolist() == [0.0, *policy.v_values]
 
 
 def stepper_case(kind, m, batch, periods, burn, gen):
