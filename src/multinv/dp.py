@@ -27,11 +27,22 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (Finite, Problem, SizeError, demand_pmf,
                     expected_holding_backlog)
 
 MAX_JOINT_STATES = 100_000
+
+# solve_joint_dp minimizes a stage one tile of the action box at a time.
+# A tile's candidate block holds at most _TILE_ELEMENTS (state, order)
+# pairs, so that it stays in cache, and at most _TILE_STATES_PER_ORDER
+# states per order it takes at once: past that, a tile's per-state work
+# (argmin over a short row, the add's inner loop) costs more than the
+# scan steps it saves.  Both limits come from timing tiles against the
+# plain scan over m = 1..3, grid counts and order caps.
+_TILE_ELEMENTS = 2 ** 15
+_TILE_STATES_PER_ORDER = 32
 
 
 class StructureError(ValueError):
@@ -137,16 +148,42 @@ def _require_dp(problem: Problem):
             f"(limit {MAX_JOINT_STATES}); reduce the grid or locations")
 
 
+def _tile_axes(n: int, m: int, b: int) -> int:
+    """How many trailing order axes a tile takes at once: the largest
+    q <= m whose candidate block, n**m states by b**q orders, holds at
+    most ``_TILE_ELEMENTS`` entries; 0 if that block still has more than
+    ``_TILE_STATES_PER_ORDER`` states per order."""
+    q = 0
+    while q < m and n ** m * b ** (q + 1) <= _TILE_ELEMENTS:
+        q += 1
+    return q if n ** m <= _TILE_STATES_PER_ORDER * b ** q else 0
+
+
 def solve_joint_dp(problem: Problem):
     """Optimal coupled policy by backward induction.
 
-    Returns (ValueFunction, TabularPolicy).  Each stage is minimized
-    action-major: the scan visits the order vectors u of the action box
-    in C order and, for all states j with j + u inside the grid at once,
-    forms cand = c(u) + goal[j + u] and keeps it where cand < best holds
-    strictly.  The strict comparison keeps the first minimum in C order,
-    which realizes the lexicographic tie-break; u = 0 is feasible
-    everywhere, so every state gets a value.
+    Returns (ValueFunction, TabularPolicy).  Each stage is minimized one
+    tile of the action box at a time.  With b orders per axis, a tile
+    fixes the leading m - q orders u, which are scanned in C order, and
+    takes every trailing order v of the q trailing axes at once.
+    ``_tile_axes`` picks q from (n, m, b): the widest tile within the
+    cache and states-per-order limits.  That is q = 1 on ``sector_sim``
+    and ``affine_sim`` and on their single-location problems, q = m on
+    the small ``fig1`` grids, and q = 0 (one order vector per tile) on
+    wide joint grids with small order caps.
+
+    For the states j with j + u inside the grid on the leading axes, a
+    tile forms cand = c(u, v) + goal[j + (u, v)] for every v.  The goal
+    entries are a window of b per trailing axis into one copy of goal
+    padded with +inf past the grid's top, so an order that leaves the box
+    never wins, and v = 0 is feasible everywhere.  argmin over the
+    flattened v gives each state the first minimum of its tile in C order
+    of v; that minimum replaces the state's best only where it is
+    strictly smaller.  The tiles come in C order of u, so an order
+    survives only when no order before it in C order over the whole box
+    is as good: the lexicographic tie-break.  With q = 0 a tile is one
+    order vector and a stage is the plain scan: for each u,
+    cand = c(u) + goal[j + u] kept where cand < best.
     """
     _require_dp(problem)
     grid, m = problem.grid, problem.m
@@ -154,34 +191,56 @@ def solve_joint_dp(problem: Problem):
     periods = problem.horizon.periods
     cap_steps = grid.to_steps(problem.max_order_per_location)
     # orders above n - 1 steps are infeasible from every state
-    box = (min(cap_steps, n - 1) + 1,) * m
+    b = min(cap_steps, n - 1) + 1
+    q = _tile_axes(n, m, b)
+    lead = m - q
 
     combos = _joint_demand(problem)
     eh = _expected_holding_tables(problem)
     hold = functools.reduce(np.add.outer, eh)
-    order_cost = _order_cost_box(problem, box[0] - 1)
-    # per-axis order s: the states that can take it, and where they land
-    heads = [slice(0, n - s) for s in range(box[0])]
-    tails = [slice(s, None) for s in range(box[0])]
+    order_cost = _order_cost_box(problem, b - 1)
+
+    # goal fills the interior of the +inf-padded copy in place each stage,
+    # so the tiles' views of it are taken once
+    padded = np.full((n,) * lead + (n + b - 1,) * q, np.inf)
+    goal = padded[(slice(None),) * lead + (slice(0, n),) * q]
+    windows = sliding_window_view(padded, (b,) * q, axis=tuple(range(lead, m)))
+    best = np.empty((n,) * m)
+    arg = np.empty((n,) * m, dtype=np.intp)  # flat index of the best order
+    # where each state's row of b**q candidates starts in a tile's block
+    row_starts = np.arange(0, n ** m * b ** q, b ** q)
+    # per leading order s: the states that can take it, and where they land
+    heads = [slice(0, n - s) for s in range(b)]
+    tails = [slice(s, None) for s in range(b)]
+    # leading orders in C order, with c(u, .) and their state slices
+    scan = zip(order_cost.reshape((-1,) + (b,) * q),
+               itertools.product(heads, repeat=lead), itertools.product(tails, repeat=lead))
+    tiles = []
+    for t, (cost, states, post) in enumerate(scan):
+        low = best[states]
+        tiles.append((cost, windows[post], low, arg[states], row_starts[:low.size], t * b ** q))
+    block = (-1, b ** q)
 
     values = np.zeros((periods + 1,) + (n,) * m)
     orders = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)
-    arg = np.empty((n,) * m, dtype=np.intp)  # flat index of the best order
 
     for k in range(periods - 1, -1, -1):
         # cost of landing post-order at y, plus the future
-        goal = hold + _expectation(values[k + 1], combos)
-        best = values[k]
+        np.add(hold, _expectation(values[k + 1], combos), out=goal)
         best.fill(np.inf)
-        # order vectors in C order, with c(u) and their state slices
-        scan = zip(order_cost.flat, itertools.product(heads, repeat=m),
-                   itertools.product(tails, repeat=m))
-        for flat, (cost, states, post) in enumerate(scan):
-            cand = cost + goal[post]
-            better = cand < best[states]
-            np.copyto(best[states], cand, where=better)
-            np.copyto(arg[states], flat, where=better)
-        orders[k] = np.stack(np.unravel_index(arg, box), axis=-1)
+        for cost, view, low, flat, starts, base in tiles:
+            cand = cost + view
+            if q:
+                pick = cand.reshape(block).argmin(axis=1)
+                cand = cand.take(starts + pick).reshape(low.shape)
+                pick = (pick + base).reshape(low.shape)
+            else:
+                pick = base
+            better = cand < low
+            np.copyto(low, cand, where=better)
+            np.copyto(flat, pick, where=better)
+        values[k] = best
+        orders[k] = np.stack(np.unravel_index(arg, (b,) * m), axis=-1)
 
     return (ValueFunction(grid=grid, m=m, values=values),
             TabularPolicy(grid=grid, m=m, orders=orders, cap_steps=cap_steps))
@@ -199,6 +258,8 @@ def _order_table(problem: Problem, policy) -> np.ndarray:
     policy on a DP-eligible problem, with feasibility checked."""
     _require_dp(problem)
     if isinstance(policy, TabularPolicy):
+        if policy.grid != problem.grid:
+            raise ValueError("order table grid does not match the problem's grid")
         table = policy.orders
     elif hasattr(policy, "tabulate"):
         table = policy.tabulate(problem)

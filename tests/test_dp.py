@@ -242,6 +242,148 @@ class TestSolveAgainstStateLoop:
             self.assert_same(p)
 
 
+def action_major_scan(problem):
+    """The stage minimization that the tile scan replaced: every order
+    vector of the action box in C order, one slab of states each, kept
+    where it is strictly better."""
+    grid, m, n = problem.grid, problem.m, problem.grid.count
+    periods = problem.horizon.periods
+    cap_steps = grid.to_steps(problem.max_order_per_location)
+    box = (min(cap_steps, n - 1) + 1,) * m
+    combos = dp._joint_demand(problem)
+    hold = functools.reduce(np.add.outer, dp._expected_holding_tables(problem))
+    order_cost = dp._order_cost_box(problem, box[0] - 1)
+    heads = [slice(0, n - s) for s in range(box[0])]
+    tails = [slice(s, None) for s in range(box[0])]
+    values = np.zeros((periods + 1,) + (n,) * m)
+    orders = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)
+    arg = np.empty((n,) * m, dtype=np.intp)
+    for k in range(periods - 1, -1, -1):
+        goal = hold + dp._expectation(values[k + 1], combos)
+        best = values[k]
+        best.fill(np.inf)
+        scan = zip(order_cost.flat, itertools.product(heads, repeat=m),
+                   itertools.product(tails, repeat=m))
+        for flat, (cost, states, post) in enumerate(scan):
+            cand = cost + goal[post]
+            better = cand < best[states]
+            np.copyto(best[states], cand, where=better)
+            np.copyto(arg[states], flat, where=better)
+        orders[k] = np.stack(np.unravel_index(arg, box), axis=-1)
+    return values, orders
+
+
+# (block cap, states-per-order cap): q = 0 everywhere, a partial q on 2-
+# and 3-location problems, the defaults, and q = m everywhere
+TILE_LIMITS = [(1, dp._TILE_STATES_PER_ORDER), (64, 2 ** 40),
+               (dp._TILE_ELEMENTS, dp._TILE_STATES_PER_ORDER), (2 ** 40, 2 ** 40)]
+
+
+@pytest.fixture(scope="class", params=TILE_LIMITS,
+                ids=["scan", "tiles64", "default", "whole_box"])
+def tile_limits(request):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp, "_TILE_ELEMENTS", request.param[0])
+        mp.setattr(dp, "_TILE_STATES_PER_ORDER", request.param[1])
+        yield request.param
+
+
+def two_location_problem(grid, cap):
+    marginal = DiscreteMarginal((0.0, grid.step, 2 * grid.step), (0.25, 0.5, 0.25))
+    return Problem(m=2, horizon=Finite(3), ordering=affine_cost(1.0, 0.5),
+                   holding=HoldingBacklogCost((0.5, 1.0), (4.0, 10.0)),
+                   demand=DemandModel(marginals=(marginal, marginal)),
+                   grid=grid, max_order_per_location=cap).validate(dp=True)
+
+
+@pytest.mark.usefixtures("tile_limits")
+class TestTileWidths(TestSolveAgainstStateLoop):
+    """The state-loop comparisons rerun at every tile width, plus the
+    degenerate action boxes."""
+
+    @pytest.mark.parametrize("cap", [0.0, 5.0, 5.5, 40.0])
+    def test_order_cap_at_zero_and_at_or_above_the_span(self, cap):
+        # b = 1, b = n and a cap beyond the grid span
+        self.assert_same(two_location_problem(Grid(-2.0, 3.0, 0.5), cap))
+
+    @pytest.mark.parametrize("cap", [0.0, 1.0, 3.0])
+    def test_two_point_grid(self, cap):
+        self.assert_same(two_location_problem(Grid(0.0, 1.0, 1.0), cap))
+        self.assert_same(single_problem(affine_cost(1.0, 0.5),
+                                        DiscreteMarginal((0.0, 1.0), (0.5, 0.5)),
+                                        periods=2, grid=Grid(0.0, 1.0, 1.0), cap=cap))
+
+
+class TestTileAxes:
+    @pytest.mark.parametrize("elements, per_order, n, m, b, q", [
+        (2 ** 15, 32, 21, 2, 21, 1),   # 441 * 21 fits, 441 * 441 does not
+        (2 ** 15, 32, 21, 3, 4, 0),    # 9261 * 4 does not fit
+        (2 ** 15, 32, 21, 1, 21, 1),
+        (48, 32, 4, 2, 3, 1),          # a block of exactly the cap
+        (47, 32, 4, 2, 3, 0),
+        (1, 32, 2, 1, 2, 0),
+        (5, 32, 5, 1, 1, 1),           # b = 1: every width costs n**m
+        (2 ** 15, 32, 41, 2, 2, 0),    # fits at q = 2, but 1681 states per 4 orders
+        (2 ** 17, 41, 41, 2, 41, 1),   # 1681 states = 41 * 41 orders
+        (2 ** 17, 40, 41, 2, 41, 0),
+        (2 ** 40, 2 ** 40, 21, 3, 21, 3),
+    ])
+    def test_widest_tile_within_both_caps(self, elements, per_order, n, m, b, q,
+                                          monkeypatch):
+        monkeypatch.setattr(dp, "_TILE_ELEMENTS", elements)
+        monkeypatch.setattr(dp, "_TILE_STATES_PER_ORDER", per_order)
+        assert dp._tile_axes(n, m, b) == q
+
+
+def sector_three_locations(seed=1):
+    """The 3-location copy of sector_sim (cap 3.0, six stages) whose
+    holding and backlog rates a seed draws."""
+    rng = np.random.default_rng(seed)
+    base = mi.instances.build("sector_sim")
+    return Problem(
+        m=3, horizon=Finite(6), ordering=base.ordering,
+        holding=HoldingBacklogCost(tuple(float(v) for v in rng.uniform(0.05, 0.2, 3)),
+                                   tuple(float(v) for v in rng.uniform(5.0, 15.0, 3))),
+        demand=DemandModel(marginals=(base.demand.marginals[0],) * 3),
+        grid=base.grid, max_order_per_location=3.0).validate(dp=True)
+
+
+def scan_problems():
+    named = {name: mi.instances.build(name)
+             for name in ("sector_sim", "affine_sim", "fig1_linear", "fig1_nonlinear")}
+    named["sector_sim_m3"] = sector_three_locations()
+    # the single-location problems that make_pi_square solves
+    for name in ("sector_sim", "affine_sim", "sector_sim_m3"):
+        problem = named[name]
+        for i in range(problem.m):
+            named[f"{name}_square{i}"] = single_location_problem(
+                problem, i, ordering=linear_cost(2.0))
+    return named
+
+
+SCAN_PROBLEMS = scan_problems()
+
+
+@functools.lru_cache(maxsize=None)
+def scanned(name):
+    return action_major_scan(SCAN_PROBLEMS[name])
+
+
+class TestSolveAgainstScan:
+    """Bit for bit against a copy of the action-major scan."""
+
+    @pytest.mark.parametrize("name", list(SCAN_PROBLEMS))
+    @pytest.mark.parametrize("limits", [TILE_LIMITS[0], TILE_LIMITS[2], TILE_LIMITS[3]],
+                             ids=["scan", "default", "whole_box"])
+    def test_instances(self, name, limits, monkeypatch):
+        monkeypatch.setattr(dp, "_TILE_ELEMENTS", limits[0])
+        monkeypatch.setattr(dp, "_TILE_STATES_PER_ORDER", limits[1])
+        vf, tab = mi.solve_joint_dp(SCAN_PROBLEMS[name])
+        values, orders = scanned(name)
+        assert np.array_equal(vf.values, values)
+        assert np.array_equal(tab.orders, orders)
+
+
 def expectation_problem(marginals, count):
     """A DP problem on the unit-step grid of ``count`` points whose only
     use here is its joint demand."""
@@ -379,6 +521,22 @@ class TestExactEvaluation:
         for k in range(0, 21, 5):
             v = vf.values[k]
             assert np.max(np.abs(v - v.T)) <= 1e-12
+
+
+class TestOrderTableGrid:
+    def test_raw_table_from_another_grid_raises(self, fig1_linear):
+        # same shape, grid shifted by one step: read as fig1's grid, the
+        # optimum would cost 10.0 at (lo, lo) where 8.0 is right
+        p, _, tab = fig1_linear
+        shifted = replace(p, grid=Grid(p.grid.lo + 1.0, p.grid.hi + 1.0, p.grid.step))
+        with pytest.raises(ValueError, match="grid"):
+            mi.evaluate_policy_exact(shifted, tab)
+        with pytest.raises(ValueError, match="grid"):
+            dp.exact_expectations(shifted, tab)
+
+    def test_raw_table_on_its_own_grid(self, fig1_linear):
+        p, vf, tab = fig1_linear
+        assert np.max(np.abs(mi.evaluate_policy_exact(p, tab) - vf.values[0] / 2)) <= 1e-12
 
 
 class TestStructureExtraction:
