@@ -33,12 +33,12 @@ where Phi(t) = sum_j p_j (t - s_j)^+ over the holding proxy's demand
 atoms (s_j, p_j) and Psi(t) = E (w - t)^+ over one period's demand w.
 Both are convex and fixed for the stage: linear between the atoms and 0
 for discrete demand, quadratic between 0, lo and hi for uniform demand.
-One cached table per stage holds them at those knots (filled from prefix
-sums), so each solve is a search over the knots and one linear or
-quadratic root on the piece found, in closed form.  The three functions
-share their knots, so the rule fetches a stage's table
-and locates x in its knots once per stage and location; every quantity
-at x, and the start of every difference from x, reuses that lookup.
+A table per stage holds them at those knots (filled from prefix sums),
+so each solve is a search over the knots and one linear or quadratic
+root on the piece found, in closed form.  Every stage's table is built
+in one pass the first time a (marginal, variant, a, b, periods) is
+asked for, and cached; each solve fetches its stage's table and
+locates its own levels in the knots.
 
 The rule is decoupled: a location's order depends only on (k, x_i), its
 cap and one uniform.  A Monte Carlo batch holds many rows at few levels,
@@ -53,9 +53,7 @@ from __future__ import annotations
 
 import functools
 import logging
-import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,39 +83,24 @@ class BalancingState:
         if self.a < 0 or self.b < 0 or self.K < 0:
             raise ValueError("rates and fixed charge must be >= 0")
 
-    def _check_stage(self, k: int):
-        if not 0 <= k < self.periods:
-            raise IndexError(f"stage {k} out of range")
 
-
-# (values, probs) -> partial-sum atoms for horizons 0..H of one marginal;
-# heatmap worker threads share it
-_PARTIAL_SUMS = {}
-_PARTIAL_SUMS_LOCK = threading.Lock()
-
-
-def _partial_sum_atoms(values: tuple, probs: tuple, horizon: int):
+def _partial_sum_atoms(values: tuple, probs: tuple, horizon: int) -> list:
     """Merged (value, weight) atoms of the partial sums w_1+...+w_r over
-    r = 1..horizon: each r's pmf enters at full weight and equal values
-    from different r coalesce, so the weights sum to ``horizon``.  Each
-    horizon's atoms are a snapshot of any longer accumulation, so one pass
-    per marginal fills every horizon up to the longest asked so far."""
-    with _PARTIAL_SUMS_LOCK:
-        tables = _PARTIAL_SUMS.get((values, probs), ())
-        if len(tables) > horizon:
-            return tables[horizon]
-        base = convolve_atoms({0.0: 1.0}, list(zip(values, probs)))
-        merged = {}
-        current = base
-        tables = [(np.array([]), np.array([]))]
-        for _ in range(horizon):
-            for s, ps in current.items():
-                merged[s] = merged.get(s, 0.0) + ps
-            current = convolve_atoms(current, base.items())
-            out_vals = np.array(sorted(merged))
-            tables.append((out_vals, np.array([merged[v] for v in out_vals])))
-        _PARTIAL_SUMS[(values, probs)] = tables
-        return tables[horizon]
+    r = 1..H, for every horizon H = 0..``horizon``: each r's pmf enters at
+    full weight and equal values from different r coalesce, so horizon
+    H's weights sum to H.  Each horizon's atoms are a snapshot of the
+    longer accumulation, so one pass makes them all."""
+    base = convolve_atoms({0.0: 1.0}, list(zip(values, probs)))
+    merged = {}
+    current = base
+    tables = [(np.array([]), np.array([]))]
+    for _ in range(horizon):
+        for s, ps in current.items():
+            merged[s] = merged.get(s, 0.0) + ps
+        current = convolve_atoms(current, base.items())
+        out_vals = np.array(sorted(merged))
+        tables.append((out_vals, np.array([merged[v] for v in out_vals])))
+    return tables
 
 
 @dataclass(frozen=True)
@@ -149,12 +132,11 @@ class _Pieces:
     def __call__(self, t):
         return self.evaluate(*self.locate(t))
 
-    def rise(self, t, step, at=None):
-        """f(t + step) - f(t), with ``at`` = ``locate(t)`` if given.  Within
-        one piece this is step times the mean slope, so that a proxy exactly
-        at a threshold (say EH at the cap equal to K) does not pick up the
-        rounding of two large values."""
-        i, d = self.locate(t) if at is None else at
+    def rise(self, t, step):
+        """f(t + step) - f(t).  Within one piece this is step times the mean
+        slope, so that a proxy exactly at a threshold (say EH at the cap
+        equal to K) does not pick up the rounding of two large values."""
+        i, d = self.locate(t)
         j, e = self.locate(t + step)
         within = step * (self.slope[i] + self.curv[i] * (d + e))
         across = (self.evaluate(j, e)
@@ -181,17 +163,12 @@ class _Pieces:
         return np.where(i == 0, -np.inf, self.knots[j] + d)
 
 
-@functools.lru_cache(maxsize=None)
-def _discrete_table(values: tuple, probs: tuple, variant: str, a: float,
-                    b: float, remaining: int):
-    """(hold, back, hold - back) for discrete demand: scale * Phi and
-    b * Psi(max{0, .}), linear between the holding atoms, the demand
-    atoms and 0.  ``values`` must be sorted."""
-    demand, weights = np.array(values), np.array(probs)
-    if variant == "printed":
-        atoms, mass, scale = demand, weights, a * remaining
-    else:
-        (atoms, mass), scale = _partial_sum_atoms(values, probs, remaining), a
+def _discrete_table(values: np.ndarray, probs: np.ndarray, atoms: np.ndarray,
+                    mass: np.ndarray, scale: float, b: float):
+    """(hold, back, hold - back) for discrete demand (``values``,
+    ``probs``), sorted: scale * Phi over the holding atoms (``atoms``,
+    ``mass``) and b * Psi(max{0, .}), linear between the holding atoms,
+    the demand atoms and 0."""
     # The pad knot -1 carries the flat left end: Phi = 0 and
     # Psi(max{0, y}) = Psi(0) for y < 0 (all atoms are >= 0).
     knots = np.array(sorted({-1.0, 0.0, *atoms, *values}))
@@ -199,8 +176,8 @@ def _discrete_table(values: tuple, probs: tuple, variant: str, a: float,
     # holding weight at or below each knot; demand weight above it
     below = np.concatenate(([0.0], np.cumsum(mass)))[
         np.searchsorted(atoms, knots, side="right")]
-    above = np.concatenate((np.cumsum(weights[::-1])[::-1], [0.0]))[
-        np.searchsorted(demand, knots, side="right")]
+    above = np.concatenate((np.cumsum(probs[::-1])[::-1], [0.0]))[
+        np.searchsorted(values, knots, side="right")]
     phi = np.concatenate(([0.0], np.cumsum(below[:-1] * step)))
     psi = np.concatenate((np.cumsum((above[:-1] * step)[::-1])[::-1], [0.0]))
     psi[0], above[0] = psi[1], 0.0
@@ -210,7 +187,6 @@ def _discrete_table(values: tuple, probs: tuple, variant: str, a: float,
     return hold, back, hold - back
 
 
-@functools.lru_cache(maxsize=None)
 def _uniform_table(lo: float, hi: float, scale: float, b: float):
     """(hold, back, hold - back) for U(lo, hi) demand, where Phi(t) is
     (t - lo)^2 / 2(hi - lo) on [lo, hi] and t - mean above, and Psi(t) is
@@ -226,42 +202,32 @@ def _uniform_table(lo: float, hi: float, scale: float, b: float):
     return hold, back, hold - back
 
 
+@functools.lru_cache(maxsize=None)
+def _stage_tables(marginal, variant: str, a: float, b: float, periods: int) -> tuple:
+    """Every stage's (hold, back, balance), indexed by k, for stages with
+    periods - k periods remaining."""
+    remaining = range(periods, 0, -1)
+    if isinstance(marginal, UniformMarginal):
+        if variant != "printed":
+            raise NotImplementedError("cumulative variant needs discrete demand")
+        lo, hi = float(marginal.lo), float(marginal.hi)
+        return tuple(_uniform_table(lo, hi, a * r, b) for r in remaining)
+    values, probs = marginal.sorted_pmf()
+    if variant == "printed":
+        return tuple(_discrete_table(values, probs, values, probs, a * r, b)
+                     for r in remaining)
+    sums = _partial_sum_atoms(tuple(values), tuple(probs), periods)
+    return tuple(_discrete_table(values, probs, *sums[r], a, b) for r in remaining)
+
+
 def _table(state: BalancingState, k: int):
     """(hold, back, balance) of stage k as functions of y = x + u, with
     EH(u) = hold(x+u) - hold(x), EB(u) = back(x+u) and balance = hold -
-    back; cached under the stage's data."""
-    remaining = state.periods - k
-    g = state.marginal
-    if isinstance(g, UniformMarginal):
-        if state.variant != "printed":
-            raise NotImplementedError("cumulative variant needs discrete demand")
-        return _uniform_table(float(g.lo), float(g.hi), state.a * remaining, state.b)
-    values, probs = g.sorted_pmf()
-    return _discrete_table(tuple(values), tuple(probs), state.variant,
-                           state.a, state.b, remaining)
-
-
-class _Located(NamedTuple):
-    """A stage's (hold, back, balance) with a batch of levels x located
-    in their shared knots: x = knots[i] + d."""
-
-    hold: _Pieces
-    back: _Pieces
-    balance: _Pieces
-    i: np.ndarray
-    d: np.ndarray
-
-    @property
-    def at(self):
-        return self.i, self.d
-
-    def rows(self, mask):
-        return self._replace(i=self.i[mask], d=self.d[mask])
-
-
-def _locate(state: BalancingState, k: int, x: np.ndarray) -> _Located:
-    hold, back, balance = _table(state, k)
-    return _Located(hold, back, balance, *hold.locate(x))
+    back; an IndexError for a stage outside 0..periods-1."""
+    if not 0 <= k < state.periods:
+        raise IndexError(f"stage {k} out of range")
+    return _stage_tables(state.marginal, state.variant, state.a, state.b,
+                         state.periods)[k]
 
 
 def _eh_batch(state: BalancingState, k: int, x: np.ndarray,
@@ -283,7 +249,6 @@ def expected_holding_proxy(state: BalancingState, k: int, x: float,
     """EH(u) at (k, x), in closed form for discrete and uniform demand."""
     if u < 0:
         raise ValueError("order must be >= 0")
-    state._check_stage(k)
     return float(_eh_batch(state, k, np.asarray(x, float), np.asarray(u, float)).ravel()[0])
 
 
@@ -292,51 +257,47 @@ def expected_backlog_proxy(state: BalancingState, k: int, x: float,
     """EB(u) at (k, x)."""
     if u < 0:
         raise ValueError("order must be >= 0")
-    state._check_stage(k)
     return float(_eb_batch(state, k, np.asarray(x, float), np.asarray(u, float)).ravel()[0])
 
 
 def balancing_order_batch(state: BalancingState, k: int, x: np.ndarray,
-                          caps: np.ndarray, located: _Located | None = None):
+                          caps: np.ndarray):
     """(u_hat, theta) arrays for a batch of states.
 
     u_hat is the leftmost order in [0, hi] where the balance gap EH - EB
     turns nonnegative, clamped to hi = min(cap, the order that zeroes the
-    backlog proxy), where the gap is certainly nonnegative.  ``located``
-    is x located in stage k's table (``_locate``); found here if omitted.
+    backlog proxy), where the gap is certainly nonnegative.
     """
     x = np.asarray(x, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), x.shape)
-    loc = _locate(state, k, x) if located is None else located
+    hold, back, balance = _table(state, k)
     hi = np.minimum(caps, np.maximum(0.0, state.marginal.max_value - x))
-    u_hat = np.clip(loc.balance.leftmost(loc.hold.evaluate(*loc.at)) - x, 0.0, hi)
-    u_hat = np.where(loc.back.evaluate(*loc.at) == 0.0, 0.0, u_hat)
-    return u_hat, loc.hold.rise(x, u_hat, loc.at)
+    u_hat = np.clip(balance.leftmost(hold(x)) - x, 0.0, hi)
+    u_hat = np.where(back(x) == 0.0, 0.0, u_hat)
+    return u_hat, hold.rise(x, u_hat)
 
 
 def balancing_order(state: BalancingState, k: int, x: float):
     """The order equating the two proxies, and their common cost."""
-    state._check_stage(k)
     u, theta = balancing_order_batch(state, k, np.asarray([x]),
                                      np.asarray([state.u_cap]))
     return float(u[0]), float(theta[0])
 
 
 def holding_cost_K_order_batch(state: BalancingState, k: int, x: np.ndarray,
-                               caps: np.ndarray, located: _Located | None = None):
+                               caps: np.ndarray):
     if state.K <= 0:
         raise ValueError("the holding-cost-K order exists only for K > 0")
     x = np.asarray(x, dtype=float)
     caps = np.broadcast_to(np.asarray(caps, dtype=float), x.shape).astype(float)
-    loc = _locate(state, k, x) if located is None else located
-    hold = loc.hold
+    hold = _table(state, k)[0]
     rate = hold.slope[-1]  # EH's slope once the order covers every atom
     if rate <= 0 and not np.all(np.isfinite(caps)):
         raise ValueError("zero holding rate with an unbounded cap cannot reach K")
     slack = 0.0 if rate <= 0 else state.K / rate + 1.0
     hi = np.minimum(caps, np.maximum(0.0, hold.knots[-1] - x) + slack)
-    saturated = hold.rise(x, hi, loc.at) < state.K  # only possible when hi == caps
-    u = np.clip(hold.leftmost(hold.evaluate(*loc.at) + state.K) - x, 0.0, hi)
+    saturated = hold.rise(x, hi) < state.K  # only possible when hi == caps
+    u = np.clip(hold.leftmost(hold(x) + state.K) - x, 0.0, hi)
     u = np.where(saturated, caps, u)
     return u, saturated
 
@@ -344,21 +305,19 @@ def holding_cost_K_order_batch(state: BalancingState, k: int, x: np.ndarray,
 def holding_cost_K_order(state: BalancingState, k: int, x: float):
     """(u_tilde, saturated): the order whose holding proxy equals K, or
     the cap with a saturation flag when even the cap stays below K."""
-    state._check_stage(k)
     u, sat = holding_cost_K_order_batch(state, k, np.asarray([x]),
                                         np.asarray([state.u_cap]))
     return float(u[0]), bool(sat[0])
 
 
 def balancing_probability_batch(state: BalancingState, k: int, x: np.ndarray,
-                                u_tilde: np.ndarray,
-                                located: _Located | None = None) -> np.ndarray:
+                                u_tilde: np.ndarray) -> np.ndarray:
     if state.K <= 0:
         raise ValueError("the balancing probability exists only for K > 0")
     x = np.asarray(x, dtype=float)
-    loc = _locate(state, k, x) if located is None else located
-    eb0 = loc.back.evaluate(*loc.at)
-    ebt = loc.back(x + np.asarray(u_tilde, float))
+    back = _table(state, k)[1]
+    eb0 = back(x)
+    ebt = back(x + np.asarray(u_tilde, float))
     denom = state.K - ebt + eb0
     bad = denom <= 0
     if np.any(bad):
@@ -371,7 +330,6 @@ def balancing_probability_batch(state: BalancingState, k: int, x: np.ndarray,
 
 def balancing_probability(state: BalancingState, k: int, x: float,
                           u_tilde: float) -> float:
-    state._check_stage(k)
     return float(balancing_probability_batch(state, k, np.asarray([x]),
                                              np.asarray([u_tilde]))[0])
 
@@ -410,16 +368,14 @@ def act_balancing_batch(state: BalancingState, k: int, x: np.ndarray,
     # the slow comparison; most batches never reach it)
     if np.any(caps != gathered) and not np.array_equal(caps, gathered, equal_nan=True):
         raise ValueError("rows at one inventory level have different caps")
-    loc = _locate(state, k, levels)
-    u_hat, theta = balancing_order_batch(state, k, levels, level_caps, loc)
+    u_hat, theta = balancing_order_batch(state, k, levels, level_caps)
     if state.K == 0:
         return u_hat[inverse]
     low = theta < state.K
     if not np.any(low):
         return u_hat[inverse]
-    sub = loc.rows(low)
-    u_til, _ = holding_cost_K_order_batch(state, k, levels[low], level_caps[low], sub)
-    p = balancing_probability_batch(state, k, levels[low], u_til, sub)
+    u_til, _ = holding_cost_K_order_batch(state, k, levels[low], level_caps[low])
+    p = balancing_probability_batch(state, k, levels[low], u_til)
     # per level: take `hit` when the row's uniform is below `bar`, else
     # `miss`; a level with theta >= K orders u_hat whatever its uniform
     bar = np.full(levels.shape, np.inf)
@@ -431,7 +387,6 @@ def act_balancing_batch(state: BalancingState, k: int, x: np.ndarray,
 def act_balancing(state: BalancingState, k: int, x: float,
                   stream=None) -> float:
     """One location's order under the balancing rule."""
-    state._check_stage(k)
     uniforms = None
     if state.K > 0:
         if stream is None:

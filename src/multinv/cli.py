@@ -43,7 +43,7 @@ from .balancing import make_balancing_policy
 from .model import Finite, Problem, ValidationError
 from .policies import (BaseStockPolicy, SSPolicy, TabularGridPolicy,
                        make_pi_diamond, make_pi_square, make_pi_v)
-from .sim import SimConfig, ratio_heatmap, verify_cost_transformation
+from .sim import SimConfig, _with_horizon, ratio_heatmap, verify_cost_transformation
 
 
 class UsageError(Exception):
@@ -209,12 +209,14 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     problem, source = _load_problem(args)
+    cfg = _sim_config(args)
+    # both policies are built for the horizon that is simulated
+    problem = _with_horizon(problem, cfg)
     from_config = bool(args.config)
     policy_num = build_policy(args.num, problem, source, args.balancing_variant,
                               from_config=from_config)
     policy_den = build_policy(args.den, problem, source, args.balancing_variant,
                               from_config=from_config)
-    cfg = _sim_config(args)
     report = ratio_heatmap(problem, policy_num, policy_den, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -246,7 +248,9 @@ def _gnuplot_script(problem: Problem) -> str:
 
 def cmd_bounds(args) -> int:
     problem, source = _load_problem(args)
-    m = args.locations or problem.m
+    if args.locations is not None and args.locations < 1:
+        raise UsageError("--locations must be >= 1")
+    m = problem.m if args.locations is None else args.locations
     text = bounds.report(problem.ordering, m)
     print(text)
     if args.out:

@@ -201,6 +201,33 @@ class TestActBalancing:
         assert set(np.round(draws[draws > 0], 9)) == {round(u_t, 9)}
 
 
+class TestStageRange:
+    """Every entry point rejects a stage outside 0..periods-1, even once
+    every stage's table is cached."""
+
+    @pytest.mark.parametrize("variant", ["printed", "cumulative"])
+    @pytest.mark.parametrize("k", [20, -1])
+    def test_out_of_range_stage_raises(self, variant, k):
+        from multinv.balancing import _eh_batch
+        problem = mi.instances.build("affine_sim")
+        policy = make_balancing_policy(problem, variant=variant)
+        st = policy.states[0]
+        assert st.periods == 20
+        x = np.array([-2.0, 0.0])
+        X = np.stack([x, x], axis=1)
+        for stage in range(st.periods):
+            act_balancing_batch(st, stage, x, np.full(2, st.u_cap), np.full(2, 0.5))
+        calls = [
+            lambda: act_balancing_batch(st, k, x, np.full(2, st.u_cap), np.full(2, 0.5)),
+            lambda: policy.act_batch(problem, k, X, np.full(X.shape, 0.5)),
+            lambda: balancing_order_batch(st, k, x, np.full(2, st.u_cap)),
+            lambda: _eh_batch(st, k, x, np.ones(2)),
+        ]
+        for call in calls:
+            with pytest.raises(IndexError, match=f"stage {k} out of range"):
+                call()
+
+
 class TestMonotonicity:
     @pytest.mark.parametrize("variant", ["printed", "cumulative"])
     def test_proxies_monotone_in_order(self, variant):
@@ -320,7 +347,7 @@ def _reference_proxies(st, k, x):
     if st.variant == "printed":
         hv, hp, scale = values, probs, st.a * remaining
     else:
-        (hv, hp), scale = _partial_sum_atoms(tuple(values), tuple(probs), remaining), st.a
+        (hv, hp), scale = _partial_sum_atoms(tuple(values), tuple(probs), remaining)[remaining], st.a
     thresholds = np.maximum(0.0, hv[:, None] - x[None, :])
 
     def eh(u):
@@ -431,8 +458,8 @@ def _unshared_act(st, k, x, caps, uniforms):
 
 
 class TestSharedLookup:
-    """act_balancing_batch locates x once per stage and location; its
-    orders must be bit-identical to the unshared composition."""
+    """act_balancing_batch's orders must be bit-identical to the
+    composition of the public batch functions."""
 
     def check(self, states, x, cap, top=8.0, seed=0):
         """Compare every stage for two locations (x and x shifted by one
@@ -569,8 +596,8 @@ class TestPerLevelSolve:
         caplog.clear()
         k_order = bal.holding_cost_K_order_batch
 
-        def emptying(state, k, x, caps, located=None):
-            _, sat = k_order(state, k, x, caps, located)
+        def emptying(state, k, x, caps):
+            _, sat = k_order(state, k, x, caps)
             return -1.0 - x, sat
 
         monkeypatch.setattr(bal, "holding_cost_K_order_batch", emptying)

@@ -83,6 +83,41 @@ class TestCompare:
             texts.append((out / "heatmap.csv").read_bytes())
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("horizon", ["1", "3"])
+    def test_horizon_override_builds_the_optimum_for_that_horizon(self, tmp_path,
+                                                                  horizon):
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--instance", "fig1_linear", "--num", "pi_square",
+                       "--den", "optimal", "--horizon", horizon, "--runs", "5",
+                       "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["den_exact"] is True
+        rows = list(csv.DictReader(open(out / "heatmap.csv")))
+        assert all(float(r["se_den"]) == 0.0 for r in rows)
+
+    def test_horizon_equal_to_the_instance_changes_nothing(self, tmp_path):
+        texts = []
+        for name, extra in (("plain", ()), ("override", ("--horizon", "2"))):
+            out = tmp_path / name
+            assert run_cli("compare", "--instance", "fig1_linear", "--num", "pi_square",
+                           "--den", "optimal", "--runs", "5", "--seed", "4",
+                           "--out", str(out), *extra) == 0
+            texts.append((out / "heatmap.csv").read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_horizon_override_balancing_matches_library(self, tmp_path):
+        from dataclasses import replace
+        from multinv.policies import SSPolicy
+        from multinv.sim import SimConfig, ratio_heatmap
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--instance", "affine_sim", "--num", "balancing",
+                       "--den", "sS:s=0,S=2", "--horizon", "25", "--runs", "2",
+                       "--seed", "5", "--out", str(out)) == 0
+        problem = replace(mi.instances.build("affine_sim"), horizon=mi.Finite(25))
+        report = ratio_heatmap(problem, mi.make_balancing_policy(problem),
+                               SSPolicy(np.zeros(2), np.full(2, 2.0)),
+                               SimConfig(runs=2, seed=5))
+        assert (out / "heatmap.csv").read_text() == report.csv_text()
+
     def test_incompatible_policy_is_usage_error(self, tmp_path):
         assert run_cli("compare", "--instance", "fig1_linear",
                        "--num", "pi_v", "--den", "optimal",
@@ -234,6 +269,12 @@ class TestBoundsAndConfig:
                        "--locations", "2") == 0
         out = capsys.readouterr().out
         assert "K_l=4" in out
+
+    @pytest.mark.parametrize("locations", ["0", "-2"])
+    def test_bounds_locations_below_one_exits_2(self, capsys, locations):
+        assert run_cli("bounds", "--instance", "affine_sim",
+                       "--locations", locations) == 2
+        assert "--locations must be >= 1" in capsys.readouterr().err
 
     def test_linear_cost_bounds(self, tmp_path, capsys):
         cfg = tmp_path / "lin.json"

@@ -4,7 +4,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from multinv.balancing import _PARTIAL_SUMS, _partial_sum_atoms
+import multinv as mi
+from multinv.balancing import (BalancingState, _discrete_table, _partial_sum_atoms,
+                               _stage_tables, _table, make_balancing_policy)
+from multinv.model import DiscreteMarginal
 
 
 def reference_atoms(values, probs, horizon):
@@ -33,33 +36,59 @@ def assert_same(got, ref):
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
-def test_every_horizon_bit_identical_in_any_request_order():
+def test_every_horizon_bit_identical():
     values, probs = (0.0, 0.5, 1.0, 1.5), (0.125, 0.375, 0.375, 0.125)
-    refs = {r: reference_atoms(values, probs, r) for r in range(0, 21)}
-    for order in (range(20, -1, -1), range(0, 21), (7, 3, 20, 0, 12)):
-        _PARTIAL_SUMS.pop((values, probs), None)
-        for r in order:
-            assert_same(_partial_sum_atoms(values, probs, r), refs[r])
+    tables = _partial_sum_atoms(values, probs, 20)
+    assert len(tables) == 21
+    for r, got in enumerate(tables):
+        assert_same(got, reference_atoms(values, probs, r))
 
 
-def test_threads_sharing_the_cache_get_the_serial_atoms():
-    values, probs = (0.0, 0.25, 1.0), (0.2, 0.5, 0.3)
-    refs = {r: reference_atoms(values, probs, r) for r in range(1, 31)}
+def stage_tables_by_hand(st):
+    """Every stage's (hold, back, balance), each built on its own from the
+    per-horizon reference atoms."""
+    values, probs = st.marginal.sorted_pmf()
+    return [_discrete_table(values, probs, *reference_atoms(tuple(values), tuple(probs),
+                                                            st.periods - k), st.a, st.b)
+            for k in range(st.periods)]
+
+
+def assert_same_tables(got, want):
+    for f, g in zip(got, want):
+        for name in ("knots", "value", "slope", "curv"):
+            assert np.array_equal(getattr(f, name), getattr(g, name))
+
+
+def test_threads_sharing_the_cache_get_the_serial_tables():
+    st = BalancingState(periods=30, a=0.3, b=4.0, variant="cumulative",
+                        marginal=DiscreteMarginal((0.0, 0.25, 1.0), (0.2, 0.5, 0.3)))
+    refs = stage_tables_by_hand(st)
     orders = []
     for seed in range(8):
-        order = list(refs)
+        order = list(range(st.periods))
         random.Random(seed).shuffle(order)
         orders.append(order)
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _PARTIAL_SUMS.pop((values, probs), None)
+        _stage_tables.cache_clear()
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda o: [(r, _partial_sum_atoms(values, probs, r))
-                                              for r in o], order) for order in orders]
+            futures = [pool.submit(lambda o: [(k, _table(st, k)) for k in o], order)
+                       for order in orders]
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(previous)
     for result in results:
-        for r, got in result:
-            assert_same(got, refs[r])
+        for k, got in result:
+            assert_same_tables(got, refs[k])
+
+
+def test_filling_every_stage_is_one_cache_miss():
+    problem = mi.instances.build("affine_sim")
+    st = make_balancing_policy(problem, variant="cumulative").states[0]
+    assert st.periods == 20
+    _stage_tables.cache_clear()
+    for k in range(st.periods):
+        _table(st, k)
+    info = _stage_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
