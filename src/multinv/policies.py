@@ -220,6 +220,12 @@ class ExplicitVPolicy(Policy):
     def __init__(self, v_values, threshold):
         self.v_values = tuple(sorted(float(v) for v in v_values))
         self.threshold = float(threshold)
+        if not self.v_values or self.v_values[0] <= 0:
+            raise ValueError("explicit-v policy needs order sizes that are all > 0")
+        # _totals[c] is the order total of a row below the threshold whose
+        # c smallest sizes fall short of it (all of them short: the smallest
+        # size as the fallback); the last entry is for rows at or above it
+        self._totals = np.array((*self.v_values, self.v_values[0], 0.0))
 
     def _check_instance(self, problem):
         zs = {z for z, _ in problem.ordering.discounts}
@@ -230,11 +236,12 @@ class ExplicitVPolicy(Policy):
     def act_batch(self, problem, k, X, uniforms):
         self._check_instance(problem)
         sx = location_sum(X)
-        total = np.full(X.shape[0], self.v_values[0])
-        for v in reversed(self.v_values):
-            np.copyto(total, v, where=sx + v >= self.threshold)
-        np.copyto(total, 0.0, where=sx >= self.threshold)
-        return _truncate(_waterfill(X, total), problem, X, self.kind)
+        # sx + v is nondecreasing in the sorted v, so the short sizes are a
+        # prefix of them; with every v > 0 none is short where sx >= threshold
+        count = (sx >= self.threshold) * (len(self.v_values) + 1)
+        for v in self.v_values:
+            count += sx + v < self.threshold
+        return _truncate(_waterfill(X, self._totals.take(count)), problem, X, self.kind)
 
     def to_config(self):
         return {"kind": self.kind, "v_values": list(self.v_values),
@@ -267,12 +274,18 @@ def _waterfill(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     prefix = [xs[0]]
     for i in range(1, m):
         prefix.append(prefix[-1] + xs[i])
-    level = (v + prefix[m - 1]) / m
+    level = v + prefix[m - 1]
+    if m > 1:
+        level /= m
     for q in range(m - 1, 0, -1):
-        cand = (v + prefix[q - 1]) / q
-        ok = (cand >= xs[q - 1] - 1e-15) & (cand <= xs[q] + 1e-15)
+        cand = v + prefix[q - 1]
+        if q > 1:  # x / 1 == x exactly
+            cand /= q
+        ok = cand >= xs[q - 1] - 1e-15
+        ok &= cand <= xs[q] + 1e-15
         level = np.where(ok, cand, level)
-    return np.maximum(level[:, None] - X, 0.0)
+    orders = level[:, None] - X
+    return np.maximum(orders, 0.0, out=orders)
 
 
 # ---------------------------------------------------------------------------

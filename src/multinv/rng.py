@@ -16,12 +16,15 @@ randomness stays policy-specific:
 ``demand_stream``/``policy_stream`` hand out one run's stream as a
 fresh ``Generator``.  The batched estimators draw the very same numbers
 through ``fill_streams``: the keys of a whole block of runs are derived
-in one pass, and a single Philox generator is re-keyed (counter reset
-to zero) for each run, so every row equals what that run's own
-``Generator`` would produce.  In that pass each state's key prefix
-(seed, purpose, state) is hashed once and every run extends a copy of
-that hash with its own (run, tag) suffix; the bytes hashed are exactly
-those of ``derive_key``, so the keys are unchanged.
+in one pass, and a single Philox generator is re-keyed for each run,
+so every row equals what that run's own ``Generator`` would produce.
+A fill may start part-way into the streams (at any multiple of 4
+uniforms, by the Philox counter), so a long horizon is drawn one block
+of periods at a time into a buffer of bounded size.  In the key pass
+each state's key prefix (seed, purpose, state) is hashed once and every
+run extends a copy of that hash with its own (run, tag) suffix; the
+bytes hashed are exactly those of ``derive_key``, so the keys are
+unchanged.
 """
 
 from __future__ import annotations
@@ -105,23 +108,31 @@ def policy_keys(master_seed: int, states: range, runs: int,
     return _run_keys(master_seed, "policy", states, runs, policy_tag)
 
 
-def fill_streams(out: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Fill ``out[r]`` with the first uniforms of the stream keyed by
-    ``keys[r]``: row r equals ``Generator(Philox(key=keys[r])).random(
-    out.shape[1:])``.  One generator is re-keyed per row, so a call is
-    safe to run alongside others on different threads.
+def fill_streams(out: np.ndarray, keys: np.ndarray, start: int = 0) -> np.ndarray:
+    """Fill ``out[r]`` with uniforms ``start, start + 1, ...`` of the
+    stream keyed by ``keys[r]``: row r equals ``Generator(Philox(key=
+    keys[r])).random(start + n)[start:]`` for the row's n = out[r].size
+    entries, reshaped to ``out.shape[1:]``.  One generator is re-keyed per
+    row, so a call is safe to run alongside others on different threads.
 
-    The re-key template holds its zero ``counter`` and ``buffer`` words
-    as lists of Python ints: the Philox ``state`` setter reads every word,
+    Philox turns one counter value into four uniforms and increments the
+    counter before each use, so a zero counter with an empty buffer starts
+    at uniform 0, and counter word 0 set to ``start // 4`` starts at
+    uniform ``start``; ``start`` must therefore be a multiple of 4.
+
+    The re-key template holds its ``counter`` and ``buffer`` words as
+    lists of Python ints: the Philox ``state`` setter reads every word,
     and each word read from a uint64 array makes a numpy scalar, which
     makes the setter 1.5-2x slower per row (numpy 2.4.6).  The stream is
     the same either way.  Only the key changes between rows, so it is
     written into the template's inner ``state`` dict in place."""
     if out.shape[0] != keys.shape[0]:
         raise ValueError("need one key per output row")
+    if start < 0 or start % 4:
+        raise ValueError(f"start must be a nonnegative multiple of 4, got {start}")
     bits = np.random.Philox()
     gen = np.random.Generator(bits)
-    inner = {"counter": [0, 0, 0, 0], "key": None}
+    inner = {"counter": [start // 4, 0, 0, 0], "key": None}
     state = {"bit_generator": "Philox", "state": inner,
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}

@@ -6,15 +6,21 @@ next state clamps into the grid box.  Every (initial state, run) pair
 owns purely derived random streams (see rng), so reports are
 bit-identical regardless of worker count or which other policies were
 estimated in the same session.  Each run's stream is the same as if
-drawn from its own generator; a chunk of runs is drawn by re-keying one
-Philox generator per chunk, and its demand is transformed in one call.
+drawn from its own generator.
 
 One batched stepper serves scalar simulation (batch of one) and the
 full-grid estimators, so both consume randomness identically: demand is
 one uniform per location per period, policy randomness (when a policy
-is randomized) likewise.  The stepper runs the dynamics period by period
-and charges costs per block of periods, adding the periods' costs to
-each trajectory's total in period order.
+is randomized) likewise.  The stepper draws them inside its loop, one
+block of at most ``_DRAW_PERIODS`` periods at a time: the estimators
+re-key one Philox generator per run and block, starting each stream at
+the block's first uniform (``rng.fill_streams``' counter offset), and
+transform the block's demand in place with one call.  A chunk of runs
+therefore holds rows x min(T, _DRAW_PERIODS) x M doubles per stream,
+however long the horizon, and chunks are sized to at most
+``_CHUNK_DOUBLES`` of them.  The stepper runs the dynamics period by
+period and charges costs per block of periods, adding the periods' costs
+to each trajectory's total in period order.
 """
 
 from __future__ import annotations
@@ -67,14 +73,24 @@ def _with_horizon(problem: Problem, cfg: SimConfig | None) -> Problem:
 # are amortized when the batch is small.
 _BLOCK_ROWS = 4096
 
+# Random draws are made per block of at most this many periods, so a
+# chunk's draw buffers hold rows x min(T, _DRAW_PERIODS) x M doubles per
+# stream whatever the horizon.  A multiple of 4, so every block starts on
+# a Philox counter boundary (see ``rng.fill_streams``).
+_DRAW_PERIODS = 1024
 
-def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray,
-                    demand: np.ndarray, uniforms, collect_orders: bool = False):
-    """Average cost of B trajectories fed with pre-drawn demand.
 
-    x0: (B, M); demand: (B, T, M); uniforms: (B, T, M) or None.
-    Returns costs (B,), and with ``collect_orders`` also the per-period
-    total orders and ordering costs, each (B, T).
+def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray, draws,
+                    collect_orders: bool = False):
+    """Average cost of B trajectories over ``problem.periods`` periods.
+
+    x0: (B, M).  ``draws(k0, n)`` returns the demand and policy uniforms
+    of periods k0 .. k0 + n - 1, each (B, n, M) (uniforms None for a
+    deterministic policy); it is called once per block of at most
+    ``_DRAW_PERIODS`` periods, in period order, and a block's arrays are
+    only read until the next call.  Returns costs (B,), and with
+    ``collect_orders`` also the per-period total orders and ordering
+    costs, each (B, T).
 
     The dynamics (policy, orders, post-demand level, clamp) run period
     by period.  The order totals and post-demand levels of a block of
@@ -85,33 +101,36 @@ def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray,
     """
     grid = problem.grid
     burn = 0 if isinstance(problem.horizon, Finite) else problem.horizon.burn_in
-    periods = demand.shape[1]
+    periods = problem.periods
     x = np.array(x0, dtype=float)
     batch, m = x.shape
     total = np.zeros(batch)
     z_trace = np.empty((batch, periods)) if collect_orders else None
     c_trace = np.empty((batch, periods)) if collect_orders else None
-    span = max(1, min(periods, _BLOCK_ROWS // batch))
+    span = max(1, min(periods, _DRAW_PERIODS, _BLOCK_ROWS // batch))
     z = np.empty((span, batch))
     post = np.empty((span, batch, m))
-    for k0 in range(0, periods, span):
-        n = min(span, periods - k0)
-        for j in range(n):
-            k = k0 + j
-            uni = None if uniforms is None else uniforms[:, k, :]
-            orders = policy.act_batch(problem, k, x, uni)
-            z[j] = location_sum(orders)
-            np.add(x, orders, out=post[j])
-            post[j] -= demand[:, k, :]
-            np.maximum(post[j], grid.lo, out=x)
-            np.minimum(x, grid.hi, out=x)
-        order_cost = problem.ordering.eval_array(z[:n])
-        stage = order_cost + problem.holding.location_total(post[:n])
-        for j in range(max(0, burn - k0), n):
-            total += stage[j]
-        if collect_orders:
-            z_trace[:, k0:k0 + n] = z[:n].T
-            c_trace[:, k0:k0 + n] = order_cost.T
+    for d0 in range(0, periods, _DRAW_PERIODS):
+        d_end = min(d0 + _DRAW_PERIODS, periods)
+        demand, uniforms = draws(d0, d_end - d0)
+        for k0 in range(d0, d_end, span):
+            n = min(span, d_end - k0)
+            for j in range(n):
+                k = k0 + j
+                uni = None if uniforms is None else uniforms[:, k - d0, :]
+                orders = policy.act_batch(problem, k, x, uni)
+                z[j] = location_sum(orders)
+                np.add(x, orders, out=post[j])
+                post[j] -= demand[:, k - d0, :]
+                np.maximum(post[j], grid.lo, out=x)
+                np.minimum(x, grid.hi, out=x)
+            order_cost = problem.ordering.eval_array(z[:n])
+            stage = order_cost + problem.holding.location_total(post[:n])
+            for j in range(max(0, burn - k0), n):
+                total += stage[j]
+            if collect_orders:
+                z_trace[:, k0:k0 + n] = z[:n].T
+                c_trace[:, k0:k0 + n] = order_cost.T
     costs = total / (periods - burn)
     if collect_orders:
         return costs, z_trace, c_trace
@@ -122,43 +141,56 @@ def simulate_run(problem: Problem, policy: Policy, x0,
                  demand_stream: np.random.Generator,
                  policy_stream: np.random.Generator | None = None,
                  collect_orders: bool = False):
-    """Average cost of one trajectory; deterministic given the streams."""
-    periods = problem.periods
+    """Average cost of one trajectory; deterministic given the streams.
+
+    Each block of periods is drawn from the streams right after the
+    previous one, which gives the numbers one whole-horizon draw would."""
+    if policy.uses_randomness and policy_stream is None:
+        raise ValueError("randomized policy needs a policy stream")
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    demand = transform_uniform_draws(
-        problem.demand, demand_stream.random((periods, problem.m)))[None]
-    uniforms = None
-    if policy.uses_randomness:
-        if policy_stream is None:
-            raise ValueError("randomized policy needs a policy stream")
-        uniforms = policy_stream.random((periods, problem.m))[None]
-    out = _simulate_batch(problem, policy, x0, demand, uniforms,
-                          collect_orders=collect_orders)
+
+    def draws(k0, n):
+        shape = (1, n, problem.m)
+        demand = transform_uniform_draws(problem.demand, demand_stream.random(shape))
+        uniforms = policy_stream.random(shape) if policy.uses_randomness else None
+        return demand, uniforms
+
+    out = _simulate_batch(problem, policy, x0, draws, collect_orders=collect_orders)
     if collect_orders:
         costs, z, c = out
         return float(costs[0]), z[0], c[0]
     return float(out[0])
 
 
-def _draw_runs(problem: Problem, policy: Policy, cfg: SimConfig, states: range):
-    """Demand (and policy-uniform) tensors of cfg.runs runs for each
-    initial-state index in ``states``, state-major, shape (rows, T, M).
+def _keyed_draws(problem: Problem, policy: Policy, cfg: SimConfig, states: range):
+    """Block source (see ``_simulate_batch``) of cfg.runs runs for each
+    initial-state index in ``states``, state-major.
 
-    Row (s - states.start) * cfg.runs + run holds exactly the draws of
-    that run's own streams (``rng.demand_stream``/``rng.policy_stream``);
-    the keys of the block are derived in one pass and the uniforms are
-    transformed into demand in place with one call.
+    Row (s - states.start) * cfg.runs + run of a block holds exactly the
+    draws of that run's own streams (``rng.demand_stream``/
+    ``rng.policy_stream``) for the block's periods: the keys are derived
+    once, each block is filled from uniform k0 * M of every stream, and
+    its demand is transformed in place with one call.  One buffer per
+    stream, rows x min(T, _DRAW_PERIODS) x M, is reused by every block.
     """
     tag = policy.tag
-    shape = (len(states) * cfg.runs, problem.periods, problem.m)
-    demand = rng_mod.fill_streams(
-        np.empty(shape), rng_mod.demand_keys(cfg.seed, states, cfg.runs, tag, cfg.crn))
-    transform_uniform_draws(problem.demand, demand, out=demand)
-    uniforms = None
+    m = problem.m
+    shape = (len(states) * cfg.runs, min(problem.periods, _DRAW_PERIODS), m)
+    demand_keys = rng_mod.demand_keys(cfg.seed, states, cfg.runs, tag, cfg.crn)
+    demand = np.empty(shape)
+    policy_keys = uniforms = None
     if policy.uses_randomness:
-        uniforms = rng_mod.fill_streams(
-            np.empty(shape), rng_mod.policy_keys(cfg.seed, states, cfg.runs, tag))
-    return demand, uniforms
+        policy_keys = rng_mod.policy_keys(cfg.seed, states, cfg.runs, tag)
+        uniforms = np.empty(shape)
+
+    def draws(k0, n):
+        block = rng_mod.fill_streams(demand[:, :n], demand_keys, start=k0 * m)
+        transform_uniform_draws(problem.demand, block, out=block)
+        if policy_keys is None:
+            return block, None
+        return block, rng_mod.fill_streams(uniforms[:, :n], policy_keys, start=k0 * m)
+
+    return draws
 
 
 def estimate_cost(problem: Problem, policy: Policy, x0, cfg: SimConfig,
@@ -170,11 +202,9 @@ def estimate_cost(problem: Problem, policy: Policy, x0, cfg: SimConfig,
     """
     cfg.check()
     problem = _with_horizon(problem, cfg)
-    demand, uniforms = _draw_runs(problem, policy, cfg,
-                                  range(state_index, state_index + 1))
+    draws = _keyed_draws(problem, policy, cfg, range(state_index, state_index + 1))
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.runs, problem.m))
-    out = _simulate_batch(problem, policy, x0, demand, uniforms,
-                          collect_orders=collect_orders)
+    out = _simulate_batch(problem, policy, x0, draws, collect_orders=collect_orders)
     costs = out[0] if collect_orders else out
     mean = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / np.sqrt(cfg.runs)) if cfg.runs > 1 else float("nan")
@@ -258,10 +288,12 @@ def initial_states(problem: Problem, cfg: SimConfig) -> np.ndarray:
 
 
 # States are estimated in chunks so the batched stepper sees large
-# arrays; boundaries depend only on the state count and runs (never on
-# the thread count), and the stepper itself is purely elementwise, so
-# results are identical however the chunks are scheduled.
-_CHUNK_SIMS = 100_000
+# arrays.  A chunk holds up to _CHUNK_DOUBLES doubles per stream in its draw
+# buffer (rows x min(T, _DRAW_PERIODS) x M), so its boundaries depend only
+# on the state count, runs, horizon and M (never on the thread count), and
+# the stepper itself is purely elementwise, so results are identical
+# however the chunks are scheduled.
+_CHUNK_DOUBLES = 2 ** 22
 
 
 def _estimate_over_states(problem: Problem, policy: Policy, states: np.ndarray,
@@ -269,14 +301,15 @@ def _estimate_over_states(problem: Problem, policy: Policy, states: np.ndarray,
     n_states = states.shape[0]
     means = np.empty(n_states)
     ses = np.empty(n_states)
-    per_chunk = max(1, _CHUNK_SIMS // cfg.runs)
+    sims = _CHUNK_DOUBLES // (min(problem.periods, _DRAW_PERIODS) * problem.m)
+    per_chunk = max(1, sims // cfg.runs)
     spans = [(a, min(a + per_chunk, n_states)) for a in range(0, n_states, per_chunk)]
 
     def work(span):
         j0, j1 = span
-        demand, uniforms = _draw_runs(problem, policy, cfg, range(j0, j1))
+        draws = _keyed_draws(problem, policy, cfg, range(j0, j1))
         x0 = np.repeat(states[j0:j1], cfg.runs, axis=0)
-        costs = _simulate_batch(problem, policy, x0, demand, uniforms)
+        costs = _simulate_batch(problem, policy, x0, draws)
         per_state = costs.reshape(j1 - j0, cfg.runs)
         means[j0:j1] = per_state.mean(axis=1)
         if cfg.runs > 1:
@@ -415,7 +448,13 @@ def verify_cost_transformation(problem: Problem, policy: Policy, m_slope: float,
     residual  formula gap - (m/N) * sum_i (E x_N,i - x_0,i - E clamp_i)
     is zero up to rounding too.  For randomized policies the check is
     statistical under common random numbers.
+
+    ``cfg`` (default 200 runs, seed 0) is checked and its horizon override
+    applied before either branch, as in ``estimate_cost``.
     """
+    cfg = replace(cfg or SimConfig(runs=200, seed=0), crn=True)
+    cfg.check()
+    problem = _with_horizon(problem, cfg)
     hat = shift_ordering_slopes(problem, m_slope)
     per_period_demand = sum(problem.demand.mean(i) for i in range(problem.m))
     demand_term = m_slope * per_period_demand
@@ -437,8 +476,6 @@ def verify_cost_transformation(problem: Problem, policy: Policy, m_slope: float,
             "max_abs_displacement_gap": float(np.max(np.abs(displacement_gap))),
         }
 
-    cfg = cfg or SimConfig(runs=200, seed=0, crn=True)
-    cfg = replace(cfg, crn=True)
     states = initial_states(problem, cfg)
     mean_p, se_p = _estimate_over_states(problem, policy, states, cfg)
     mean_h, se_h = _estimate_over_states(hat, policy, states, cfg)

@@ -3,7 +3,8 @@
 The block fill re-keys a single generator per row from a template state.
 Each row must be the stream its key alone defines, whatever the key words
 are, however many uniforms the previous row drew, and whatever state the
-generator was in before the first row.
+generator was in before the first row.  A fill from a counter offset
+must continue each stream exactly where that many uniforms end.
 """
 
 from unittest import mock
@@ -90,3 +91,51 @@ class TestFillStreams:
     def test_key_count_must_match_rows(self):
         with pytest.raises(ValueError, match="one key per output row"):
             rng.fill_streams(np.empty((3, 2)), EDGE_KEYS[:2])
+
+
+STARTS = [0, 4, 1024, 2 ** 22]
+
+
+def assert_rows_continue_fresh_streams(out, keys, start):
+    n = out[0].size
+    for row, key in zip(out, keys):
+        want = fresh(key, start + n)[start:].reshape(out.shape[1:])
+        assert row.tobytes() == want.tobytes()
+
+
+class TestStreamOffset:
+    # 1, 3 and 5 uniforms per row end it part-way through a Philox block
+    @pytest.mark.parametrize("start", STARTS[:-1])
+    @pytest.mark.parametrize("shape", [(1,), (3,), (5, 1), (4, 2)])
+    def test_edge_key_words(self, start, shape):
+        out = rng.fill_streams(np.empty((len(EDGE_KEYS),) + shape), EDGE_KEYS, start)
+        assert_rows_continue_fresh_streams(out, EDGE_KEYS, start)
+
+    def test_edge_key_words_far_into_the_stream(self):
+        # each reference row draws 2**22 uniforms first, so one shape only
+        out = rng.fill_streams(np.empty((len(EDGE_KEYS), 3)), EDGE_KEYS, STARTS[-1])
+        assert_rows_continue_fresh_streams(out, EDGE_KEYS, STARTS[-1])
+
+    def test_blocks_of_a_buffer_concatenate_to_the_stream(self):
+        # the estimators fill the leading periods of one reused buffer
+        buf = np.empty((len(EDGE_KEYS), 6, 2))
+        first = rng.fill_streams(buf[:, :6], EDGE_KEYS, 0).copy()
+        second = rng.fill_streams(buf[:, :3], EDGE_KEYS, 12)
+        whole = np.concatenate((first, second), axis=1)
+        assert_rows_continue_fresh_streams(whole, EDGE_KEYS, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(keys=hs.lists(hs.tuples(hs.integers(0, 2 ** 64 - 1),
+                                   hs.integers(0, 2 ** 64 - 1)),
+                         min_size=1, max_size=4),
+           start=hs.integers(0, 1024).map(lambda b: 4 * b),
+           length=hs.integers(1, 9))
+    def test_property_any_key_words(self, keys, start, length):
+        keys = np.array(keys, dtype=np.uint64)
+        out = rng.fill_streams(np.empty((len(keys), length)), keys, start)
+        assert_rows_continue_fresh_streams(out, keys, start)
+
+    @pytest.mark.parametrize("start", [1, 2, 3, 1022, -4])
+    def test_start_must_be_a_nonnegative_multiple_of_4(self, start):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            rng.fill_streams(np.empty((2, 3)), EDGE_KEYS[:2], start)

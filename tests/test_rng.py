@@ -2,7 +2,7 @@
 
 ``rng.demand_stream``/``rng.policy_stream`` define what each run draws;
 the estimators fill whole blocks of runs by re-keying one Philox
-generator.  Every row of a block must equal its run's own stream.
+generator per row.  Every row of a block must equal its run's own stream.
 """
 
 from dataclasses import replace
@@ -16,7 +16,7 @@ import multinv as mi
 from multinv import rng
 from multinv.model import (DemandModel, DiscreteMarginal, UniformMarginal,
                            transform_uniform_draws)
-from multinv.sim import SimConfig, _draw_runs
+from multinv.sim import SimConfig, _keyed_draws
 
 
 def reference_uniforms(seed, states, runs, tag, crn, shape, purpose):
@@ -29,6 +29,11 @@ def reference_uniforms(seed, states, runs, tag, crn, shape, purpose):
                 gen = rng.policy_stream(seed, s, run, tag)
             rows.append(gen.random(shape))
     return np.stack(rows)
+
+
+def whole_horizon(problem, policy, cfg, states):
+    """A chunk's draws for a horizon that fits in one block, as one block."""
+    return _keyed_draws(problem, policy, cfg, states)(0, problem.periods)
 
 
 def filled(seed, states, runs, tag, crn, shape, purpose):
@@ -138,7 +143,7 @@ class TestDrawRuns:
         policy = mi.make_balancing_policy(p, K=2.0)
         assert policy.uses_randomness
         cfg = SimConfig(runs=3, seed=17, crn=crn)
-        demand, uniforms = _draw_runs(p, policy, cfg, range(4, 7))
+        demand, uniforms = whole_horizon(p, policy, cfg, range(4, 7))
         shape = (p.periods, p.m)
         for row, (s, run) in enumerate((s, r) for s in range(4, 7) for r in range(3)):
             raw = rng.demand_stream(17, s, run, policy.tag, crn).random(shape)
@@ -148,8 +153,8 @@ class TestDrawRuns:
 
     def test_deterministic_policy_draws_no_uniforms(self):
         p = mixed_demand_problem()
-        _, uniforms = _draw_runs(p, mi.BaseStockPolicy(np.zeros(2)),
-                                 SimConfig(runs=2), range(1))
+        _, uniforms = whole_horizon(p, mi.BaseStockPolicy(np.zeros(2)),
+                                    SimConfig(runs=2), range(1))
         assert uniforms is None
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -12,9 +13,9 @@ from hypothesis import strategies as hs
 
 import multinv as mi
 from multinv.model import (DemandModel, DiscreteMarginal, Grid, InfiniteAveraged,
-                           UniformMarginal)
+                           UniformMarginal, location_sum, transform_uniform_draws)
 from multinv.policies import GridTabulationError
-from multinv.sim import (RatioReport, SimConfig, _draw_runs, _estimate_over_states,
+from multinv.sim import (RatioReport, SimConfig, _estimate_over_states, _keyed_draws,
                          _simulate_batch, estimate_cost,
                          exact_ineligibility, ratio_heatmap,
                          shift_ordering_slopes, simulate_run,
@@ -267,16 +268,18 @@ class TestEstimateFold:
         states = fig1.grid.states(fig1.m)[::5]
         cfg = SimConfig(runs=9, seed=21, crn=crn, initial_states=states)
         mean_num, se_num = _estimate_over_states(fig1, policy, states, cfg)
-        block_d, block_u = _draw_runs(fig1, policy, cfg, range(len(states)))
+        block_d, block_u = _keyed_draws(fig1, policy, cfg, range(len(states)))(
+            0, fig1.periods)
         rep = ratio_heatmap(fig1, policy, mi.make_pi_square(fig1, 2.0), cfg)
         assert np.array_equal(rep.mean_num, mean_num)
         for j in (0, 3, len(states) - 1):
             rows = slice(j * cfg.runs, (j + 1) * cfg.runs)
-            d, u = _draw_runs(fig1, policy, cfg, range(j, j + 1))
+            d, u = _keyed_draws(fig1, policy, cfg, range(j, j + 1))(0, fig1.periods)
             assert np.array_equal(d, block_d[rows]) and np.array_equal(u, block_u[rows])
             x0 = np.repeat(states[j:j + 1], cfg.runs, axis=0)
-            single = _simulate_batch(fig1, policy, x0, d, u)
-            block = _simulate_batch(fig1, policy, x0, block_d[rows], block_u[rows])
+            single = _simulate_batch(fig1, policy, x0,
+                                     _keyed_draws(fig1, policy, cfg, range(j, j + 1)))
+            block = _simulate_batch(fig1, policy, x0, sliced(block_d[rows], block_u[rows]))
             assert np.array_equal(single, block)
             mean, se = estimate_cost(fig1, policy, states[j], cfg, state_index=j)
             assert mean == pytest.approx(mean_num[j], rel=1e-12, abs=0.0)
@@ -419,6 +422,14 @@ class TestCostTransformation:
 # Block-accounting stepper against the per-period reference
 # ---------------------------------------------------------------------------
 
+def sliced(demand, uniforms):
+    """Block source (see ``sim._simulate_batch``) of whole-horizon arrays."""
+    def draws(k0, n):
+        return (demand[:, k0:k0 + n],
+                None if uniforms is None else uniforms[:, k0:k0 + n])
+    return draws
+
+
 def reference_simulate_batch(problem, policy, x0, demand, uniforms,
                              collect_orders=False):
     """The per-period stepper: every period's costs are evaluated as it is
@@ -485,7 +496,56 @@ class ReferenceExplicitV(mi.ExplicitVPolicy):
         return mi.policies._truncate(orders, problem, X, self.kind)
 
 
+class MaskedCopyExplicitV(mi.ExplicitVPolicy):
+    """pi_v with the order total set by one masked copy per size and the
+    waterfill level computed out of place, dividing at every q."""
+
+    def act_batch(self, problem, k, X, uniforms):
+        self._check_instance(problem)
+        sx = location_sum(X)
+        total = np.full(X.shape[0], self.v_values[0])
+        for v in reversed(self.v_values):
+            np.copyto(total, v, where=sx + v >= self.threshold)
+        np.copyto(total, 0.0, where=sx >= self.threshold)
+        m = X.shape[1]
+        xs = mi.policies._sorted_columns(X)
+        prefix = [xs[0]]
+        for i in range(1, m):
+            prefix.append(prefix[-1] + xs[i])
+        level = (total + prefix[m - 1]) / m
+        for q in range(m - 1, 0, -1):
+            cand = (total + prefix[q - 1]) / q
+            ok = (cand >= xs[q - 1] - 1e-15) & (cand <= xs[q] + 1e-15)
+            level = np.where(ok, cand, level)
+        orders = np.maximum(level[:, None] - X, 0.0)
+        return mi.policies._truncate(orders, problem, X, self.kind)
+
+
 class TestExplicitVTotals:
+    @settings(max_examples=150, deadline=None)
+    @given(m=hs.integers(1, 8), seed=hs.integers(0, 2 ** 32 - 1))
+    def test_pick_bit_equal_to_masked_copies(self, m, seed):
+        # grid points, signed zeros and off-grid levels, with half the rows'
+        # level sums set onto the threshold or a size below it, +-1 ulp
+        p = mi.instances.build(f"tightness:M={m}")
+        policy = mi.make_pi_v(m, mi.instances.tightness_delta(0.1, 1.0))
+        ref = MaskedCopyExplicitV(policy.v_values, policy.threshold)
+        gen = np.random.default_rng(seed)
+        pool = np.concatenate((p.grid.points(), [-0.0, 0.0],
+                               gen.uniform(p.grid.lo, p.grid.hi, 8)))
+        X = pool[gen.integers(0, len(pool), (64, m))]
+        t = policy.threshold
+        edges = gen.choice([t, *(t - v for v in policy.v_values)], 32)
+        edges = np.nextafter(edges, edges + gen.integers(-1, 2, 32))
+        X[32:, -1] = edges - (location_sum(X[32:, :-1]) if m > 1 else 0.0)
+        got = policy.act_batch(p, 0, X, None)
+        assert got.tobytes() == ref.act_batch(p, 0, X, None).tobytes()
+
+    @pytest.mark.parametrize("sizes", [(), (0.0, 2.0), (-1.0, 2.0)])
+    def test_order_sizes_must_be_positive(self, sizes):
+        with pytest.raises(ValueError, match="all > 0"):
+            mi.ExplicitVPolicy(sizes, 2.0)
+
     def test_rows_on_the_threshold_boundaries(self):
         # system inventory exactly at the threshold orders nothing, and
         # exactly v below it orders v; a ULP either side picks the neighbour
@@ -531,7 +591,7 @@ def stepper_case(kind, m, batch, periods, burn, gen):
 def run_both(case):
     p, policy, ref, x0, demand, uniforms = case
     inputs = (demand.copy(), None if uniforms is None else uniforms.copy())
-    got = _simulate_batch(p, policy, x0, demand, uniforms, collect_orders=True)
+    got = _simulate_batch(p, policy, x0, sliced(demand, uniforms), collect_orders=True)
     assert np.array_equal(demand, inputs[0])
     assert uniforms is None or np.array_equal(uniforms, inputs[1])
     want = reference_simulate_batch(p, ref, x0, demand, uniforms, collect_orders=True)
@@ -549,14 +609,17 @@ class TestBlockStepper:
     @given(kind=hs.sampled_from(["pi_square", "balancing", "pi_v"]),
            m=hs.integers(1, 4), batch=hs.sampled_from([1, 7, 600]),
            span=hs.sampled_from([1, 2, 5]), horizon=hs.sampled_from(list(HORIZONS)),
-           burn_frac=hs.floats(0.0, 0.999), seed=hs.integers(0, 2 ** 32 - 1))
+           burn_frac=hs.floats(0.0, 0.999), seed=hs.integers(0, 2 ** 32 - 1),
+           draw=hs.sampled_from([3, 4, 1024]))
     def test_bit_equal_to_per_period_stepper(self, kind, m, batch, span, horizon,
-                                             burn_frac, seed):
-        # block rows = span * batch makes the blocks span periods long
+                                             burn_frac, seed, draw):
+        # block rows = span * batch makes the cost blocks span periods long;
+        # draw blocks of 3 or 4 periods cut them short or line up with them
         periods = HORIZONS[horizon](span)
         burn = int(burn_frac * periods) if kind == "pi_v" else 0
         case = stepper_case(kind, m, batch, periods, burn, np.random.default_rng(seed))
-        with mock.patch.object(sim_mod, "_BLOCK_ROWS", span * batch):
+        with mock.patch.object(sim_mod, "_BLOCK_ROWS", span * batch), \
+                mock.patch.object(sim_mod, "_DRAW_PERIODS", draw):
             got, want = run_both(case)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -578,7 +641,8 @@ class TestBlockStepper:
         p, policy, ref, x0, demand, uniforms = stepper_case(
             kind, 2, 7, 6, 0, np.random.default_rng(5))
         demand[1, 2, 0] = demand[3, 0, 1] = np.nan
-        got = _simulate_batch(p, policy, x0, demand, uniforms, collect_orders=True)
+        got = _simulate_batch(p, policy, x0, sliced(demand, uniforms),
+                              collect_orders=True)
         want = reference_simulate_batch(p, ref, x0, demand, uniforms,
                                         collect_orders=True)
         assert np.isnan(got[0]).sum() == 2
@@ -605,3 +669,128 @@ class TestBlockStepper:
             X = np.round(X)
         v = gen.choice([0.5, 1.0, 2.0 + 1e-3, 7.0], 40)
         assert np.array_equal(mi.policies._waterfill(X, v), reference_waterfill(X, v))
+
+
+# ---------------------------------------------------------------------------
+# Draws streamed in blocks of periods
+# ---------------------------------------------------------------------------
+
+TIGHTNESS = "tightness:M=2,eps=0.1,l=1,h=4,p=100"
+
+
+def tightness_policies(instance_id=TIGHTNESS):
+    defaults = mi.instances.policy_defaults(instance_id)
+    base = mi.BaseStockPolicy(np.full(2, defaults["base_stock_auto"]))
+    return {"base_stock": base,
+            "pi_v": mi.make_pi_v(defaults["pi_v"]["m"], defaults["pi_v"]["delta"])}
+
+
+@pytest.fixture(scope="module")
+def small_heatmaps():
+    """(problem, numerator, denominator) of a deterministic and a
+    randomized heatmap over every 8th grid state, and their CSVs at the
+    default block and chunk sizes."""
+    cases = {}
+    sector = mi.instances.build("sector_sim")
+    cases["sector pi_square"] = (sector, mi.make_pi_square(sector, 2.0),
+                                 mi.TabularGridPolicy(mi.solve_joint_dp(sector)[1]))
+    affine = mi.instances.build("affine_sim")
+    cases["affine balancing"] = (affine, mi.make_balancing_policy(affine,
+                                                                  variant="cumulative"),
+                                 mi.TabularGridPolicy(mi.solve_joint_dp(affine)[1]))
+    cfg = SimConfig(runs=3, seed=5, initial_states=sector.grid.states(2)[::8])
+    return cfg, {name: (case, ratio_heatmap(*case, cfg).csv_text())
+                 for name, case in cases.items()}
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("kind", ["base_stock", "pi_v"])
+    def test_estimate_equals_whole_horizon_draws(self, kind):
+        # three draw blocks, the last 7 periods long; the burn-in ends 5
+        # periods into the second
+        block = sim_mod._DRAW_PERIODS
+        periods, burn = 2 * block + 7, block + 5
+        p = replace(mi.instances.build(TIGHTNESS),
+                    horizon=InfiniteAveraged(sim_periods=periods, burn_in=burn))
+        policy = tightness_policies()[kind]
+        ref = (ReferenceExplicitV(policy.v_values, policy.threshold)
+               if kind == "pi_v" else policy)
+        cfg = SimConfig(runs=4, seed=11)
+        mean, se, z, c = estimate_cost(p, policy, np.zeros(2), cfg, state_index=3,
+                                       collect_orders=True)
+        raw = np.stack([rng.demand_stream(11, 3, run, policy.tag, False)
+                        .random((periods, 2)) for run in range(cfg.runs)])
+        demand = transform_uniform_draws(p.demand, raw)
+        costs, z_ref, c_ref = reference_simulate_batch(
+            p, ref, np.zeros((cfg.runs, 2)), demand, None, collect_orders=True)
+        assert z.tobytes() == z_ref.tobytes() and c.tobytes() == c_ref.tobytes()
+        assert mean == float(np.mean(costs))
+        assert se == float(np.std(costs, ddof=1) / np.sqrt(cfg.runs))
+
+    @pytest.mark.parametrize("case", ["sector pi_square", "affine balancing"])
+    def test_heatmap_csv_independent_of_draw_block_size(self, small_heatmaps, case):
+        # 20-period horizons in blocks of 8, 8 and 4 periods
+        cfg, cases = small_heatmaps
+        problem_and_policies, want = cases[case]
+        with mock.patch.object(sim_mod, "_DRAW_PERIODS", 8), \
+                mock.patch.object(sim_mod, "transform_uniform_draws",
+                                  wraps=sim_mod.transform_uniform_draws) as spy:
+            got = ratio_heatmap(*problem_and_policies, cfg).csv_text()
+        assert spy.call_count == 3
+        assert got == want
+
+    @pytest.mark.parametrize("case", ["sector pi_square", "affine balancing"])
+    def test_heatmap_csv_independent_of_chunk_size(self, small_heatmaps, case):
+        cfg, cases = small_heatmaps
+        problem_and_policies, want = cases[case]
+        with mock.patch.object(sim_mod, "_CHUNK_DOUBLES", 1), \
+                mock.patch.object(sim_mod, "_keyed_draws",
+                                  wraps=sim_mod._keyed_draws) as spy:
+            got = ratio_heatmap(*problem_and_policies, cfg).csv_text()
+        assert spy.call_count == len(cfg.initial_states)
+        assert got == want
+
+    def test_long_horizon_draw_memory_is_bounded(self):
+        # 500 runs x 2000 periods x 2 locations is 16 MB of demand drawn
+        # at once; in blocks of 1024 periods the buffer is 8.2 MB
+        p = mi.instances.build(f"{TIGHTNESS},sim_periods=2000")
+        cfg = SimConfig(runs=500, seed=1)
+        peaks = []
+        for policy in tightness_policies().values():
+            tracemalloc.start()
+            try:
+                estimate_cost(p, policy, np.zeros(2), cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 10_000_000
+
+
+class TestVerifyConfig:
+    """verify_cost_transformation checks its config and applies the
+    horizon override, as estimate_cost does."""
+
+    @pytest.fixture(scope="class")
+    def affine_balancing(self):
+        p = mi.instances.build("affine_sim")
+        return p, mi.make_balancing_policy(p, variant="cumulative")
+
+    def test_zero_runs_raises(self, affine_balancing):
+        p, policy = affine_balancing
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            verify_cost_transformation(p, policy, 1.0, SimConfig(runs=0))
+
+    def test_zero_horizon_override_raises(self, affine_balancing):
+        p, policy = affine_balancing
+        with pytest.raises(ValueError, match="horizon_override must be >= 1"):
+            verify_cost_transformation(p, policy, 1.0,
+                                       SimConfig(runs=3, horizon_override=0))
+
+    def test_horizon_override_is_applied(self, affine_balancing):
+        p, policy = affine_balancing
+        got = verify_cost_transformation(p, policy, 1.0,
+                                         SimConfig(runs=3, seed=0, horizon_override=3))
+        want = verify_cost_transformation(replace(p, horizon=mi.model.Finite(3)),
+                                          policy, 1.0, SimConfig(runs=3, seed=0))
+        assert got["mode"] == "monte_carlo"
+        assert got == want
