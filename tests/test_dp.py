@@ -288,6 +288,19 @@ def tile_limits(request):
         yield request.param
 
 
+# the flat and the strided table layout, each forced through both limits
+LAYOUTS = {"flat": (2 ** 62, 2 ** 62), "strided": (-1, 0)}
+
+
+@pytest.fixture(scope="class")
+def forced_layout(request):
+    """Force the test class's ``LAYOUT`` on dp for the whole class."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp, "_FLAT_CELLS", LAYOUTS[request.cls.LAYOUT][0])
+        mp.setattr(dp, "_ROW_ENTRIES", LAYOUTS[request.cls.LAYOUT][1])
+        yield
+
+
 def two_location_problem(grid, cap):
     marginal = DiscreteMarginal((0.0, grid.step, 2 * grid.step), (0.25, 0.5, 0.25))
     return Problem(m=2, horizon=Finite(3), ordering=affine_cost(1.0, 0.5),
@@ -314,10 +327,33 @@ class TestTileWidths(TestSolveAgainstStateLoop):
                                         periods=2, grid=Grid(0.0, 1.0, 1.0), cap=cap))
 
 
+class TestFlatPays:
+    @pytest.mark.parametrize("cells, flat, strided, rows, pays", [
+        (2 ** 16, 100 + 25 * 4, 100, 4, True),   # both limits met exactly
+        (2 ** 16 + 1, 100, 100, 4, False),       # the table leaves the cache
+        (2 ** 16, 100 + 25 * 4 + 1, 100, 4, False),  # the pad costs one entry more
+    ])
+    def test_both_limits(self, cells, flat, strided, rows, pays):
+        assert dp._flat_pays(cells, flat, strided, rows) is pays
+
+
+@pytest.mark.usefixtures("forced_layout")
+class TestTileWidthsFlat(TestTileWidths):
+    """TestTileWidths with every table laid flat."""
+    LAYOUT = "flat"
+
+
+@pytest.mark.usefixtures("forced_layout")
+class TestTileWidthsStrided(TestTileWidths):
+    """TestTileWidths with every table read through strided views."""
+    LAYOUT = "strided"
+
+
 class TestTileAxes:
     @pytest.mark.parametrize("elements, per_order, n, m, b, q", [
         (2 ** 15, 32, 21, 2, 21, 1),   # 441 * 21 fits, 441 * 441 does not
         (2 ** 15, 32, 21, 3, 4, 0),    # 9261 * 4 does not fit
+        (2 ** 15, 32, 21, 3, 7, 0),    # dp_joint3: 9261 * 7 does not fit
         (2 ** 15, 32, 21, 1, 21, 1),
         (48, 32, 4, 2, 3, 1),          # a block of exactly the cap
         (47, 32, 4, 2, 3, 0),
@@ -326,6 +362,10 @@ class TestTileAxes:
         (2 ** 15, 32, 41, 2, 2, 0),    # fits at q = 2, but 1681 states per 4 orders
         (2 ** 17, 41, 41, 2, 41, 1),   # 1681 states = 41 * 41 orders
         (2 ** 17, 40, 41, 2, 41, 0),
+        (2 ** 15, 32, 20, 2, 5, 2),    # 16 states per order: the limit halved once
+        (2 ** 15, 32, 21, 2, 5, 0),    # 17.64 per order at q = 2
+        (2 ** 15, 32, 4, 3, 2, 3),     # 8 per order: the limit halved twice
+        (2 ** 15, 32, 5, 3, 2, 0),     # 15.6 per order at q = 3
         (2 ** 40, 2 ** 40, 21, 3, 21, 3),
     ])
     def test_widest_tile_within_both_caps(self, elements, per_order, n, m, b, q,
@@ -358,6 +398,7 @@ def scan_problems():
         for i in range(problem.m):
             named[f"{name}_square{i}"] = single_location_problem(
                 problem, i, ordering=linear_cost(2.0))
+    named["two_location_cap_below_span"] = two_location_problem(Grid(-2.0, 3.0, 0.5), 1.5)
     return named
 
 
@@ -379,6 +420,26 @@ class TestSolveAgainstScan:
         monkeypatch.setattr(dp, "_TILE_ELEMENTS", limits[0])
         monkeypatch.setattr(dp, "_TILE_STATES_PER_ORDER", limits[1])
         vf, tab = mi.solve_joint_dp(SCAN_PROBLEMS[name])
+        values, orders = scanned(name)
+        assert np.array_equal(vf.values, values)
+        assert np.array_equal(tab.orders, orders)
+
+    # every tile width q = 0..m in both layouts; with three locations,
+    # q = 1 or 2 and the flat layout the windows lie on a padded middle
+    # leading axis
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("name, q", [("sector_sim_m3", q) for q in range(4)]
+                             + [("two_location_cap_below_span", q) for q in range(3)])
+    def test_every_tile_width(self, name, q, layout, monkeypatch):
+        problem = SCAN_PROBLEMS[name]
+        n, m = problem.grid.count, problem.m
+        b = min(problem.grid.to_steps(problem.max_order_per_location), n - 1) + 1
+        monkeypatch.setattr(dp, "_TILE_ELEMENTS", n ** m * b ** q)
+        monkeypatch.setattr(dp, "_TILE_STATES_PER_ORDER", 2 ** 40)
+        monkeypatch.setattr(dp, "_FLAT_CELLS", LAYOUTS[layout][0])
+        monkeypatch.setattr(dp, "_ROW_ENTRIES", LAYOUTS[layout][1])
+        assert dp._tile_axes(n, m, b) == q
+        vf, tab = mi.solve_joint_dp(problem)
         values, orders = scanned(name)
         assert np.array_equal(vf.values, values)
         assert np.array_equal(tab.orders, orders)
@@ -418,8 +479,9 @@ def expectation_cases(draw):
 
 
 class TestExpectationViews:
-    """dp._expectation (slice views of one edge-padded copy) against the
-    np.ix_ gather it replaced, bit for bit."""
+    """dp._expectation (slices of one edge-padded copy, laid flat or read
+    through strided views) against the np.ix_ gather it replaced, bit for
+    bit."""
 
     def assert_same(self, problem, w):
         ev = dp._expectation(w, dp._joint_demand(problem))
@@ -439,6 +501,40 @@ class TestExpectationViews:
         p = expectation_problem([DiscreteMarginal(steps, probs)] * m, 4)
         rng = np.random.default_rng(len(steps) * 10 + m)
         self.assert_same(p, random_table(rng, (4,) * m + ((2 + 2 * m,) if trailing else ())))
+
+    # dp_joint3's tables: 21**3 states and sector_sim's 4-atom demand per
+    # location, with and without exact_expectations' 2 + 2M quantities
+    @pytest.mark.parametrize("trailing", [False, True])
+    def test_three_location_sector_tables(self, trailing):
+        rng = np.random.default_rng(21)
+        p = SCAN_PROBLEMS["sector_sim_m3"]
+        self.assert_same(p, random_table(rng, (21,) * 3 + ((8,) if trailing else ())))
+
+
+@pytest.mark.usefixtures("forced_layout")
+class TestExpectationViewsFlat(TestExpectationViews):
+    """TestExpectationViews with every table laid flat."""
+    LAYOUT = "flat"
+
+    # a @given test inherited by several classes fails hypothesis's
+    # differing-executors health check, so each class has its own
+    @settings(max_examples=150, deadline=None)
+    @given(case=expectation_cases())
+    def test_random_tables(self, case):
+        self.assert_same(*case)
+
+
+@pytest.mark.usefixtures("forced_layout")
+class TestExpectationViewsStrided(TestExpectationViews):
+    """TestExpectationViews with every table read through strided views."""
+    LAYOUT = "strided"
+
+    # a @given test inherited by several classes fails hypothesis's
+    # differing-executors health check, so each class has its own
+    @settings(max_examples=150, deadline=None)
+    @given(case=expectation_cases())
+    def test_random_tables(self, case):
+        self.assert_same(*case)
 
 
 class TestExactEvaluation:
