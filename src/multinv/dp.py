@@ -12,8 +12,8 @@ Conventions shared with the simulator:
 * Holding/backlog cost is charged on the pre-clamp level x + u - w; the
   next state is then clamped into the grid box componentwise, so
   boundary truncation never hides cost.  Expectations read the floor
-  clamp as an edge pad of the value table, laid flat where that pays,
-  so that each outcome is one contiguous slice.
+  clamp as an edge pad of the value table, laid flat so that each
+  outcome is one contiguous slice.
 * Ties in the minimization break toward the lexicographically smallest
   order vector (location 1 first).
 * Value tables hold un-normalized sums of stage costs; terminal values
@@ -47,16 +47,6 @@ MAX_JOINT_STATES = 100_000
 # m = 1..3, grid counts and order caps.
 _TILE_ELEMENTS = 2 ** 15
 _TILE_STATES_PER_ORDER = 32
-
-# The DP stage and the expectation lay a table's state axes flat, padded
-# between rows so that each step reads one contiguous slice, only while
-# that pays: while the flat table holds at most _FLAT_CELLS entries, so
-# that it stays in cache, and while the entries the padding adds cost
-# less than the rows of the strided views they replace, a row counted as
-# _ROW_ENTRIES entries.  Both come from timing the two layouts against
-# each other over m = 2..6, grid counts and order caps.
-_FLAT_CELLS = 2 ** 16
-_ROW_ENTRIES = 25
 
 
 class StructureError(ValueError):
@@ -100,14 +90,6 @@ class TabularPolicy:
         return self.orders.shape[0]
 
 
-def _flat_pays(cells: int, flat: int, strided: int, rows: int) -> bool:
-    """Whether to lay a table's state axes flat: its flat copy holds
-    ``cells`` entries and its slices read ``flat`` entries in all, where
-    views strided on every axis but the last read ``strided`` entries in
-    ``rows`` rows (see ``_FLAT_CELLS``)."""
-    return cells <= _FLAT_CELLS and flat <= strided + _ROW_ENTRIES * rows
-
-
 def _joint_demand(problem: Problem):
     """All joint demand outcomes in C order of the per-location atoms:
     (shifts, probs), the per-location demands in grid steps as an int array
@@ -124,14 +106,13 @@ def _expectation(w: np.ndarray, combos) -> np.ndarray:
     """ev[y] = sum_c p_c * w[max(y - shift_c, 0)] over the joint post-order
     grid y; trailing axes of w (several quantities at once) carry along.
     The clamp is an edge pad: w is copied once behind ``pad`` copies of
-    its first row on each location axis, and each outcome reads a slice
-    of the copy.  When that pays (``_flat_pays``) the copy is read flat:
-    y lands at flat cell f(y) and outcome c reads f(y) + off(c), so every
-    y at once is one contiguous slice, the first ``span`` cells past
-    off(c), where span ends at the grid's last state; ev is summed in
-    the same flat layout and returned as a view of its n**M box.  Else
-    only the last axis is flat, and the outcome reads a slice view.
-    Shifts of n - 1 or more read row 0 throughout."""
+    its first row on each location axis, and the copy is read flat: y
+    lands at flat cell f(y) and outcome c reads f(y) + off(c), so every y
+    at once is one contiguous slice, the first ``span`` cells past
+    off(c), where span ends at the grid's last state.  ev is summed in
+    the same flat layout and returned as a view of its n**M box; its
+    first axis needs no pad, since span stops at its top.  Shifts of
+    n - 1 or more read row 0 throughout."""
     shifts, probs = combos
     m, n = shifts.shape[1], w.shape[0]
     pad = min(int(shifts.max()), n - 1)
@@ -141,23 +122,15 @@ def _expectation(w: np.ndarray, combos) -> np.ndarray:
     for a in range(m):
         lead = (slice(None),) * a
         padded[lead + (slice(0, pad),)] = padded[lead + (slice(pad, pad + 1),)]
-    depth = math.prod(rest)
-    flat_span = (n - 1) * sum(side ** a for a in range(m)) + 1
-    f = m if _flat_pays(n * side ** (m - 1) * depth, flat_span * depth, n ** m * depth,
-                        n ** (m - 1)) else 1
-    k = m - f  # the axes that each outcome slices as a view
-    strides = side ** np.arange(f - 1, -1, -1)
+    strides = side ** np.arange(m - 1, -1, -1)
     span = (n - 1) * int(strides.sum()) + 1
-    reads = np.minimum(shifts, pad)
-    offsets = (pad - reads[:, k:]) @ strides
-    flat = padded.reshape((side,) * k + (-1,) + rest)
-    # ev has no pad on its first flat axis, so with f = 1 it has w's shape
-    ev = np.zeros((n,) * k + (n * side ** (f - 1),) + rest, dtype=w.dtype)
-    acc = ev[(slice(None),) * k + (slice(0, span),)]
-    cut = [slice(pad - s, pad - s + n) for s in range(pad + 1)]  # view of shift s <= pad
-    for view, off, prob in zip(reads[:, :k].tolist(), offsets.tolist(), probs.tolist()):
-        acc += prob * flat[tuple(cut[s] for s in view) + (slice(off, off + span),)]
-    return ev.reshape((n,) * (k + 1) + (side,) * (f - 1) + rest)[(slice(0, n),) * m]
+    offsets = (pad - np.minimum(shifts, pad)) @ strides
+    flat = padded.reshape((-1,) + rest)
+    ev = np.zeros((n * side ** (m - 1),) + rest, dtype=w.dtype)
+    acc = ev[:span]
+    for off, prob in zip(offsets.tolist(), probs.tolist()):
+        acc += prob * flat[off:off + span]
+    return ev.reshape((n,) + (side,) * (m - 1) + rest)[(slice(0, n),) * m]
 
 
 def _expected_holding_tables(problem: Problem) -> list:
@@ -218,30 +191,27 @@ def solve_joint_dp(problem: Problem):
 
     For the states j with j + u inside the grid on the leading axes, a
     tile forms cand = c(u, v) + goal[j + (u, v)] for every v.  goal is
-    kept in one copy padded with b - 1 cells of +inf past the grid's top
-    on every axis but the first, so an order that leaves the box never
-    wins, and v = 0 is feasible everywhere.  When that pays
-    (``_flat_pays``: on a 21**3 grid with 7 orders per axis, not on wide
-    grids or many locations), the leading axes lie on one flat axis: state j
-    sits at flat cell f(j) and j + u at f(j) + off(u), and the states
-    that can take u, those with j_1 + u_1 < n, all lie in the first
-    span(u) = L - u_1 * s_1 cells, where L is the flat extent of the
-    grid box and s_1 the first axis's stride.  So each u reads one slice
-    of goal, ``off(u) : off(u) + span(u)``, and the first axis needs no
-    pad, since span(u) stops at its top.  Else only the last leading axis
-    is flat, and each u slices the others as strided views.  ``best`` and
-    ``arg`` share the layout; their pad cells take values that the n**m
-    box, read back at the end of the stage, never shows.  The trailing goal
-    entries are a window of b per trailing axis.  argmin over the
-    flattened v gives each state the first minimum of its tile in C order
-    of v; that minimum replaces the state's best only where it is
-    strictly smaller.  The tiles come in C order of u, so an order
-    survives only when no order before it in C order over the whole box
-    is as good: the lexicographic tie-break.  With q = 0 a tile is one
-    order vector and a stage is the plain scan, over contiguous slices
-    when flat: for each u, cand = c(u) + goal[off(u):off(u) + span(u)]
-    kept where cand < best[:span(u)].  With m - q <= 1 both layouts are
-    the same, with no pad on the leading axis.
+    kept in one copy whose leading axes lie on one flat axis: state j
+    sits at flat cell f(j) and j + u at f(j) + off(u).  Every axis but
+    the first, leading or trailing, is padded with b - 1 cells of +inf
+    past the grid's top, so an order that leaves the box never wins, and
+    v = 0 is feasible everywhere.  The states that can take u, those with
+    j_1 + u_1 < n, all lie in the first span(u) = L - u_1 * s_1 flat
+    cells, where L is the flat extent of the grid box and s_1 the first
+    axis's stride.  So each u reads one slice of goal,
+    ``off(u) : off(u) + span(u)``, and the first axis needs no pad, since
+    span(u) stops at its top.  ``best`` and ``arg`` share the layout;
+    their pad cells take values that the n**m box, read back at the end
+    of the stage, never shows.  The trailing goal entries are a window of
+    b per trailing axis.  argmin over the flattened v gives each state
+    the first minimum of its tile in C order of v; that minimum replaces
+    the state's best only where it is strictly smaller.  The tiles come
+    in C order of u, so an order survives only when no order before it in
+    C order over the whole box is as good: the lexicographic tie-break.
+    With q = 0 a tile is one order vector and a stage is the plain scan
+    over contiguous slices: for each u, cand = c(u) + goal[off(u):off(u)
+    + span(u)] kept where cand < best[:span(u)].  With m - q <= 1 the
+    leading axis, if any, is the grid's and carries no pad.
     """
     _require_dp(problem)
     grid, m = problem.grid, problem.m
@@ -259,50 +229,32 @@ def solve_joint_dp(problem: Problem):
     hold = functools.reduce(np.add.outer, eh)
     order_cost = _order_cost_box(problem, b - 1)
 
-    # the entries a stage reads over its leading orders, flat and strided
-    within = sum(n - x for x in range(b))  # states per axis that can take x, over all x
-    top = (n - 1) * sum(pad ** a for a in range(lead)) + 1
-    f = lead if lead <= 1 or _flat_pays(
-        n * pad ** (m - 1),
-        b ** (lead - 1) * sum(top - x * pad ** (lead - 1) for x in range(b)),
-        within ** lead, b * within ** (lead - 1)) else 1
     # goal fills the interior of the +inf-padded copy in place each stage,
     # so the tiles' views of it are taken once
-    outer = (n,) * (lead - f)
-    group = (n,) + (pad,) * (f - 1) if f else ()
+    group = (n,) + (pad,) * (lead - 1) if lead else ()
     cells = math.prod(group)
-    strides = [pad ** (f - 1 - a) for a in range(f)]
+    strides = [pad ** (lead - 1 - a) for a in range(lead)]
     extent = (n - 1) * sum(strides) + 1  # L: flat cells up to the box's last state
     box = (slice(0, n),) * m
-    padded = np.full(outer + (cells,) + (pad,) * q, np.inf)
-    goal = padded.reshape(outer + group + (pad,) * q)[box]
-    windows = sliding_window_view(padded, (b,) * q,
-                                  axis=tuple(range(len(outer) + 1, len(outer) + 1 + q)))
-    best = np.empty(outer + (cells,) + (n,) * q)
+    padded = np.full((cells,) + (pad,) * q, np.inf)
+    goal = padded.reshape(group + (pad,) * q)[box]
+    windows = sliding_window_view(padded, (b,) * q, axis=tuple(range(1, 1 + q)))
+    best = np.empty((cells,) + (n,) * q)
     arg = np.empty(best.shape, dtype=np.intp)  # flat index of the best order
     # where each state's row of b**q candidates starts in a tile's block
     row_starts = np.arange(0, best.size * b ** q, b ** q)
-    # per order x on an outer axis: the states that can take it, and where
-    # they land; the same per order v of the flat axes, one slice each
-    heads = [slice(0, n - x) for x in range(b)]
-    tails = [slice(x, None) for x in range(b)]
-    flat_slices = []
-    for v in itertools.product(range(b), repeat=f):
-        off = sum(x * s for x, s in zip(v, strides))
-        span = extent - (v[0] * strides[0] if f else 0)
-        flat_slices.append(((slice(0, span),), (slice(off, off + span),)))
-    outer_slices = zip(itertools.product(heads, repeat=len(outer)),
-                       itertools.product(tails, repeat=len(outer)))
-    # leading orders in C order, with c(u, .) and their state slices
+    # leading orders in C order, with c(u, .) and their slices
     tiles = []
-    scan = zip(order_cost.reshape((-1,) + (b,) * q), itertools.product(outer_slices, flat_slices))
-    for t, (cost, ((states, post), (flat_states, flat_post))) in enumerate(scan):
-        low = best[states + flat_states]
-        tiles.append((cost, windows[post + flat_post], low, arg[states + flat_states],
+    scan = zip(order_cost.reshape((-1,) + (b,) * q), itertools.product(range(b), repeat=lead))
+    for t, (cost, u) in enumerate(scan):
+        off = sum(x * s for x, s in zip(u, strides))
+        span = extent - (u[0] * strides[0] if lead else 0)
+        low = best[:span]
+        tiles.append((cost, windows[off:off + span], low, arg[:span],
                       row_starts[:low.size], t * b ** q))
     block = (-1, b ** q)
-    best_box = best.reshape(outer + group + (n,) * q)[box]
-    arg_box = arg.reshape(outer + group + (n,) * q)[box]
+    best_box = best.reshape(group + (n,) * q)[box]
+    arg_box = arg.reshape(group + (n,) * q)[box]
 
     values = np.zeros((periods + 1,) + (n,) * m)
     orders = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)

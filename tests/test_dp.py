@@ -288,19 +288,6 @@ def tile_limits(request):
         yield request.param
 
 
-# the flat and the strided table layout, each forced through both limits
-LAYOUTS = {"flat": (2 ** 62, 2 ** 62), "strided": (-1, 0)}
-
-
-@pytest.fixture(scope="class")
-def forced_layout(request):
-    """Force the test class's ``LAYOUT`` on dp for the whole class."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dp, "_FLAT_CELLS", LAYOUTS[request.cls.LAYOUT][0])
-        mp.setattr(dp, "_ROW_ENTRIES", LAYOUTS[request.cls.LAYOUT][1])
-        yield
-
-
 def two_location_problem(grid, cap):
     marginal = DiscreteMarginal((0.0, grid.step, 2 * grid.step), (0.25, 0.5, 0.25))
     return Problem(m=2, horizon=Finite(3), ordering=affine_cost(1.0, 0.5),
@@ -325,28 +312,6 @@ class TestTileWidths(TestSolveAgainstStateLoop):
         self.assert_same(single_problem(affine_cost(1.0, 0.5),
                                         DiscreteMarginal((0.0, 1.0), (0.5, 0.5)),
                                         periods=2, grid=Grid(0.0, 1.0, 1.0), cap=cap))
-
-
-class TestFlatPays:
-    @pytest.mark.parametrize("cells, flat, strided, rows, pays", [
-        (2 ** 16, 100 + 25 * 4, 100, 4, True),   # both limits met exactly
-        (2 ** 16 + 1, 100, 100, 4, False),       # the table leaves the cache
-        (2 ** 16, 100 + 25 * 4 + 1, 100, 4, False),  # the pad costs one entry more
-    ])
-    def test_both_limits(self, cells, flat, strided, rows, pays):
-        assert dp._flat_pays(cells, flat, strided, rows) is pays
-
-
-@pytest.mark.usefixtures("forced_layout")
-class TestTileWidthsFlat(TestTileWidths):
-    """TestTileWidths with every table laid flat."""
-    LAYOUT = "flat"
-
-
-@pytest.mark.usefixtures("forced_layout")
-class TestTileWidthsStrided(TestTileWidths):
-    """TestTileWidths with every table read through strided views."""
-    LAYOUT = "strided"
 
 
 class TestTileAxes:
@@ -424,20 +389,16 @@ class TestSolveAgainstScan:
         assert np.array_equal(vf.values, values)
         assert np.array_equal(tab.orders, orders)
 
-    # every tile width q = 0..m in both layouts; with three locations,
-    # q = 1 or 2 and the flat layout the windows lie on a padded middle
-    # leading axis
-    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    # every tile width q = 0..m; with three locations and q = 1 the
+    # windows lie past a padded middle leading axis
     @pytest.mark.parametrize("name, q", [("sector_sim_m3", q) for q in range(4)]
                              + [("two_location_cap_below_span", q) for q in range(3)])
-    def test_every_tile_width(self, name, q, layout, monkeypatch):
+    def test_every_tile_width(self, name, q, monkeypatch):
         problem = SCAN_PROBLEMS[name]
         n, m = problem.grid.count, problem.m
         b = min(problem.grid.to_steps(problem.max_order_per_location), n - 1) + 1
         monkeypatch.setattr(dp, "_TILE_ELEMENTS", n ** m * b ** q)
         monkeypatch.setattr(dp, "_TILE_STATES_PER_ORDER", 2 ** 40)
-        monkeypatch.setattr(dp, "_FLAT_CELLS", LAYOUTS[layout][0])
-        monkeypatch.setattr(dp, "_ROW_ENTRIES", LAYOUTS[layout][1])
         assert dp._tile_axes(n, m, b) == q
         vf, tab = mi.solve_joint_dp(problem)
         values, orders = scanned(name)
@@ -479,9 +440,8 @@ def expectation_cases(draw):
 
 
 class TestExpectationViews:
-    """dp._expectation (slices of one edge-padded copy, laid flat or read
-    through strided views) against the np.ix_ gather it replaced, bit for
-    bit."""
+    """dp._expectation (flat slices of one edge-padded copy) against the
+    np.ix_ gather it replaced, bit for bit."""
 
     def assert_same(self, problem, w):
         ev = dp._expectation(w, dp._joint_demand(problem))
@@ -509,32 +469,6 @@ class TestExpectationViews:
         rng = np.random.default_rng(21)
         p = SCAN_PROBLEMS["sector_sim_m3"]
         self.assert_same(p, random_table(rng, (21,) * 3 + ((8,) if trailing else ())))
-
-
-@pytest.mark.usefixtures("forced_layout")
-class TestExpectationViewsFlat(TestExpectationViews):
-    """TestExpectationViews with every table laid flat."""
-    LAYOUT = "flat"
-
-    # a @given test inherited by several classes fails hypothesis's
-    # differing-executors health check, so each class has its own
-    @settings(max_examples=150, deadline=None)
-    @given(case=expectation_cases())
-    def test_random_tables(self, case):
-        self.assert_same(*case)
-
-
-@pytest.mark.usefixtures("forced_layout")
-class TestExpectationViewsStrided(TestExpectationViews):
-    """TestExpectationViews with every table read through strided views."""
-    LAYOUT = "strided"
-
-    # a @given test inherited by several classes fails hypothesis's
-    # differing-executors health check, so each class has its own
-    @settings(max_examples=150, deadline=None)
-    @given(case=expectation_cases())
-    def test_random_tables(self, case):
-        self.assert_same(*case)
 
 
 class TestExactEvaluation:
