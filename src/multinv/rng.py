@@ -17,7 +17,8 @@ randomness stays policy-specific:
 fresh ``Generator``.  The batched estimators draw the very same numbers
 through ``fill_streams``: the keys of a whole block of runs are derived
 in one pass, and a single Philox generator is re-keyed for each run,
-so every row equals what that run's own ``Generator`` would produce.
+so every row equals what that run's own ``Generator`` would produce;
+the key words are handed to the generator as Python ints.
 A fill may start part-way into the streams (at any multiple of 4
 uniforms, by the Philox counter), so a long horizon is drawn one block
 of periods at a time into a buffer of bounded size.  In the key pass
@@ -108,6 +109,10 @@ def policy_keys(master_seed: int, states: range, runs: int,
     return _run_keys(master_seed, "policy", states, runs, policy_tag)
 
 
+# Rows of keys converted to Python ints at a time by ``fill_streams``.
+KEY_ROWS = 1024
+
+
 def fill_streams(out: np.ndarray, keys: np.ndarray, start: int = 0) -> np.ndarray:
     """Fill ``out[r]`` with uniforms ``start, start + 1, ...`` of the
     stream keyed by ``keys[r]``: row r equals ``Generator(Philox(key=
@@ -120,12 +125,13 @@ def fill_streams(out: np.ndarray, keys: np.ndarray, start: int = 0) -> np.ndarra
     at uniform 0, and counter word 0 set to ``start // 4`` starts at
     uniform ``start``; ``start`` must therefore be a multiple of 4.
 
-    The re-key template holds its ``counter`` and ``buffer`` words as
-    lists of Python ints: the Philox ``state`` setter reads every word,
-    and each word read from a uint64 array makes a numpy scalar, which
-    makes the setter 1.5-2x slower per row (numpy 2.4.6).  The stream is
-    the same either way.  Only the key changes between rows, so it is
-    written into the template's inner ``state`` dict in place."""
+    The re-key template holds every word as a Python int: the Philox
+    ``state`` setter reads each word, and a word read from a uint64 array
+    makes a numpy scalar, which slows the setter (numpy 2.4.6).  The
+    stream is the same either way.  The keys are converted ``KEY_ROWS``
+    rows at a time (``tolist``), so the int lists stay small, and each
+    row's key pair is written into the template's inner ``state`` dict in
+    place."""
     if out.shape[0] != keys.shape[0]:
         raise ValueError("need one key per output row")
     if start < 0 or start % 4:
@@ -136,8 +142,9 @@ def fill_streams(out: np.ndarray, keys: np.ndarray, start: int = 0) -> np.ndarra
     state = {"bit_generator": "Philox", "state": inner,
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for row, key in zip(out, keys):
-        inner["key"] = key
-        bits.state = state
-        gen.random(out=row)
+    for r0 in range(0, len(keys), KEY_ROWS):
+        for row, key in zip(out[r0:r0 + KEY_ROWS], keys[r0:r0 + KEY_ROWS].tolist()):
+            inner["key"] = key
+            bits.state = state
+            gen.random(out=row)
     return out

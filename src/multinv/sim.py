@@ -25,8 +25,6 @@ to each trajectory's total in period order.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -245,15 +243,15 @@ class RatioReport:
         return tuple(float(v) for v in self.states[int(np.argmax(self.ratio))])
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        """One header line, then one line per state of float ``repr``s,
+        comma-separated (no field needs quoting)."""
         m = self.states.shape[1]
-        writer.writerow([f"x{i + 1}" for i in range(m)]
-                        + ["mean_num", "se_num", "mean_den", "se_den", "ratio"])
+        header = [f"x{i + 1}" for i in range(m)] + [
+            "mean_num", "se_num", "mean_den", "se_den", "ratio"]
         table = np.column_stack((self.states, self.mean_num, self.se_num,
                                  self.mean_den, self.se_den, self.ratio)).tolist()
-        writer.writerows(map(repr, row) for row in table)
-        return buf.getvalue()
+        lines = [",".join(header)] + [",".join(map(repr, row)) for row in table]
+        return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
         with open(path, "w") as fh:

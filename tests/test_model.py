@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from multinv.model import (DemandModel, DiscreteMarginal, Finite, Grid,
                            DISCOUNT_MATCH_TOL, HoldingBacklogCost, OrderingCost,
                            Piece, Problem, UniformMarginal,
                            UnsupportedDemandError, location_sum, sample_demand,
-                           single_location_problem, validate_problem)
+                           single_location_problem, transform_uniform_draws,
+                           validate_problem)
+from multinv import model as model_mod
 from multinv import rng
 
 
@@ -289,6 +292,99 @@ class TestDemand:
             assert np.isfinite(p.demand.max_value(i))
             values, _ = mi.demand_pmf(p.demand, i)
             assert np.all(values >= 0)
+
+
+def searchsorted_draws(d, raw):
+    """The discrete lookup as ``np.searchsorted`` over the cumulative with
+    its last entry forced to 1.0, then a clipped ``take``."""
+    out = np.empty_like(raw, dtype=float)
+    for i, g in enumerate(d.marginals):
+        if isinstance(g, DiscreteMarginal):
+            values, probs = g.sorted_pmf()
+            cum = np.cumsum(probs)
+            cum[-1] = 1.0
+            idx = np.searchsorted(cum, raw[..., i], side="right")
+            out[..., i] = np.take(values, idx, mode="clip")
+        else:
+            out[..., i] = raw[..., i] * (g.hi - g.lo) + g.lo
+    return out
+
+
+SPECIAL_DRAWS = [0.0, -0.0, np.nextafter(1.0, 0.0), 1.0, 1.5, -1.0,
+                 np.inf, -np.inf, np.nan]
+
+
+def random_marginal(k, seed):
+    """k atoms with shuffled values, zero probability on about a third of
+    them and positive probability on the largest value."""
+    gen = np.random.default_rng(seed)
+    probs = gen.random(k) + 0.01
+    if k > 2:
+        probs[1:-1] *= gen.random(k - 2) > 1 / 3
+    probs /= probs.sum()
+    values = gen.permutation(np.round(np.sort(gen.random(k)) * 100 + np.arange(k), 3))
+    order = np.argsort(values)
+    # positive probability on the largest value, so the last atom is live
+    if probs[order[-1]] == 0.0:
+        probs[order[-1]], probs[order[0]] = probs[order[0]], 0.0
+    return DiscreteMarginal(tuple(values.tolist()), tuple(probs.tolist()))
+
+
+def lookup_inputs(marginal):
+    """Every cumulative threshold and its neighbours 1 ulp away, then the
+    special draws and a few plain uniforms."""
+    _, probs = marginal.sorted_pmf()
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    ties = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
+    plain = np.random.default_rng(len(cum)).random(16)
+    return np.concatenate([ties, SPECIAL_DRAWS, plain])
+
+
+LOOKUP_MARGINALS = [random_marginal(k, seed=k) for k in range(1, 9)] + [
+    random_marginal(64, seed=64)]
+
+
+class TestDiscreteLookup:
+    """The counted-down lookup gives searchsorted's atom for every input."""
+
+    @pytest.mark.parametrize("marginal", LOOKUP_MARGINALS,
+                             ids=lambda g: f"K{len(g.values)}")
+    def test_zero_d_columns_match_searchsorted(self, marginal):
+        # sample_demand's layout: one (M,) draw, so each column is 0-d
+        d = DemandModel(marginals=(marginal, UniformMarginal(0.5, 2.0)))
+        for u in lookup_inputs(marginal):
+            raw = np.array([u, u])
+            got = transform_uniform_draws(d, raw)
+            assert got.tobytes() == searchsorted_draws(d, raw).tobytes(), u
+
+    @pytest.mark.parametrize("block", [1, 13, 1 << 16])
+    def test_in_place_block_matches_searchsorted(self, block):
+        # a (rows, n, M) block transformed in place, mixed marginals, in
+        # lookup blocks of one row, of two rows (the last one partial) and
+        # of every row
+        d = DemandModel(marginals=(LOOKUP_MARGINALS[3], UniformMarginal(0.25, 1.75),
+                                   LOOKUP_MARGINALS[-1], LOOKUP_MARGINALS[0]))
+        cols = [np.resize(lookup_inputs(g), 5 * 6 * 7) if isinstance(g, DiscreteMarginal)
+                else np.resize(SPECIAL_DRAWS, 5 * 6 * 7) for g in d.marginals]
+        raw = np.stack(cols, axis=-1).reshape(5 * 7, 6, d.m)
+        want = searchsorted_draws(d, raw)
+        with mock.patch.object(model_mod, "LOOKUP_BLOCK", block):
+            got = transform_uniform_draws(d, raw, out=raw)
+        assert got is raw
+        assert raw.tobytes() == want.tobytes()
+
+    def test_zero_probability_end_atoms_are_never_drawn(self):
+        # cumsum of ten 0.1s is 0.9999999999999999 < 1, so a draw at that
+        # value would reach the last atom if only cum[-1] were set to 1
+        g = DiscreteMarginal(tuple(float(v) for v in range(12)),
+                             (0.0,) + (0.1,) * 10 + (0.0,))
+        assert g.check("demand") == []
+        d = DemandModel(marginals=(g,))
+        top = np.nextafter(1.0, 0.0)
+        assert top == 0.9999999999999999
+        draws = transform_uniform_draws(d, np.array([[top], [0.95], [0.0]]))
+        assert draws[:, 0].tolist() == [10.0, 10.0, 1.0]
 
 
 class TestValidation:
