@@ -47,6 +47,10 @@ distinct level of x (found by one sort) and gathers them back to the
 rows; only the ``uniform < p`` pick is made row by row.  That is exact
 only when rows at one level share their cap, as ``Problem.order_cap``
 (a function of x) guarantees; a batch that breaks this raises.
+``BalancingPolicy`` goes one step further: locations with equal
+``BalancingState``s run the same rule, so their columns are stacked into
+one batch and solved in one call per stage, and a level shared by
+several of those locations is solved once for all of them.
 """
 
 from __future__ import annotations
@@ -338,15 +342,18 @@ def _levels(x: np.ndarray):
     """(levels, inverse, first) of a 1-D batch: its distinct values in
     ascending order, each row's index into them, and the row each level
     was taken from.  One unstable sort; equal values (0.0 and -0.0 too)
-    form one level, and each NaN its own."""
+    form one level, and each NaN its own.  The inverse repeats each level's
+    index over its run of sorted rows."""
     order = np.argsort(x)
     head = np.empty(x.shape, dtype=bool)
     head[:1] = True
     ordered = x[order]
     np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
     inverse = np.empty(x.shape, dtype=np.intp)
-    inverse[order] = np.cumsum(head) - 1
-    first = order[head]
+    inverse[order] = np.repeat(np.arange(len(starts)),
+                               np.diff(starts, append=len(x)))
+    first = order[starts]
     return x[first], inverse, first
 
 
@@ -398,7 +405,10 @@ def act_balancing(state: BalancingState, k: int, x: float,
 
 
 class BalancingPolicy(Policy):
-    """Decoupled composition of per-location balancing rules."""
+    """Decoupled composition of per-location balancing rules.
+
+    Locations whose ``BalancingState``s are equal run the same rule; each
+    stage solves every such group in one ``act_balancing_batch`` call."""
 
     kind = "balancing"
 
@@ -409,13 +419,40 @@ class BalancingPolicy(Policy):
     def uses_randomness(self):
         return any(s.K > 0 for s in self.states)
 
-    def act_batch(self, problem, k, X, uniforms):
-        caps = problem.order_cap(X)
-        cols = []
+    def _groups(self):
+        """(state, location indices) for each distinct state, in order of
+        first appearance.  States are mutable dataclasses (unhashable), so
+        they are compared with == on every call."""
+        groups = []
         for i, state in enumerate(self.states):
-            u = None if uniforms is None else uniforms[:, i]
-            cols.append(act_balancing_batch(state, k, X[:, i], caps[:, i], u))
-        return np.stack(cols, axis=1)
+            for rule, cols in groups:
+                if rule == state:
+                    cols.append(i)
+                    break
+            else:
+                groups.append((state, [i]))
+        return groups
+
+    def act_batch(self, problem, k, X, uniforms):
+        """Orders for a batch of joint states X (rows) at stage k.
+
+        The columns of each group of locations with equal states are
+        stacked location-major into one 1-D batch, solved in one call and
+        scattered back; the rule is elementwise per level, so the orders
+        are those of one call per location.  The caps contract then spans
+        the group: rows at one level must share their cap across its
+        locations too (``Problem.order_cap`` depends on x alone), and a
+        cap function that differs by location raises the ValueError of
+        ``act_balancing_batch``.
+        """
+        caps = problem.order_cap(X)
+        out = np.empty(X.shape, dtype=float)
+        for state, cols in self._groups():
+            u = None if uniforms is None else uniforms.T[cols].ravel()
+            orders = act_balancing_batch(state, k, X.T[cols].ravel(),
+                                         caps.T[cols].ravel(), u)
+            out.T[cols] = orders.reshape(len(cols), len(X))
+        return out
 
     def to_config(self):
         s0 = self.states[0]

@@ -15,6 +15,7 @@ stays drift-free over long horizons.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -153,6 +154,19 @@ class DiscreteMarginal:
         return (np.asarray(self.values, dtype=float)[order],
                 np.asarray(self.probs, dtype=float)[order])
 
+    @functools.cached_property
+    def lookup(self):
+        """(values ascending, thresholds) of ``transform_uniform_draws``:
+        the sorted atoms (a read-only array) and the cumulative
+        probabilities as a tuple of floats, 1.0 from the last atom of
+        positive probability on.  Computed on first use and kept, since
+        the marginal is immutable."""
+        values, probs = self.sorted_pmf()
+        cum = np.cumsum(probs)
+        cum[np.flatnonzero(probs)[-1]:] = 1.0
+        values.setflags(write=False)
+        return values, tuple(cum.tolist())
+
 
 @dataclass(frozen=True)
 class UniformMarginal:
@@ -252,11 +266,13 @@ def transform_uniform_draws(d: DemandModel, raw: np.ndarray,
     off for each threshold.  That is ``np.searchsorted(cum, u,
     side="right")`` for every input, ties, values outside [0, 1), +-inf
     and NaN included (NaN compares false, stays at K and clips to the last
-    atom, as searchsorted sorts it last).  Each block of draws is copied
-    to a contiguous buffer once and then read once per atom, so the
-    lookup is O(K) passes where searchsorted is O(log K): it is the faster
-    of the two up to about 48 atoms (every instance here has at most 4)
-    and slower beyond: 1.1x at 64 atoms, 3.2x at 256.
+    atom, as searchsorted sorts it last).  The sorted atoms and the
+    thresholds are the marginal's ``lookup``, computed once and kept, so
+    a one-period call pays only the lookup itself.  Each block of draws
+    is copied to a contiguous buffer once and then read once per atom, so
+    the lookup is O(K) passes where searchsorted is O(log K): it is the
+    faster of the two up to about 48 atoms (every instance here has at
+    most 4) and slower beyond: 1.1x at 64 atoms, 3.2x at 256.
     """
     if out is None:
         out = np.empty_like(raw, dtype=float)
@@ -264,10 +280,7 @@ def transform_uniform_draws(d: DemandModel, raw: np.ndarray,
         u = raw[..., i]
         col = out[..., i]
         if isinstance(g, DiscreteMarginal):
-            values, probs = demand_pmf(d, i)
-            cum = np.cumsum(probs)
-            cum[np.flatnonzero(probs)[-1]:] = 1.0
-            thresholds = cum.tolist()
+            values, thresholds = g.lookup
             # Blocks of leading rows keep the temporaries small; each
             # block is read before it is written, so out may be raw.
             u, col = np.atleast_1d(u, col)

@@ -64,13 +64,16 @@ def _demand_tag(policy_tag, crn):
 def _run_keys(master_seed, purpose, states, runs, tag) -> np.ndarray:
     """Keys of (master_seed, purpose, s, r, tag) for s in ``states`` and
     r < ``runs``, state-major, shape (len(states) * runs, 2).  Since
-    "|".join(a + b) == "|".join(a) + "|" + "|".join(b), each state's
-    prefix is hashed once and a copy of that hash is extended by each
-    run's suffix: the bytes hashed, and so the keys, are ``derive_key``'s."""
+    "|".join(a + b) == "|".join(a) + "|" + "|".join(b), the call's prefix
+    (master_seed, purpose) is hashed once, a copy of that hash is
+    extended by each state, and a copy of the state's hash by each run's
+    suffix: the bytes hashed, and so the keys, are ``derive_key``'s."""
     tails = [b"|" + _key_text((r, tag)) for r in range(runs)]
     keys = bytearray()
+    root = hashlib.sha256(_key_text((master_seed, purpose)) + b"|")
     for s in states:
-        head = hashlib.sha256(_key_text((master_seed, purpose, s)))
+        head = root.copy()
+        head.update(_key_text((s,)))
         for tail in tails:
             h = head.copy()
             h.update(tail)

@@ -606,3 +606,85 @@ class TestPerLevelSolve:
             act_balancing_batch(st, 0, x, np.full(6, 10.0), np.full(6, 0.5))
         (record,) = caplog.records
         assert record.args[0] == 2  # two levels, six rows
+
+
+def _per_location(states, k, X, caps, uniforms):
+    """The policy's orders with every location solved on its own column."""
+    return np.stack([_unshared_act(st, k, X[:, i], caps[:, i],
+                                   None if uniforms is None else uniforms[:, i])
+                     for i, st in enumerate(states)], axis=1)
+
+
+class TestPooledLocations:
+    """BalancingPolicy.act_batch solves the locations of one rule (equal
+    states) in one call per stage; the orders must be those of each
+    location's column solved on its own, signed zeros included."""
+
+    def run(self, monkeypatch, states, X):
+        """Compare every stage against the per-location oracle; return the
+        batch sizes of the act_balancing_batch calls of the first stage."""
+        import multinv.balancing as bal
+        sizes = []
+        solve = bal.act_balancing_batch
+
+        def spy(state, k, x, caps, uniforms):
+            if k == 0:
+                sizes.append(len(x))
+            return solve(state, k, x, caps, uniforms)
+
+        monkeypatch.setattr(bal, "act_balancing_batch", spy)
+        problem = SimpleNamespace(order_cap=lambda X: np.minimum(4.0, 8.0 - X))
+        policy = BalancingPolicy(states)
+        caps = problem.order_cap(X)
+        uniforms = (np.random.default_rng(0).random(X.shape)
+                    if policy.uses_randomness else None)
+        for k in range(states[0].periods):
+            got = policy.act_batch(problem, k, X, uniforms)
+            want = _per_location(states, k, X, caps, uniforms)
+            assert got.shape == X.shape and got.dtype == np.float64
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        return sizes
+
+    @pytest.mark.parametrize("variant", ["printed", "cumulative"])
+    @pytest.mark.parametrize("K", [0.0, 0.25, 1.0])
+    def test_two_of_three_locations_share_a_rule(self, variant, K, monkeypatch):
+        shared = dict(periods=6, a=0.5, K=K, variant=variant)
+        # equal but distinct objects: the rule is compared by value
+        states = [state(FIG2, **shared), state(FIG1, **shared), state(FIG2, **shared)]
+        rng_ = np.random.default_rng(7)
+        X = np.stack([LEVEL_POOL[rng_.integers(0, len(LEVEL_POOL), 60)],
+                      rng_.uniform(-3.0, 6.0, 60),
+                      LEVEL_POOL[rng_.integers(0, len(LEVEL_POOL), 60)]], axis=1)
+        sizes = self.run(monkeypatch, states, X)
+        assert sizes == [120, 60]
+
+    @pytest.mark.parametrize("K", [0.0, 0.25, 1.0])
+    def test_signed_zeros_and_nan_levels_across_locations(self, K, monkeypatch):
+        states = [state(FIG2, periods=5, a=0.5, K=K) for _ in range(2)]
+        X = np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [np.nan, 0.0],
+                      [1.5, np.nan], [np.nan, np.nan], [0.0, 1.5], [-0.0, 2.0]])
+        sizes = self.run(monkeypatch, states, X)
+        assert sizes == [16]
+
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_single_location(self, K, monkeypatch):
+        X = np.concatenate((LEVEL_POOL, np.linspace(-3.0, 6.0, 19)))[:, None]
+        sizes = self.run(monkeypatch, [state(FIG2, periods=4, a=0.5, K=K)], X)
+        assert sizes == [len(X)]
+
+    @pytest.mark.parametrize("variant", ["printed", "cumulative"])
+    def test_zero_fixed_charge_needs_no_uniforms(self, variant, monkeypatch):
+        states = [state(FIG1, periods=4, a=1.0, variant=variant) for _ in range(3)]
+        X = np.stack(np.meshgrid(*(np.arange(-4, 9) * 0.5,) * 3, indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+        sizes = self.run(monkeypatch, states, X)
+        assert sizes == [3 * len(X)]
+
+    @pytest.mark.parametrize("K", [0.0, 1.0])
+    def test_cap_that_differs_by_location_raises(self, K):
+        policy = BalancingPolicy([state(K=K), state(K=K)])
+        problem = SimpleNamespace(order_cap=lambda X: np.minimum([2.0, 3.0], 8.0 - X))
+        X = np.array([[0.5, 1.0], [1.0, 0.5]])
+        with pytest.raises(ValueError, match="different caps"):
+            policy.act_batch(problem, 0, X, np.full(X.shape, 0.5))

@@ -386,6 +386,23 @@ class TestDiscreteLookup:
         draws = transform_uniform_draws(d, np.array([[top], [0.95], [0.0]]))
         assert draws[:, 0].tolist() == [10.0, 10.0, 1.0]
 
+    def test_lookup_is_computed_once_and_read_only(self):
+        g = DiscreteMarginal((1.5, 0.0, 0.5), (0.25, 0.5, 0.25))
+        values, thresholds = g.lookup
+        assert g.lookup[0] is values and g.lookup[1] is thresholds
+        assert values.tolist() == [0.0, 0.5, 1.5]
+        assert thresholds == (0.5, 0.75, 1.0)
+        with pytest.raises(ValueError):
+            values[0] = 9.0
+        # the kept lookup is not a field: equality and hashing ignore it
+        twin = DiscreteMarginal((1.5, 0.0, 0.5), (0.25, 0.5, 0.25))
+        assert twin == g and hash(twin) == hash(g)
+        d = DemandModel(marginals=(g,))
+        raw = np.array([[0.49], [0.5], [0.75], [0.999]])
+        assert transform_uniform_draws(d, raw).tobytes() == \
+            searchsorted_draws(d, raw).tobytes()
+        assert g.lookup[0] is values
+
 
 class TestValidation:
     def test_builtin_instances_valid(self):
