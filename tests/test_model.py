@@ -211,6 +211,103 @@ class TestOrderingOverrides:
             MULTI_PIECE(-2.0)
 
 
+# Costs for the select kernel: the first piece with fixed == 0 (the
+# z == 0 override is skipped) and fixed > 0 (it is applied), and costs no
+# validation accepts, on which the override must still run: a -0.0 fixed
+# charge, an infinite first slope, and z = 0 covered by a later piece.
+KERNEL_COSTS = {
+    "fixed_zero": mi.instances.build("tightness:M=2").ordering,
+    "fixed_zero_multi": OrderingCost(
+        pieces=(Piece(2.0, 0.0, 3.0), Piece(math.inf, 1.0, 2.5)),
+        discounts=((1.0, 2.0), (2.0, 2.5), (7.5, 0.5))),
+    "fixed_positive": MULTI_PIECE,
+    "affine": mi.affine_cost(4.0, 1.0),
+    "negative_zero_fixed": OrderingCost(pieces=(Piece(math.inf, -0.0, 2.0),)),
+    "infinite_slope": OrderingCost(pieces=(Piece(1.0, 0.0, math.inf),
+                                           Piece(math.inf, 0.0, 1.0))),
+    "negative_slope": OrderingCost(pieces=(Piece(math.inf, 0.0, -1.0),)),
+    "zero_in_second_piece": OrderingCost(pieces=(Piece(-1.0, 0.0, 1.0),
+                                                 Piece(math.inf, 3.0, 1.0))),
+}
+
+
+def kernel_totals(c):
+    """Signed zeros, NaN, every discount point and piece bound at
+    zv +- {0.99, 1, 2} * DISCOUNT_MATCH_TOL, and a spread of other totals."""
+    points = [0.0, -0.0, np.nan, 0.25, 3.0, 11.0, 1e6]
+    for zv in [z for z, _ in c.discounts] + [p.upper for p in c.pieces[:-1]]:
+        points += [zv + f * DISCOUNT_MATCH_TOL
+                   for f in (-2.0, -1.0, -0.99, 0.0, 0.99, 1.0, 2.0)]
+    return np.array([v for v in points if not v < 0])
+
+
+class TestOrderingKernel:
+    """The select kernel is bit-equal to the boolean-index reference."""
+
+    @pytest.fixture(autouse=True)
+    def _quiet_infinite_slope(self):
+        # inf * 0 at z = 0 under the infinite slope warns in both versions
+        with np.errstate(invalid="ignore"):
+            yield
+
+    @pytest.mark.parametrize("name", list(KERNEL_COSTS))
+    def test_matches_reference_bytes(self, name):
+        c = KERNEL_COSTS[name]
+        z = kernel_totals(c)
+        gen = np.random.default_rng(len(name))
+        mixed = gen.choice(z, (32, 50))
+        for arr in (z, z.reshape(-1, 1), mixed, mixed.T, z[:0], z[:0].reshape(0, 3)):
+            got = c.eval_array(arr)
+            assert same_array(got, reference_eval_array(c, arr)), name
+
+    @pytest.mark.parametrize("name", list(KERNEL_COSTS))
+    def test_no_hit_and_all_hits(self, name):
+        c = KERNEL_COSTS[name]
+        gen = np.random.default_rng(7)
+        no_hit = gen.uniform(0.01, 9.0, (8, 500))
+        no_hit = no_hit[~np.isin(no_hit, [z for z, _ in c.discounts])]
+        cases = [no_hit, np.zeros((4, 5)), np.full((4, 5), -0.0)]
+        cases += [np.full((3, 7), zv) for zv, _ in c.discounts]
+        for arr in cases:
+            assert same_array(c.eval_array(arr), reference_eval_array(c, arr)), name
+        assert np.all(c.eval_array(np.zeros(3)) == 0.0)
+        assert not np.signbit(c.eval_array(np.array([0.0, -0.0]))).any()
+
+    @pytest.mark.parametrize("name", list(KERNEL_COSTS))
+    def test_zero_d_input_through_call(self, name):
+        c = KERNEL_COSTS[name]
+        for v in kernel_totals(c):
+            got = c.eval_array(np.asarray(v))
+            want = reference_eval_array(c, np.asarray(v))
+            assert same_array(got, want) and got.shape == ()
+            assert c(float(v)).hex() == float(want).hex()
+
+    def test_zero_override_skipped_only_when_exact(self):
+        exact = {name: KERNEL_COSTS[name].piece_tables[2] for name in KERNEL_COSTS}
+        assert exact == {"fixed_zero": True, "fixed_zero_multi": True,
+                         "fixed_positive": False, "affine": False,
+                         "negative_zero_fixed": False, "infinite_slope": False,
+                         "negative_slope": True, "zero_in_second_piece": False}
+
+    def test_tables_are_kept_and_read_only(self):
+        c = OrderingCost(pieces=(Piece(2.0, 1.0, 3.0), Piece(math.inf, 2.0, 2.5)),
+                         discounts=((1.5, 2.0),))
+        twin = OrderingCost(pieces=(Piece(2.0, 1.0, 3.0), Piece(math.inf, 2.0, 2.5)),
+                            discounts=((1.5, 2.0),))
+        hash_before = hash(c)
+        fixed, rate, zero_exact = c.piece_tables
+        assert c.piece_tables[0] is fixed and c.piece_tables[1] is rate
+        assert fixed.tolist() == [1.0, 2.0] and rate.tolist() == [3.0, 2.5]
+        assert zero_exact is False
+        for table in (fixed, rate):
+            with pytest.raises(ValueError):
+                table[0] = 9.0
+        # the kept tables are not a field: equality and hashing ignore them
+        assert twin == c and hash(twin) == hash(c) == hash_before
+        assert c.eval_array(np.array([1.5, 3.0])).tolist() == [3.0, 9.5]
+        assert c.piece_tables[0] is fixed
+
+
 class TestHoldingCost:
     def test_backlog_dominates(self):
         r = HoldingBacklogCost(holding=(1.0,), backlog=(10.0,))
@@ -439,6 +536,59 @@ class TestValidation:
         assert any(e.startswith("holding") for e in errors)
         with pytest.raises(mi.ValidationError):
             p.validate()
+
+    @pytest.mark.parametrize("cost, message", [
+        (OrderingCost((Piece(math.inf, 0.0, math.inf),)),
+         "ordering.pieces[0]: fixed and slope must be finite"),
+        (OrderingCost((Piece(math.inf, 0.0, math.nan),)),
+         "ordering.pieces[0]: fixed and slope must be finite"),
+        (OrderingCost((Piece(math.inf, math.nan, 1.0),)),
+         "ordering.pieces[0]: fixed and slope must be finite"),
+        (OrderingCost((Piece(math.inf, 0.0, 1.0),), ((2.0, math.nan),)),
+         "ordering.discounts: z values and slopes must be finite"),
+        (OrderingCost((Piece(math.inf, 0.0, 1.0),), ((math.nan, 1.0),)),
+         "ordering.discounts: z values and slopes must be finite"),
+        (OrderingCost((Piece(math.nan, 0.0, 1.0), Piece(math.inf, 0.0, 1.0))),
+         "ordering.pieces[0]: upper must be finite (only the last piece's is inf)"),
+    ])
+    def test_non_finite_ordering_cost_rejected(self, cost, message):
+        assert message in cost.check()
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_holding_rates_rejected(self, rate):
+        for r in (HoldingBacklogCost(holding=(rate,), backlog=(1.0,)),
+                  HoldingBacklogCost(holding=(1.0, 0.5), backlog=(2.0, rate))):
+            assert [e for e in r.check() if "finite" in e] == [
+                f"holding[{r.m - 1}]: rates must be finite"]
+
+    @pytest.mark.parametrize("field", ["lo", "hi", "step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, field, value):
+        from dataclasses import replace
+        g = replace(Grid(-2.0, 8.0, 0.5), **{field: value})
+        assert g.check() == [f"grid.{field}: must be finite"]
+        p = replace(mi.instances.build("sector_sim"), grid=g)
+        assert f"grid.{field}: must be finite" in validate_problem(p, dp=True)
+
+    def test_non_finite_demand_rejected(self):
+        assert DiscreteMarginal((math.nan, 1.0), (0.5, 0.5)).check("demand[0]") == [
+            "demand[0]: demand values must be finite"]
+        errors = DiscreteMarginal((0.0, 1.0), (math.nan, 0.5)).check("demand[1]")
+        assert "demand[1]: probabilities must be finite" in errors
+        assert "demand[1]: probabilities sum to nan, not 1" in errors
+        from dataclasses import replace
+        p = mi.instances.build("sector_sim")
+        q = replace(p, demand=DemandModel(marginals=(
+            DiscreteMarginal((0.0, math.nan), (0.5, 0.5)), p.demand.marginals[1])))
+        errors = validate_problem(q, dp=True)
+        assert "demand[0]: demand values must be finite" in errors
+        assert "demand[0]: value nan is off-grid for step 0.5" in errors
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf])
+    def test_non_finite_order_cap_rejected(self, cap):
+        from dataclasses import replace
+        p = replace(mi.instances.build("sector_sim"), max_order_per_location=cap)
+        assert validate_problem(p) == ["max_order_per_location: must be finite"]
 
     def test_single_location_restriction(self):
         p = mi.instances.build("sector_sim")

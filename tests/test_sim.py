@@ -604,6 +604,14 @@ HORIZONS = {"span-1": lambda s: max(1, s - 1), "span": lambda s: s,
             "span+1": lambda s: s + 1, "2*span+3": lambda s: 2 * s + 3}
 
 
+def across_default_blocks(batch):
+    """(batch, periods, burn) of two full cost blocks of the default size
+    and a partial third, with the burn-in ending inside the second."""
+    span = sim_mod._BLOCK_ROWS // batch
+    assert 2 <= span and 2 * span + 3 <= sim_mod._DRAW_PERIODS
+    return batch, 2 * span + 3, span + span // 2
+
+
 class TestBlockStepper:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(kind=hs.sampled_from(["pi_square", "balancing", "pi_v"]),
@@ -625,9 +633,11 @@ class TestBlockStepper:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("batch, periods, burn", [
-        (600, 15, 7),      # 6-period blocks; burn-in ends inside the second
-        (7, 1173, 586),    # 585-period blocks
+        (600, 15, 7),      # one cost block of the whole horizon
+        (7, 1173, 586),    # cost blocks of one 1024-period draw block, then 149
         (1, 50, 3),        # one block of the whole horizon
+        across_default_blocks(600),
+        across_default_blocks(500),
     ])
     def test_bit_equal_at_default_block_size(self, batch, periods, burn):
         case = stepper_case("pi_v", 2, batch, periods, burn, np.random.default_rng(batch))
