@@ -8,14 +8,16 @@ are h/l (decoupled base-stock, sector) and M*max{K_h/K_l, h/l}
 (decoupled (s,S), affine); the online balancing policy doubles the
 first and triples the second.
 
-Both fits are computed analytically from the cost's affine pieces: on a
-piece, c(z)/z and ratios of affine functions are monotone in z, so
-extrema sit at piece boundaries, at the 0+ limit, or at infinity.
+Both fits are computed analytically from the cost's affine pieces.  On a
+piece c(z)/z is monotone in z, so the sector fit reads its extrema at
+piece ends, at the 0+ limit, at infinity and at the discount points.
+The affine fit is a linear program in three variables whose rows come
+from the same points and the tail slope; it is solved exactly by
+enumerating the vertices of its feasible set.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,136 +92,88 @@ def fit_sector(cost: OrderingCost) -> SectorFit:
 # Affine fit
 # ---------------------------------------------------------------------------
 
-def _lower_constraints(cost: OrderingCost):
-    """Half-planes K + l*z <= value constraining a lower affine envelope,
-    as (z, value) anchors, plus the tail slope limit (or None)."""
-    anchors = []
-    tail_slope = None
-    tail_fixed = None
+_SINGULAR = 1e-12  # |det| below this times the row norms' product: skip the triple
+_TOL = 1e-9        # relative slack for feasibility and for ties
+
+
+def _affine_rows(cost: OrderingCost):
+    """The LP rows A @ (K, l, s) <= b of ``fit_affine``.
+
+    On a piece both sides of s*c(z) <= K + l*z <= c(z) are affine in z,
+    so the piece ends suffice.  ``OrderingCost.check`` allows only upward
+    jumps, so the upper side at a piece's upper end is implied by the
+    next piece's right-limit row, and the lower side at a right-limit by
+    the row at the breakpoint itself."""
+    rows = []
     for lower, piece in cost.spans():
-        anchors.append((lower, piece.fixed + piece.slope * lower))  # z -> lower+
+        # upper side at lower+: s*c(lower+) <= K + l*lower
+        rows.append((-1.0, -lower, piece.fixed + piece.slope * lower, 0.0))
         if math.isfinite(piece.upper):
-            anchors.append((piece.upper, piece.fixed + piece.slope * piece.upper))
+            # lower side at the piece's end: K + l*upper <= c(upper)
+            rows.append((1.0, piece.upper, 0.0, piece.fixed + piece.slope * piece.upper))
         else:
-            tail_slope = piece.slope
-            tail_fixed = piece.fixed
+            rows.append((0.0, 1.0, 0.0, piece.slope))   # l <= m_tail
+            rows.append((0.0, -1.0, piece.slope, 0.0))  # s*m_tail <= l
+    rows.append((1.0, 0.0, 0.0, cost.fixed_charge_at_zero))  # K <= c(0+)
     for z, slope in cost.discounts:
-        anchors.append((z, slope * z))
-    return anchors, tail_slope, tail_fixed
-
-
-def _lower_feasible(K: float, l: float, anchors, tail_slope, tail_fixed) -> bool:
-    if K < 0 or l < 0:
-        return False
-    eps = 1e-9
-    for z, value in anchors:
-        if K + l * z > value + eps:
-            return False
-    if tail_slope is not None:
-        if l > tail_slope + 1e-12:
-            return False
-        if abs(l - tail_slope) <= 1e-12 and K > tail_fixed + eps:
-            return False
-    return True
-
-
-def _envelope_ratio(cost: OrderingCost, K: float, l: float) -> float:
-    """sup over z > 0 of c(z) / (K + l*z): the factor by which the lower
-    envelope must be scaled to dominate c.  Ratios of affine functions
-    are monotone per piece, so endpoints and limits suffice."""
-    if K <= 0:
-        return math.inf
-    best = 0.0
-    for lower, piece in cost.spans():
-        ends = [lower]
-        if math.isfinite(piece.upper):
-            ends.append(piece.upper)
-        for z in ends:
-            best = max(best, (piece.fixed + piece.slope * z) / (K + l * z))
-        if not math.isfinite(piece.upper):
-            if piece.slope > 0 and l == 0:
-                return math.inf
-            if l > 0:
-                best = max(best, piece.slope / l)
-    for z, slope in cost.discounts:
-        best = max(best, slope * z / (K + l * z))
-    return best
+        rows.append((1.0, z, 0.0, slope * z))  # lower side only
+    rows += [(-1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0)]
+    table = np.array(rows)
+    return table[:, :3], table[:, 3]
 
 
 def fit_affine(cost: OrderingCost, m_locations: int) -> AffineFit:
     """Feasible affine envelopes minimizing M * max{K_h/K_l, h/l}.
 
-    For any fixed lower envelope (K_l, l), the best upper envelope is its
+    For a fixed lower envelope (K_l, l), the best upper envelope is its
     scaled copy rho*(K_l, l) with rho = sup_z c(z)/(K_l + l*z): anything
-    with both ratios below rho would undercut c somewhere.  The objective
-    rho decreases in K_l and l, so only Pareto-maximal lower envelopes
-    matter; the search enumerates the vertices of the feasible lower
-    region and refines along its edges.
+    with both ratios below rho would undercut c somewhere.  With
+    s = 1/rho the fit is the linear program
+
+        maximise s  subject to  s*c(z) <= K + l*z <= c(z) for all z > 0,
+                                K, l, s >= 0,
+
+    whose rows come from the piece ends and the tail of c
+    (``_affine_rows``): the upper side at each piece's lower end as a
+    right-limit, the lower side at 0+ and at each finite piece end, the
+    lower side only at each discount point, and l <= m_tail,
+    s*m_tail <= l for the last piece.
+    K <= c(0+) and l <= m_tail bound the region, so the optimum is a
+    vertex: every 3-row subset is solved exactly, one leading row at a
+    time, and the best feasible vertex is kept.  When a whole face is
+    optimal (where c jumps at a breakpoint b and the rows at b and b+
+    bind, say), the largest K, then the largest l, is returned.  The
+    fields are Python floats, with zeros as +0.0; objective = M/s.
+
+    Raises ``FitUnavailableError`` when c(0+) = 0 (use ``fit_sector``) or
+    when no envelope has s > 0 (for example c = 0 at a discount point).
     """
     if cost.fixed_charge_at_zero <= 0:
         raise FitUnavailableError("no lower envelope with a positive fixed charge "
                                   "exists; use fit_sector instead")
-    anchors, tail_slope, tail_fixed = _lower_constraints(cost)
-
-    def feasible(K, l):
-        return _lower_feasible(K, l, anchors, tail_slope, tail_fixed)
-
-    # vertices: pairwise intersections of anchor lines K + l*z = value,
-    # the tail slope line, and the coordinate bounds
-    lines = [(z, v) for z, v in anchors]  # K = v - l*z
-    slope_caps = [tail_slope] if tail_slope is not None else []
-    candidates = set()
-    k_max = cost.fixed_charge_at_zero
-    candidates.add((k_max, 0.0))
-    for (z1, v1), (z2, v2) in itertools.combinations(lines, 2):
-        if abs(z1 - z2) < 1e-15:
-            continue
-        l = (v1 - v2) / (z1 - z2)
-        K = v1 - l * z1
-        candidates.add((K, l))
-    for z, v in lines:
-        for cap in slope_caps:
-            candidates.add((v - cap * z, cap))
-        if z > 0:
-            candidates.add((0.0, v / z))
-    for cap in slope_caps:
-        candidates.add((k_max, cap))
-
-    feas = [(K, l) for K, l in candidates if K > 0 and feasible(K, l)]
-    if not feas:
-        raise FitUnavailableError("no feasible lower envelope with K > 0 found")
-
-    def objective(K, l):
-        return _envelope_ratio(cost, K, l)
-
-    best = min(feas, key=lambda c: objective(*c))
-    best_rho = objective(*best)
-
-    # refine along Pareto edges between vertex candidates: the objective is
-    # quasiconvex on a segment, so a ternary search catches edge minima
-    frontier = sorted(feas, key=lambda c: (c[1], c[0]))
-    for (K1, l1), (K2, l2) in itertools.combinations(frontier, 2):
-        lo, hi = 0.0, 1.0
-        for _ in range(100):
-            t1 = lo + (hi - lo) / 3
-            t2 = hi - (hi - lo) / 3
-            p1 = (K1 + t1 * (K2 - K1), l1 + t1 * (l2 - l1))
-            p2 = (K1 + t2 * (K2 - K1), l1 + t2 * (l2 - l1))
-            f1 = objective(*p1) if feasible(*p1) else math.inf
-            f2 = objective(*p2) if feasible(*p2) else math.inf
-            if f1 <= f2:
-                hi = t2
-            else:
-                lo = t1
-        t = 0.5 * (lo + hi)
-        p = (K1 + t * (K2 - K1), l1 + t * (l2 - l1))
-        if feasible(*p) and objective(*p) < best_rho:
-            best = p
-            best_rho = objective(*p)
-
-    K_l, l = best
-    return AffineFit(K_l=K_l, l=l, K_h=best_rho * K_l, h=best_rho * l,
-                     objective=m_locations * best_rho, m_locations=m_locations)
+    A, b = _affine_rows(cost)
+    # feasible points have K <= c(0+), l <= m_tail and s <= 1: these set
+    # each row's scale for the feasibility slack
+    scale = np.array([cost.fixed_charge_at_zero, cost.pieces[-1].slope, 1.0])
+    slack = _TOL * (np.abs(A) @ scale + np.abs(b))
+    norm = np.linalg.norm(A, axis=1)
+    pairs = np.column_stack(np.triu_indices(len(b), 1))  # (j, k), j < k, sorted by j
+    best = np.zeros((1, 3))  # the origin is always feasible, since b >= 0
+    for i in range(len(b) - 2):
+        later = pairs[pairs[:, 0] > i]
+        rows = np.column_stack((np.full(len(later), i), later))  # triples led by row i
+        M = A[rows]
+        regular = np.abs(np.linalg.det(M)) > _SINGULAR * norm[rows].prod(axis=1)
+        x = np.linalg.solve(M[regular], b[rows[regular], None])[..., 0]
+        x = np.concatenate([best, x[np.all(x @ A.T <= b + slack, axis=1)]])
+        best = x[x[:, 2] >= x[:, 2].max() - _TOL]
+    if best[:, 2].max() <= 0:
+        raise FitUnavailableError("no lower envelope below c scales to an upper "
+                                  "one: the LP optimum is s = 0")
+    best = best[best[:, 0] >= best[:, 0].max() - _TOL * scale[0]]
+    K, l, s = (max(0.0, float(v)) for v in best[np.argmax(best[:, 1])])
+    return AffineFit(K_l=K, l=l, K_h=K / s, h=l / s,
+                     objective=m_locations / s, m_locations=m_locations)
 
 
 def envelope_gap(cost: OrderingCost, fit, z: np.ndarray):

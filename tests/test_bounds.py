@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import multinv as mi
 from multinv import bounds
@@ -17,6 +20,54 @@ def sector_cost():
 
 def affine_cost_14():
     return mi.instances.build("affine_sim").ordering
+
+
+# Costs on which an earlier vertex-search fit was suboptimal or raised,
+# with their exact optimal envelopes (K_l, l, K_h, h) and objectives at M = 2.
+JUMP_CONVEX = OrderingCost(pieces=(Piece(1.0, 2.0, 1.0), Piece(math.inf, 0.0, 4.0)))
+KINKED_CONVEX = OrderingCost(pieces=(Piece(2.0, 3.0, 1.5), Piece(math.inf, 0.0, 3.0)))
+DEEP_DISCOUNT = OrderingCost(pieces=(Piece(math.inf, 3.0, 1.0),), discounts=((4.0, 0.5),))
+DEFECT_FITS = [(JUMP_CONVEX, (1.0, 2.0, 2.0, 4.0), 4.0),
+               (KINKED_CONVEX, (2.0, 2.0, 3.0, 3.0), 3.0),
+               (DEEP_DISCOUNT, (6.0 / 7.0, 2.0 / 7.0, 3.0, 1.0), 7.0)]
+
+
+@hs.composite
+def ordering_costs(draw, jump_at_zero=True):
+    """1-4 piece costs, convex, concave or mixed, with upward jumps at
+    some breakpoints and up to two discount points, all passing
+    ``OrderingCost.check``; c(0+) > 0 exactly when ``jump_at_zero``."""
+    n = draw(hs.integers(1, 4))
+    slopes = draw(hs.lists(hs.floats(0.1, 5.0), min_size=n, max_size=n))
+    shape = draw(hs.sampled_from(["convex", "concave", "mixed"]))
+    if shape != "mixed":
+        slopes.sort(reverse=shape == "concave")
+    widths = draw(hs.lists(hs.floats(0.25, 4.0), min_size=n - 1, max_size=n - 1))
+    uppers = list(itertools.accumulate(widths)) + [math.inf]
+    fixed = draw(hs.floats(0.1, 6.0)) if jump_at_zero else 0.0
+    pieces = [Piece(uppers[0], fixed, slopes[0])]
+    for upper, slope in zip(uppers[1:], slopes[1:]):
+        b = pieces[-1].upper
+        jump = draw(hs.sampled_from([0.0, 0.0, 0.5, 2.0]))
+        left = pieces[-1].fixed + pieces[-1].slope * b
+        pieces.append(Piece(upper, max(left + jump - slope * b, 0.0), slope))
+    base = OrderingCost(pieces=tuple(pieces))
+    zs = draw(hs.lists(hs.floats(0.05, uppers[-2] + 4.0 if n > 1 else 8.0),
+                       max_size=2, unique=True))
+    fracs = draw(hs.lists(hs.floats(0.1, 1.0), min_size=len(zs), max_size=len(zs)))
+    cost = OrderingCost(pieces=tuple(pieces),
+                        discounts=tuple((z, f * base(z) / z) for z, f in zip(zs, fracs)))
+    assert not cost.check()
+    return cost
+
+
+def dense_grid(cost):
+    """z > 0 densely up to past the last breakpoint, plus every
+    breakpoint, its right neighbour, every discount z and far points."""
+    ends = [p.upper for p in cost.pieces[:-1]]
+    return np.concatenate([np.linspace(1e-9, (ends[-1] if ends else 0.0) + 10.0, 2_001),
+                           ends, np.nextafter(ends, math.inf),
+                           [z for z, _ in cost.discounts], [1e3, 1e6]])
 
 
 class TestFitSector:
@@ -62,6 +113,15 @@ class TestFitSector:
             h = float(np.max(cz / z))
             best = min(best, h / l)
         assert fit.h / fit.l <= best + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(ordering_costs(jump_at_zero=False))
+    def test_property_sector_holds_on_dense_grid(self, cost):
+        fit = fit_sector(cost)
+        z = dense_grid(cost)
+        ratio = cost.eval_array(z) / z
+        assert np.all(fit.l <= ratio * (1 + 1e-12))
+        assert np.all(ratio <= fit.h * (1 + 1e-12))
 
 
 class TestFitAffine:
@@ -132,6 +192,76 @@ class TestFitAffine:
             lo_slack, hi_slack = envelope_gap(cost, fit, z)
             assert np.min(lo_slack) >= -1e-7
             assert np.min(hi_slack) >= -1e-7
+
+    @pytest.mark.parametrize("cost, envelope, objective", DEFECT_FITS,
+                             ids=["jump_convex", "kinked_convex", "deep_discount"])
+    def test_exact_envelopes_on_former_defects(self, cost, envelope, objective):
+        fit = fit_affine(cost, 2)
+        assert (fit.K_l, fit.l, fit.K_h, fit.h) == pytest.approx(envelope, abs=1e-12)
+        assert fit.objective == pytest.approx(objective, abs=1e-12)
+        assert theoretical_ratio(fit, 2, "sS") == pytest.approx(objective, abs=1e-12)
+        lo_slack, hi_slack = envelope_gap(cost, fit, dense_grid(cost))
+        assert np.min(lo_slack) >= -1e-9
+        assert np.min(hi_slack) >= -1e-9
+
+    def test_optimal_face_takes_largest_K(self):
+        # c = 1 on (0, 1] and 9 + z beyond: the rows at z = 1 and 1+ give
+        # s <= 1/10 on the whole segment K + l = 1, 0.1 <= K <= 0.9
+        cost = OrderingCost(pieces=(Piece(1.0, 1.0, 0.0), Piece(math.inf, 9.0, 1.0)))
+        fit = fit_affine(cost, 2)
+        assert (fit.K_l, fit.l, fit.K_h, fit.h) == pytest.approx((0.9, 0.1, 9.0, 1.0),
+                                                                 abs=1e-12)
+        assert fit.objective == pytest.approx(20.0, abs=1e-12)
+
+    def test_flat_cost_is_its_own_envelope(self):
+        fit = fit_affine(mi.affine_cost(5.0, 0.0), 3)
+        assert (fit.K_l, fit.l, fit.K_h, fit.h) == (5.0, 0.0, 5.0, 0.0)
+        assert fit.objective == 3.0
+        assert theoretical_ratio(fit, 3, "sS") == 3.0
+
+    def test_zero_cost_discount_point_rejected(self):
+        cost = OrderingCost(pieces=(Piece(math.inf, 3.0, 1.0),), discounts=((4.0, 0.0),))
+        assert not cost.check()
+        with pytest.raises(FitUnavailableError):
+            fit_affine(cost, 2)
+
+    @pytest.mark.parametrize("cost", [mi.affine_cost(5.0, 0.0), mi.affine_cost(5.0, 3.0),
+                                      affine_cost_14(), DEEP_DISCOUNT])
+    def test_fields_are_python_floats_without_negative_zero(self, cost):
+        fit = fit_affine(cost, 2)
+        fields = (fit.K_l, fit.l, fit.K_h, fit.h, fit.objective)
+        assert all(type(v) is float for v in fields)
+        assert all(math.copysign(1.0, v) == 1.0 for v in fields)
+
+    def widened_grid_objective(self, cost, m_locations):
+        """min over a (K, l) grid covering every feasible l (0..m_tail) of
+        M * sup c/(K + l*z), both read on ``dense_grid``."""
+        z = dense_grid(cost)
+        cz = cost.eval_array(z)
+        m_tail = cost.pieces[-1].slope
+        ls = np.linspace(0.0, m_tail, 41)
+        best = math.inf
+        for K in np.linspace(0.0, cost.fixed_charge_at_zero, 41)[1:]:
+            lower = K + ls[:, None] * z
+            ok = np.all(lower <= cz + 1e-9, axis=1)
+            rho = np.max(cz / lower, axis=1)
+            with np.errstate(divide="ignore"):
+                rho = np.maximum(rho, np.where(ls > 0, m_tail / ls,
+                                               np.where(m_tail > 0, math.inf, 0.0)))
+            best = min(best, m_locations * float(np.min(rho[ok], initial=math.inf)))
+        return best
+
+    @settings(max_examples=40, deadline=None)
+    @given(ordering_costs())
+    def test_property_envelopes_hold_and_beat_grid_oracle(self, cost):
+        fit = fit_affine(cost, 2)
+        z = dense_grid(cost)
+        tol = 1e-9 * (1.0 + float(np.max(cost.eval_array(z))))
+        lo_slack, hi_slack = envelope_gap(cost, fit, z)
+        assert np.min(lo_slack) >= -tol
+        assert np.min(hi_slack) >= -tol
+        assert fit.objective <= self.widened_grid_objective(cost, 2) * (1 + 1e-9)
+        assert math.copysign(1.0, fit.l) == 1.0
 
 
 class TestTheoreticalRatio:

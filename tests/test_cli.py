@@ -286,6 +286,20 @@ class TestBoundsAndConfig:
         out = capsys.readouterr().out
         assert "h/l = 1" in out and "2h/l = 2" in out
 
+    def test_bounds_config_prints_exact_affine_bound(self, tmp_path, capsys):
+        # c = 2 + z on (0, 1] and 4z beyond: the optimal envelope is
+        # (1, 2, 2, 4), so the (s,S) bound at M = 2 is 4 (not 8)
+        from dataclasses import replace
+        from multinv.config import save_problem
+        from multinv.model import OrderingCost, Piece
+        cost = OrderingCost(pieces=(Piece(1.0, 2.0, 1.0), Piece(float("inf"), 0.0, 4.0)))
+        cfg = tmp_path / "jump.json"
+        save_problem(replace(mi.instances.build("affine_sim"), ordering=cost), cfg)
+        assert run_cli("bounds", "--config", str(cfg)) == 0
+        out = capsys.readouterr().out
+        assert "M*max(K_h/K_l, h/l) = 4\n" in out
+        assert "3M*max(K_h/K_l, h/l) = 12" in out
+
     def test_config_export_reimport(self, tmp_path):
         path = tmp_path / "exported.json"
         assert run_cli("config", "--instance", "affine_sim",
