@@ -41,12 +41,11 @@ asked for, and cached; each solve fetches its stage's table and
 locates its own levels in the knots.
 
 The rule is decoupled: a location's order depends only on (k, x_i), its
-cap and one uniform.  A Monte Carlo batch holds many rows at few levels,
-so ``act_balancing_batch`` solves u_hat, theta, u_tilde and p once per
-distinct level of x (found by one sort) and gathers them back to the
-rows; only the ``uniform < p`` pick is made row by row.  That is exact
-only when rows at one level share their cap, as ``Problem.order_cap``
-(a function of x) guarantees; a batch that breaks this raises.
+cap (a function of x_i) and one uniform.  A Monte Carlo batch holds many
+rows at few levels, so ``act_balancing_batch`` finds the distinct levels
+of x (by one sort), takes each level's cap from the cap rule, solves
+u_hat, theta, u_tilde and p once per level and gathers them back to the
+rows; only the ``uniform < p`` pick is made row by row.
 ``BalancingPolicy`` goes one step further: locations with equal
 ``BalancingState``s run the same rule, so their columns are stacked into
 one batch and solved in one call per stage, and a level shared by
@@ -339,11 +338,11 @@ def balancing_probability(state: BalancingState, k: int, x: float,
 
 
 def _levels(x: np.ndarray):
-    """(levels, inverse, first) of a 1-D batch: its distinct values in
-    ascending order, each row's index into them, and the row each level
-    was taken from.  One unstable sort; equal values (0.0 and -0.0 too)
-    form one level, and each NaN its own.  The inverse repeats each level's
-    index over its run of sorted rows."""
+    """(levels, inverse) of a 1-D batch: its distinct values in ascending
+    order and each row's index into them.  One unstable sort; equal values
+    (0.0 and -0.0 too) form one level, taken from the first of its sorted
+    rows, and each NaN its own.  The inverse repeats each level's index
+    over its run of sorted rows."""
     order = np.argsort(x)
     head = np.empty(x.shape, dtype=bool)
     head[:1] = True
@@ -353,28 +352,20 @@ def _levels(x: np.ndarray):
     inverse = np.empty(x.shape, dtype=np.intp)
     inverse[order] = np.repeat(np.arange(len(starts)),
                                np.diff(starts, append=len(x)))
-    first = order[starts]
-    return x[first], inverse, first
+    return ordered[starts], inverse
 
 
 def act_balancing_batch(state: BalancingState, k: int, x: np.ndarray,
-                        caps: np.ndarray, uniforms) -> np.ndarray:
+                        order_cap, uniforms) -> np.ndarray:
     """Orders for a batch of states; consumes one uniform per state when
     K > 0 (whether or not the randomized branch is taken).
 
-    The rule is solved once per distinct level of x and gathered back to
-    the rows, so every row at one level must have the same cap (true of
-    ``Problem.order_cap``, a function of x); a ValueError says otherwise.
+    ``order_cap`` maps an array of inventory levels to their order caps
+    (``Problem.order_cap``); the rule is solved once per distinct level of
+    x and gathered back to the rows.
     """
-    x = np.asarray(x, dtype=float)
-    caps = np.broadcast_to(np.asarray(caps, dtype=float), x.shape)
-    levels, inverse, first = _levels(x)
-    level_caps = caps[first]
-    gathered = level_caps[inverse]
-    # a NaN level holds one row, so its NaN cap is its own (equal_nan is
-    # the slow comparison; most batches never reach it)
-    if np.any(caps != gathered) and not np.array_equal(caps, gathered, equal_nan=True):
-        raise ValueError("rows at one inventory level have different caps")
+    levels, inverse = _levels(np.asarray(x, dtype=float))
+    level_caps = order_cap(levels)
     u_hat, theta = balancing_order_batch(state, k, levels, level_caps)
     if state.K == 0:
         return u_hat[inverse]
@@ -400,7 +391,8 @@ def act_balancing(state: BalancingState, k: int, x: float,
             raise ValueError("K > 0 balancing needs a random stream")
         uniforms = stream.random(1)
     u = act_balancing_batch(state, k, np.asarray([x]),
-                            np.asarray([state.u_cap]), uniforms)
+                            lambda levels: np.full(levels.shape, state.u_cap),
+                            uniforms)
     return float(u[0])
 
 
@@ -439,18 +431,13 @@ class BalancingPolicy(Policy):
         The columns of each group of locations with equal states are
         stacked location-major into one 1-D batch, solved in one call and
         scattered back; the rule is elementwise per level, so the orders
-        are those of one call per location.  The caps contract then spans
-        the group: rows at one level must share their cap across its
-        locations too (``Problem.order_cap`` depends on x alone), and a
-        cap function that differs by location raises the ValueError of
-        ``act_balancing_batch``.
+        are those of one call per location.
         """
-        caps = problem.order_cap(X)
         out = np.empty(X.shape, dtype=float)
         for state, cols in self._groups():
             u = None if uniforms is None else uniforms.T[cols].ravel()
             orders = act_balancing_batch(state, k, X.T[cols].ravel(),
-                                         caps.T[cols].ravel(), u)
+                                         problem.order_cap, u)
             out.T[cols] = orders.reshape(len(cols), len(X))
         return out
 

@@ -14,7 +14,7 @@ Policy specifiers for --num/--den:
     optimal                    joint-DP optimal (exact denominator)
     pi_square[:l=2]            decoupled base-stock from the linear proxy
     pi_diamond[:Kh=..,h=..]    decoupled (s,S) from the affine proxy
-    balancing[:K=..][:variant=printed|cumulative]
+    balancing[:K=..,variant=printed|cumulative]
     pi_v                       threshold-and-equalize (tightness instances)
     base_stock:S=auto|<level>  stationary base-stock, same level everywhere
     sS:s=..,S=..               stationary (s,S), same pair everywhere
@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from .balancing import make_balancing_policy
 from .model import Finite, Problem, ValidationError
 from .policies import (BaseStockPolicy, SSPolicy, TabularGridPolicy,
                        make_pi_diamond, make_pi_square, make_pi_v)
-from .sim import SimConfig, _with_horizon, ratio_heatmap, verify_cost_transformation
+from .sim import SimConfig, ratio_heatmap, verify_cost_transformation
 
 
 class UsageError(Exception):
@@ -59,22 +58,35 @@ def _parsing():
         raise UsageError(str(exc)) from exc
 
 
-def _load_problem(args) -> tuple[Problem, str]:
+def _load_problem(args) -> tuple[Problem, str, dict]:
+    """(problem, source, policy defaults) named by --instance or --config,
+    with the finite horizon set by --horizon where the command has it.  A
+    config file has no policy defaults; an instance's come from
+    ``instances.policy_defaults``, whose errors are internal faults."""
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
         with _parsing():
-            return config_mod.load_problem(path), str(path)
-    if getattr(args, "instance", None):
+            problem = config_mod.load_problem(path)
+        source, defaults = str(path), {}
+    elif getattr(args, "instance", None):
         with _parsing():
-            return instances.build(args.instance), args.instance
-    raise UsageError("provide --instance NAME or --config PATH")
+            problem = instances.build(args.instance)
+        source, defaults = args.instance, instances.policy_defaults(args.instance)
+    else:
+        raise UsageError("provide --instance NAME or --config PATH")
+    horizon = getattr(args, "horizon", None)
+    if horizon is not None:
+        if horizon < 1:
+            raise UsageError("horizon_override must be >= 1")
+        problem = replace(problem, horizon=Finite(horizon))
+    return problem, source, defaults
 
 
 def _sim_config(args) -> SimConfig:
     cfg = SimConfig(runs=args.runs, seed=args.seed, crn=args.crn,
-                    horizon_override=args.horizon, threads=args.threads)
+                    threads=args.threads)
     with _parsing():
         cfg.check()
     return cfg
@@ -90,11 +102,11 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def build_policy(spec: str, problem: Problem, source: str, variant: str, *,
-                 from_config: bool = False):
+def build_policy(spec: str, problem: Problem, defaults: dict):
     """Construct a policy from its CLI specifier.  Instance-specific
-    defaults (pi_diamond's pair, pi_v, S=auto) come from the instance id
-    ``source``; a problem read from a config file has none."""
+    defaults (pi_diamond's pair, pi_v, S=auto) come from ``defaults``, an
+    ``instances.policy_defaults`` dict; a problem read from a config file
+    has none."""
     name, _, rest = spec.partition(":")
     if name == "config":
         path = Path(rest)
@@ -103,7 +115,6 @@ def build_policy(spec: str, problem: Problem, source: str, variant: str, *,
         with open(path) as fh, _parsing():
             return config_mod.policy_from_config(json.load(fh), problem)
     params = _parse_kv(rest) if rest else {}
-    defaults = {} if from_config else instances.policy_defaults(source)
 
     if name == "optimal":
         _, tab = dp_mod.solve_joint_dp(problem)
@@ -129,7 +140,7 @@ def build_policy(spec: str, problem: Problem, source: str, variant: str, *,
         with _parsing():
             K = float(params["K"]) if "K" in params else None
             return make_balancing_policy(problem, K=K,
-                                          variant=params.get("variant", variant))
+                                          variant=params.get("variant", "printed"))
     if name == "pi_v":
         if "pi_v" not in defaults:
             raise UsageError("pi_v is defined for tightness instances only")
@@ -169,22 +180,16 @@ def _table_csv(problem: Problem, array: np.ndarray, value_columns) -> str:
     C order of the grid indices.
     """
     coords = problem.grid.states(problem.m)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["stage"] + [f"x{i + 1}" for i in range(problem.m)]
-                    + list(value_columns))
+    header = ["stage"] + [f"x{i + 1}" for i in range(problem.m)] + list(value_columns)
+    lines = [",".join(header)]
     for k in range(array.shape[0]):
-        for x, row in zip(coords, array[k].reshape(len(coords), -1)):
-            writer.writerow([k] + [repr(float(c)) for c in x]
-                            + [repr(float(v)) for v in row])
-    return buf.getvalue()
+        table = np.column_stack((coords, array[k].reshape(len(coords), -1))).tolist()
+        lines += [f"{k}," + ",".join(map(repr, row)) for row in table]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_solve(args) -> int:
-    problem, source = _load_problem(args)
-    if args.horizon is not None:
-        from dataclasses import replace
-        problem = replace(problem, horizon=Finite(args.horizon))
+    problem, source, _ = _load_problem(args)
     vf, tab = dp_mod.solve_joint_dp(problem)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,15 +213,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    problem, source = _load_problem(args)
+    problem, source, defaults = _load_problem(args)
     cfg = _sim_config(args)
-    # both policies are built for the horizon that is simulated
-    problem = _with_horizon(problem, cfg)
-    from_config = bool(args.config)
-    policy_num = build_policy(args.num, problem, source, args.balancing_variant,
-                              from_config=from_config)
-    policy_den = build_policy(args.den, problem, source, args.balancing_variant,
-                              from_config=from_config)
+    policy_num = build_policy(args.num, problem, defaults)
+    policy_den = build_policy(args.den, problem, defaults)
     report = ratio_heatmap(problem, policy_num, policy_den, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,8 +225,7 @@ def cmd_compare(args) -> int:
     _write_manifest(out, {
         "command": "compare", "source": source, "num": args.num, "den": args.den,
         "runs": cfg.runs, "seed": cfg.seed, "crn": cfg.crn,
-        "horizon_override": cfg.horizon_override, "threads": cfg.threads,
-        "balancing_variant": args.balancing_variant,
+        "horizon_override": args.horizon, "threads": cfg.threads,
         "den_exact": report.den_exact, "den_reason": report.den_reason,
     })
     if args.gnuplot:
@@ -247,7 +246,7 @@ def _gnuplot_script(problem: Problem) -> str:
 
 
 def cmd_bounds(args) -> int:
-    problem, source = _load_problem(args)
+    problem, source, _ = _load_problem(args)
     if args.locations is not None and args.locations < 1:
         raise UsageError("--locations must be >= 1")
     m = problem.m if args.locations is None else args.locations
@@ -263,7 +262,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_config(args) -> int:
-    problem, source = _load_problem(args)
+    problem, _, _ = _load_problem(args)
     if args.out:
         config_mod.save_problem(problem, args.out)
         print(f"wrote {args.out}")
@@ -398,15 +397,10 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--crn", action="store_true",
                            help="common random numbers across policies")
-            p.add_argument("--horizon", type=int, default=None,
-                           help="override the finite horizon length")
             p.add_argument("--threads", type=int, default=1)
-            p.add_argument("--balancing-variant", default="printed",
-                           choices=["printed", "cumulative"])
 
     p_solve = sub.add_parser("solve", help="exact joint DP")
     common(p_solve)
-    p_solve.add_argument("--horizon", type=int, default=None)
     p_solve.add_argument("--per-location", action="store_true",
                          help="also solve each single-location problem")
     p_solve.add_argument("--out", default="out")
@@ -420,6 +414,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--gnuplot", action="store_true",
                        help="also write a gnuplot script for the heatmap")
     p_cmp.set_defaults(func=cmd_compare)
+    for p in (p_solve, p_cmp):
+        p.add_argument("--horizon", type=int, default=None,
+                       help="override the finite horizon length")
 
     p_bounds = sub.add_parser("bounds", help="envelope fits and ratio bounds")
     common(p_bounds)

@@ -13,11 +13,12 @@ Identifiers accepted everywhere an instance is named:
   above (sector-bounded between 2z and 4z).
 * ``affine_sim``      -- like sector_sim with rates (0.2, 10) and a fixed
   charge: 4 + 2z below 6 and 10 + z above.
-* ``tightness:M=..,eps=..,l=..,h=..,p=..`` -- continuous-demand family
-  where ordering costs h per unit except at exactly two total-order
-  sizes {M, M(1+delta)} priced l per unit, with delta = eps/(l+2),
-  demand Uniform(1, 1+delta), holding rate delta and backlog rate p.
-  Long-horizon averaged; simulation only (off-grid demand).
+* ``tightness:M=..,eps=..,l=..,h=..,p=..,sim_periods=..`` -- continuous-
+  demand family where ordering costs h per unit except at exactly two
+  total-order sizes {M, M(1+delta)} priced l per unit, with delta =
+  eps/(l+2), demand Uniform(1, 1+delta), holding rate delta and backlog
+  rate p.  Long-horizon averaged over sim_periods periods; simulation
+  only (off-grid demand).  Every parameter is optional (``PARAMS``).
 * ``transform_check`` -- alias of fig1_linear, conventionally paired
   with the slope-2 ordering-cost transformation.
 """
@@ -37,6 +38,11 @@ NAMES = ("fig1_linear", "fig1_nonlinear", "sector_sim", "affine_sim",
 # instance's benchmark; kept as instance metadata because the honest
 # optimal affine envelope of this cost differs (see fit_affine).
 DIAMOND_DEFAULTS = {"affine_sim": (16.0 / 3.0, 4.0 / 3.0)}
+
+# Parameters an instance id may set, with their defaults.  An integer
+# default marks a parameter that must be a whole number.
+PARAMS = {"tightness": {"M": 2, "eps": 0.1, "l": 1.0, "h": 4.0, "p": 100.0,
+                        "sim_periods": 2000}}
 
 _BIN3 = ((0.0, 0.125), (0.5, 0.375), (1.0, 0.375), (1.5, 0.125))
 
@@ -98,17 +104,31 @@ def _tightness(m: int, eps: float, l: float, h: float, p: float,
 
 
 def parse_id(text: str):
-    """Split an instance id into (name, params)."""
+    """Split an instance id into (name, params), with every parameter the
+    instance takes (``PARAMS``) set from the id or to its default.  An
+    unknown parameter, or a non-integral value of an integer one, raises
+    a ValueError that names it."""
     name, _, rest = text.partition(":")
-    params = {}
+    given = {}
     if rest:
         for part in rest.split(","):
             key, _, value = part.partition("=")
             if not value:
                 raise ValueError(f"malformed instance parameter {part!r}")
-            params[key.strip()] = float(value)
+            given[key.strip()] = float(value)
     if name not in NAMES:
         raise ValueError(f"unknown instance {name!r} (known: {', '.join(NAMES)})")
+    params = dict(PARAMS.get(name, {}))
+    for key, value in given.items():
+        if key not in params:
+            raise ValueError(f"{name}: unknown parameter {key!r} (known: "
+                             f"{', '.join(params) or 'none'})")
+        if isinstance(params[key], int):
+            if not value.is_integer():
+                raise ValueError(f"{name}: parameter {key!r} must be a whole "
+                                 f"number, got {value!r}")
+            value = int(value)
+        params[key] = value
     return name, params
 
 
@@ -129,11 +149,9 @@ def build(instance_id: str) -> Problem:
                                              Piece(math.inf, 10.0, 1.0))),
                         holding_rate=0.2)
     else:
-        merged = {"M": 2, "eps": 0.1, "l": 1.0, "h": 4.0, "p": 100.0}
-        merged.update(params)
-        problem = _tightness(m=int(merged["M"]), eps=merged["eps"],
-                             l=merged["l"], h=merged["h"], p=merged["p"],
-                             sim_periods=int(merged.get("sim_periods", 2000)))
+        problem = _tightness(m=params["M"], eps=params["eps"], l=params["l"],
+                             h=params["h"], p=params["p"],
+                             sim_periods=params["sim_periods"])
     return problem.validate()
 
 
@@ -144,9 +162,7 @@ def policy_defaults(instance_id: str) -> dict:
     if name in DIAMOND_DEFAULTS:
         out["pi_diamond"] = DIAMOND_DEFAULTS[name]
     if name == "tightness":
-        merged = {"M": 2, "eps": 0.1, "l": 1.0}
-        merged.update(params)
-        delta = tightness_delta(merged["eps"], merged["l"])
-        out["pi_v"] = {"m": int(merged["M"]), "delta": delta}
+        delta = tightness_delta(params["eps"], params["l"])
+        out["pi_v"] = {"m": params["M"], "delta": delta}
         out["base_stock_auto"] = 1.0 + delta
     return out

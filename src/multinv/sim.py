@@ -46,7 +46,6 @@ class SimConfig:
     runs: int = 1000
     seed: int = 0
     initial_states: object = "grid"  # "grid" or a list of state vectors
-    horizon_override: int | None = None
     crn: bool = False
     threads: int = 1
 
@@ -55,14 +54,6 @@ class SimConfig:
             raise ValueError("runs must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.horizon_override is not None and self.horizon_override < 1:
-            raise ValueError("horizon_override must be >= 1")
-
-
-def _with_horizon(problem: Problem, cfg: SimConfig | None) -> Problem:
-    if cfg is None or cfg.horizon_override is None:
-        return problem
-    return replace(problem, horizon=Finite(cfg.horizon_override))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +198,6 @@ def estimate_cost(problem: Problem, policy: Policy, x0, cfg: SimConfig,
     by sqrt(runs); with a single run it is reported as nan.
     """
     cfg.check()
-    problem = _with_horizon(problem, cfg)
     draws = _keyed_draws(problem, policy, cfg, range(state_index, state_index + 1))
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.runs, problem.m))
     out = _simulate_batch(problem, policy, x0, draws, collect_orders=collect_orders)
@@ -381,7 +371,6 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
     """
     cfg.check()
     t0 = time.perf_counter()
-    problem = _with_horizon(problem, cfg)
     states = initial_states(problem, cfg)
     mean_num, se_num = _estimate_over_states(problem, policy_num, states, cfg)
 
@@ -455,12 +444,11 @@ def verify_cost_transformation(problem: Problem, policy: Policy, m_slope: float,
     is zero up to rounding too.  For randomized policies the check is
     statistical under common random numbers.
 
-    ``cfg`` (default 200 runs, seed 0) is checked and its horizon override
-    applied before either branch, as in ``estimate_cost``.
+    ``cfg`` (default 200 runs, seed 0) is checked before either branch,
+    as in ``estimate_cost``.
     """
     cfg = replace(cfg or SimConfig(runs=200, seed=0), crn=True)
     cfg.check()
-    problem = _with_horizon(problem, cfg)
     hat = shift_ordering_slopes(problem, m_slope)
     per_period_demand = sum(problem.demand.mean(i) for i in range(problem.m))
     demand_term = m_slope * per_period_demand

@@ -11,6 +11,9 @@ those assertions are implemented exactly as stated and fail, with the
 measured values printed alongside.
 """
 
+import hashlib
+import platform
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,21 @@ def sector_square_report(sector):
 @pytest.fixture(scope="module")
 def sector_balancing_report(sector):
     problem, _, optimal = sector
+    policy = make_balancing_policy(problem, variant=BALANCING_VARIANT)
+    return ratio_heatmap(problem, policy, optimal, SimConfig(runs=RUNS, seed=SEED))
+
+
+@pytest.fixture(scope="module")
+def affine_diamond_report(affine):
+    problem, _, optimal = affine
+    Kh, h = mi.instances.DIAMOND_DEFAULTS["affine_sim"]
+    return ratio_heatmap(problem, mi.make_pi_diamond(problem, Kh, h), optimal,
+                         SimConfig(runs=RUNS, seed=SEED))
+
+
+@pytest.fixture(scope="module")
+def affine_balancing_report(affine):
+    problem, _, optimal = affine
     policy = make_balancing_policy(problem, variant=BALANCING_VARIANT)
     return ratio_heatmap(problem, policy, optimal, SimConfig(runs=RUNS, seed=SEED))
 
@@ -117,14 +135,11 @@ def test_criterion_3_sector_reproduction(sector_square_report,
                   detail)
 
 
-def test_criterion_4_affine_reproduction(affine):
-    problem, _, optimal = affine
-    Kh, h = mi.instances.DIAMOND_DEFAULTS["affine_sim"]
-    dia = ratio_heatmap(problem, mi.make_pi_diamond(problem, Kh, h), optimal,
-                        SimConfig(runs=RUNS, seed=SEED))
+def test_criterion_4_affine_reproduction(affine_diamond_report,
+                                         affine_balancing_report):
+    dia = affine_diamond_report
     ok_dia = abs(dia.mean_ratio - 1.14) <= 0.05 and abs(dia.max_ratio - 1.22) <= 0.10
-    policy = make_balancing_policy(problem, variant=BALANCING_VARIANT)
-    bal = ratio_heatmap(problem, policy, optimal, SimConfig(runs=RUNS, seed=SEED))
+    bal = affine_balancing_report
     primary = abs(bal.mean_ratio - 1.47) <= 0.15 and abs(bal.max_ratio - 1.56) <= 0.20
     se_ratio = 3.0 * bal.se_num / bal.mean_den
     fallback = bool(np.all(bal.ratio <= 8.0 - se_ratio) and bal.mean_ratio > 1.2)
@@ -250,3 +265,33 @@ def test_criterion_10_thread_count_determinism(sector, sector_square_report,
     ok = (sq.csv_text() == sector_square_report.csv_text()
           and bal.csv_text() == sector_balancing_report.csv_text())
     assert report("criterion 10: byte-identical CSVs across thread counts", ok)
+
+
+# SHA-256 of csv_text() for the reproduction heatmaps above (seed 2024,
+# 1000 runs), recorded with Python 3.11.7 and numpy 2.4.6.  Any change to
+# the random streams, the dynamics, the policies or the cost arithmetic
+# moves at least one of them.
+PINNED_CSV_SHA256 = {
+    "sector_sim pi_square":
+        "7cfe8075a9ae11d88ad7926f477240a9396d56271e5960463bab6b30e40d4304",
+    "sector_sim balancing (cumulative)":
+        "0fc5060c21770d317ace02063ec0a65678313cadebc1e8505b4038ce5fc8a7da",
+    "affine_sim balancing (cumulative)":
+        "1e24817fb94610808b11215fb9490b2f97203b7019a02d5c9574d50483d96c17",
+    "affine_sim pi_diamond (16/3, 4/3)":
+        "4e42f5a44a44095b6c6f5cdbfe61a2244dc36f72b2857e3612fae08c82deeac4",
+}
+
+
+def test_reproduction_csvs_are_byte_identical(sector_square_report,
+                                              sector_balancing_report,
+                                              affine_balancing_report,
+                                              affine_diamond_report):
+    reports = dict(zip(PINNED_CSV_SHA256, (
+        sector_square_report, sector_balancing_report, affine_balancing_report,
+        affine_diamond_report)))
+    for name, pinned in PINNED_CSV_SHA256.items():
+        got = hashlib.sha256(reports[name].csv_text().encode()).hexdigest()
+        assert got == pinned, (
+            f"{name}: csv_text() SHA-256 {got} differs from the pinned {pinned} "
+            f"(Python {platform.python_version()}, numpy {np.__version__})")

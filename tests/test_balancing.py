@@ -26,6 +26,11 @@ def state(marginal=FIG2, periods=20, a=0.1, b=10.0, K=0.0, variant="printed"):
                           u_cap=10.0, variant=variant)
 
 
+def flat_cap(value):
+    """A cap rule that gives every inventory level the same cap."""
+    return lambda levels: np.full(levels.shape, value)
+
+
 class TestHoldingProxy:
     def test_zero_order_costs_nothing(self):
         assert expected_holding_proxy(state(), 3, -1.0, 0.0) == 0.0
@@ -193,7 +198,7 @@ class TestActBalancing:
         p = balancing_probability(st, k, x, u_t)
         n = 100_000
         uniforms = rng.stream(99, "freq").random(n)
-        draws = act_balancing_batch(st, k, np.full(n, x), np.full(n, st.u_cap),
+        draws = act_balancing_batch(st, k, np.full(n, x), flat_cap(st.u_cap),
                                     uniforms)
         freq = np.mean(draws > 0)
         sigma = np.sqrt(p * (1 - p) / n)
@@ -216,9 +221,9 @@ class TestStageRange:
         x = np.array([-2.0, 0.0])
         X = np.stack([x, x], axis=1)
         for stage in range(st.periods):
-            act_balancing_batch(st, stage, x, np.full(2, st.u_cap), np.full(2, 0.5))
+            act_balancing_batch(st, stage, x, flat_cap(st.u_cap), np.full(2, 0.5))
         calls = [
-            lambda: act_balancing_batch(st, k, x, np.full(2, st.u_cap), np.full(2, 0.5)),
+            lambda: act_balancing_batch(st, k, x, flat_cap(st.u_cap), np.full(2, 0.5)),
             lambda: policy.act_batch(problem, k, X, np.full(X.shape, 0.5)),
             lambda: balancing_order_batch(st, k, x, np.full(2, st.u_cap)),
             lambda: _eh_batch(st, k, x, np.ones(2)),
@@ -474,7 +479,8 @@ class TestSharedLookup:
             expected = np.stack([_unshared_act(st, k, X[:, i], caps[:, i], uniforms[:, i])
                                  for i, st in enumerate(states)], axis=1)
             for i, st in enumerate(states):
-                got = act_balancing_batch(st, k, X[:, i], caps[:, i], uniforms[:, i])
+                got = act_balancing_batch(st, k, X[:, i], problem.order_cap,
+                                          uniforms[:, i])
                 assert np.array_equal(got, expected[:, i])
                 theta = balancing_order_batch(st, k, X[:, i], caps[:, i])[1]
                 sides.update((theta < st.K).tolist())
@@ -568,17 +574,23 @@ class TestPerLevelSolve:
         caps = np.minimum(cap, 8.0 - x)
         uniforms = np.random.default_rng(seed).random(x.shape)
         for k in range(periods):
-            got = act_balancing_batch(st, k, x, caps, uniforms)
+            got = act_balancing_batch(st, k, x, lambda v: np.minimum(cap, 8.0 - v),
+                                      uniforms)
             want = _unshared_act(st, k, x, caps, uniforms)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("K", [0.0, 1.0])
-    def test_rows_at_one_level_with_different_caps_raise(self, K):
-        x = np.array([0.5, 1.0, 0.5])
-        with pytest.raises(ValueError, match="different caps"):
-            act_balancing_batch(state(K=K), 0, x, np.array([2.0, 1.0, 3.0]),
-                                np.full(3, 0.5))
+    def test_cap_rule_is_asked_once_per_distinct_level(self):
+        asked = []
+
+        def cap(levels):
+            asked.append(levels.copy())
+            return np.full(levels.shape, 2.0)
+
+        x = np.array([1.0, 0.5, 1.0, -0.0, 0.0, 0.5, 1.0])
+        act_balancing_batch(state(K=1.0), 0, x, cap, np.full(7, 0.5))
+        (levels,) = asked
+        assert levels.tolist() == [0.0, 0.5, 1.0]
 
     def test_forced_p1_warning_counts_levels(self, caplog, monkeypatch):
         import multinv.balancing as bal
@@ -603,7 +615,7 @@ class TestPerLevelSolve:
         monkeypatch.setattr(bal, "holding_cost_K_order_batch", emptying)
         x = np.array([2.0, 3.0, 2.0, 2.0, 3.0, 3.0])
         with caplog.at_level("WARNING", logger="multinv.balancing"):
-            act_balancing_batch(st, 0, x, np.full(6, 10.0), np.full(6, 0.5))
+            act_balancing_batch(st, 0, x, flat_cap(10.0), np.full(6, 0.5))
         (record,) = caplog.records
         assert record.args[0] == 2  # two levels, six rows
 
@@ -680,11 +692,3 @@ class TestPooledLocations:
                      axis=-1).reshape(-1, 3)
         sizes = self.run(monkeypatch, states, X)
         assert sizes == [3 * len(X)]
-
-    @pytest.mark.parametrize("K", [0.0, 1.0])
-    def test_cap_that_differs_by_location_raises(self, K):
-        policy = BalancingPolicy([state(K=K), state(K=K)])
-        problem = SimpleNamespace(order_cap=lambda X: np.minimum([2.0, 3.0], 8.0 - X))
-        X = np.array([[0.5, 1.0], [1.0, 0.5]])
-        with pytest.raises(ValueError, match="different caps"):
-            policy.act_batch(problem, 0, X, np.full(X.shape, 0.5))

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,14 @@ class TestSolve:
             assert float(r["u2"]) == max(1.0 - x2, 0.0)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "solve"
+
+    def test_horizon_sets_the_solved_stages(self, tmp_path):
+        out = tmp_path / "solve"
+        assert run_cli("solve", "--instance", "sector_sim", "--horizon", "3",
+                       "--out", str(out)) == 0
+        rows = list(csv.DictReader(open(out / "policy.csv")))
+        assert sorted({r["stage"] for r in rows}) == ["0", "1", "2"]
+        assert json.loads((out / "manifest.json").read_text())["horizon_override"] == 3
 
     def test_values_csv_columns(self, tmp_path):
         out = tmp_path / "solve"
@@ -125,21 +135,13 @@ class TestCompare:
 
     def test_policy_spec_parsing(self):
         p = mi.instances.build("fig1_linear")
-        policy = build_policy("base_stock:S=1.0", p, "fig1_linear", "printed")
+        defaults = mi.instances.policy_defaults("fig1_linear")
+        policy = build_policy("base_stock:S=1.0", p, defaults)
         assert isinstance(policy, mi.BaseStockPolicy)
-        policy = build_policy("sS:s=0.0,S=2.0", p, "fig1_linear", "printed")
+        policy = build_policy("sS:s=0.0,S=2.0", p, defaults)
         assert isinstance(policy, mi.SSPolicy)
         with pytest.raises(Exception):
-            build_policy("nonsense", p, "fig1_linear", "printed")
-
-    def test_instance_defaults_error_propagates(self, monkeypatch):
-        def boom(source):
-            raise ValueError("boom")
-
-        monkeypatch.setattr(mi.instances, "policy_defaults", boom)
-        p = mi.instances.build("fig1_linear")
-        with pytest.raises(ValueError, match="boom"):
-            build_policy("base_stock:S=1.0", p, "fig1_linear", "printed")
+            build_policy("nonsense", p, defaults)
 
     def test_config_source_has_no_policy_defaults(self, tmp_path, monkeypatch, capsys):
         # a config read from a tightness instance gets no S=auto level, and
@@ -161,7 +163,8 @@ class TestCompare:
         spec = tmp_path / "policy.json"
         spec.write_text(json.dumps(
             mi.BaseStockPolicy(np.array([1.0, 1.0])).to_config()))
-        policy = build_policy(f"config:{spec}", p, "fig1_linear", "printed")
+        policy = build_policy(f"config:{spec}", p,
+                              mi.instances.policy_defaults("fig1_linear"))
         assert isinstance(policy, mi.BaseStockPolicy)
 
     def test_gnuplot_script_emitted(self, tmp_path):
@@ -197,10 +200,19 @@ class TestExitCodes:
         ("nope", "unknown instance 'nope'"),
         ("tightness:M", "malformed instance parameter 'M'"),
         ("tightness:M=x", "could not convert string to float"),
+        ("tightness:esp=0.5", "unknown parameter 'esp'"),
+        ("sector_sim:foo=1", "unknown parameter 'foo'"),
+        ("tightness:M=2.5", "parameter 'M' must be a whole number"),
+        ("tightness:sim_periods=10.7", "parameter 'sim_periods' must be a whole number"),
     ])
     def test_bad_instance_exits_2(self, tmp_path, capsys, instance, message):
         assert run_cli("solve", "--instance", instance, "--out", str(tmp_path)) == 2
         assert message in capsys.readouterr().err
+
+    def test_nonpositive_solve_horizon_exits_2(self, tmp_path, capsys):
+        assert run_cli("solve", "--instance", "fig1_linear", "--horizon", "0",
+                       "--out", str(tmp_path)) == 2
+        assert "horizon_override must be >= 1" in capsys.readouterr().err
 
     def test_unknown_config_kind_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "p.json"
@@ -332,8 +344,12 @@ class TestVerify:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the package from where this process found it
+        src = str(Path(mi.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
             [sys.executable, "-m", "multinv.cli", "verify", "balancing-monotone"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "[PASS]" in proc.stdout

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,25 @@ class TestBuild:
             mi.instances.build("unknown_instance")
         with pytest.raises(ValueError):
             mi.instances.build("tightness:M=2,eps")
+
+    @pytest.mark.parametrize("instance_id, message", [
+        ("tightness:esp=0.5", "tightness: unknown parameter 'esp'"),
+        ("sector_sim:foo=1", "sector_sim: unknown parameter 'foo'"),
+        ("tightness:M=2.5", "parameter 'M' must be a whole number, got 2.5"),
+        ("tightness:sim_periods=10.7",
+         "parameter 'sim_periods' must be a whole number, got 10.7"),
+    ])
+    def test_unknown_or_non_integral_parameter_rejected(self, instance_id, message):
+        for parse in (mi.instances.build, mi.instances.policy_defaults):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse(instance_id)
+
+    def test_whole_number_parameters_and_defaults(self):
+        p = mi.instances.build("tightness:M=3.0,sim_periods=10")
+        assert (p.m, p.periods) == (3, 10)
+        assert p.holding.backlog == (100.0,) * 3  # the default p
+        d = mi.instances.policy_defaults("tightness:M=3.0")
+        assert d["pi_v"]["m"] == 3 and type(d["pi_v"]["m"]) is int
 
     def test_policy_defaults(self):
         d = mi.instances.policy_defaults(TIGHT)

@@ -173,12 +173,6 @@ class TestRatioHeatmap:
         assert rep.ratio[free].tolist() == [1.0]
         assert np.array_equal(rep.ratio[~free], rep.mean_num[~free] / rep.mean_den[~free])
 
-    def test_nonpositive_horizon_override_rejected_before_simulating(self, fig1, fig1_solved):
-        _, tab = fig1_solved
-        with pytest.raises(ValueError, match="horizon_override"):
-            ratio_heatmap(fig1, mi.make_pi_square(fig1, 2.0), mi.TabularGridPolicy(tab),
-                          SimConfig(runs=2, seed=1, horizon_override=0))
-
     def test_explicit_initial_state_list(self, fig1, fig1_solved):
         _, tab = fig1_solved
         states = [[0.0, 0.0], [1.0, -1.0]]
@@ -777,8 +771,8 @@ class TestDrawBlocks:
 
 
 class TestVerifyConfig:
-    """verify_cost_transformation checks its config and applies the
-    horizon override, as estimate_cost does."""
+    """verify_cost_transformation checks its config, as estimate_cost
+    does."""
 
     @pytest.fixture(scope="class")
     def affine_balancing(self):
@@ -789,18 +783,3 @@ class TestVerifyConfig:
         p, policy = affine_balancing
         with pytest.raises(ValueError, match="runs must be >= 1"):
             verify_cost_transformation(p, policy, 1.0, SimConfig(runs=0))
-
-    def test_zero_horizon_override_raises(self, affine_balancing):
-        p, policy = affine_balancing
-        with pytest.raises(ValueError, match="horizon_override must be >= 1"):
-            verify_cost_transformation(p, policy, 1.0,
-                                       SimConfig(runs=3, horizon_override=0))
-
-    def test_horizon_override_is_applied(self, affine_balancing):
-        p, policy = affine_balancing
-        got = verify_cost_transformation(p, policy, 1.0,
-                                         SimConfig(runs=3, seed=0, horizon_override=3))
-        want = verify_cost_transformation(replace(p, horizon=mi.model.Finite(3)),
-                                          policy, 1.0, SimConfig(runs=3, seed=0))
-        assert got["mode"] == "monte_carlo"
-        assert got == want
