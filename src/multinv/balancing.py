@@ -431,9 +431,11 @@ class BalancingPolicy(Policy):
         The columns of each group of locations with equal states are
         stacked location-major into one 1-D batch, solved in one call and
         scattered back; the rule is elementwise per level, so the orders
-        are those of one call per location.
+        are those of one call per location.  The orders take X's memory
+        layout, so each group's scatter into a location-major X writes
+        contiguous columns.
         """
-        out = np.empty(X.shape, dtype=float)
+        out = np.empty_like(X, dtype=float)
         for state, cols in self._groups():
             u = None if uniforms is None else uniforms.T[cols].ravel()
             orders = act_balancing_batch(state, k, X.T[cols].ravel(),

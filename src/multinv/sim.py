@@ -14,8 +14,10 @@ one uniform per location per period, policy randomness (when a policy
 is randomized) likewise.  The stepper draws them inside its loop, one
 block of at most ``_DRAW_PERIODS`` periods at a time: the estimators
 re-key one Philox generator per run and block, starting each stream at
-the block's first uniform (``rng.fill_streams``' counter offset), and
-transform the block's demand in place with one call.  A chunk of runs
+the block's first uniform (``rng.fill_streams``' counter offset).  A
+block is filled a few runs at a time into one small scratch of at most
+``_FILL_DOUBLES`` doubles, whose demand is transformed (and whose policy
+uniforms are copied) into the stream's block buffer.  A chunk of runs
 therefore holds rows x min(T, _DRAW_PERIODS) x M doubles per stream,
 however long the horizon, and chunks are sized to at most
 ``_CHUNK_DOUBLES`` of them.  The stepper runs the dynamics period by
@@ -24,6 +26,13 @@ to each trajectory's total in period order.  A cost block holds at most
 ``_BLOCK_ROWS`` (period, trajectory) rows, a budget sized so the block
 and its temporaries stay in the L2 cache: a 500-run estimate costs 32
 periods per call, an 8,820-row heatmap chunk one period.
+
+The stepper is location-major throughout: the state, the post-demand
+levels and each period's demand and policy uniforms are (B, M) arrays
+whose columns (one per location) are contiguous, so every whole-array
+operation of a period runs as M passes over B runs rather than B passes
+over M locations.  The numbers do not depend on the layout: every
+operation is elementwise or a column-by-column ``location_sum``.
 """
 
 from __future__ import annotations
@@ -76,18 +85,31 @@ _BLOCK_ROWS = 1 << 14
 # a Philox counter boundary (see ``rng.fill_streams``).
 _DRAW_PERIODS = 1024
 
+# A draw block is filled and transformed this many doubles at a time (whole
+# runs, at least one), in one scratch reused by every block and stream, and
+# then stored location-major in the block buffer.  Filling the block buffer
+# in place would store it run-major, and transforming whole blocks into a
+# second buffer of the same size would double the draws' memory.
+_FILL_DOUBLES = 1 << 15
+
 
 def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray, draws,
                     collect_orders: bool = False):
     """Average cost of B trajectories over ``problem.periods`` periods.
 
-    x0: (B, M).  ``draws(k0, n)`` returns the demand and policy uniforms
-    of periods k0 .. k0 + n - 1, each (B, n, M) (uniforms None for a
-    deterministic policy); it is called once per block of at most
-    ``_DRAW_PERIODS`` periods, in period order, and a block's arrays are
-    only read until the next call.  Returns costs (B,), and with
-    ``collect_orders`` also the per-period total orders and ordering
-    costs, each (B, T).
+    x0: (B, M), in any memory layout.  ``draws(k0, n)`` returns the
+    demand and policy uniforms of periods k0 .. k0 + n - 1, each (B, n,
+    M) (uniforms None for a deterministic policy); it is called once per
+    block of at most ``_DRAW_PERIODS`` periods, in period order, and a
+    block's arrays are only read until the next call.  Returns costs
+    (B,), and with ``collect_orders`` also the per-period total orders
+    and ordering costs, each (B, T).
+
+    The state and the post-demand levels are held location-major
+    (Fortran-ordered (B, M)), so a policy's elementwise orders come out
+    location-major too; draws whose period slices are location-major
+    (``_keyed_draws``) keep every operation of a period on contiguous
+    columns.  Any layout gives the same numbers.
 
     The dynamics (policy, orders, post-demand level, clamp) run period
     by period.  The order totals and post-demand levels of a block of
@@ -99,14 +121,14 @@ def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray, draws,
     grid = problem.grid
     burn = 0 if isinstance(problem.horizon, Finite) else problem.horizon.burn_in
     periods = problem.periods
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float, order="F")
     batch, m = x.shape
     total = np.zeros(batch)
     z_trace = np.empty((batch, periods)) if collect_orders else None
     c_trace = np.empty((batch, periods)) if collect_orders else None
     span = max(1, min(periods, _DRAW_PERIODS, _BLOCK_ROWS // batch))
     z = np.empty((span, batch))
-    post = np.empty((span, batch, m))
+    post = np.empty((span, m, batch)).transpose(0, 2, 1)
     for d0 in range(0, periods, _DRAW_PERIODS):
         d_end = min(d0 + _DRAW_PERIODS, periods)
         demand, uniforms = draws(d0, d_end - d0)
@@ -166,26 +188,37 @@ def _keyed_draws(problem: Problem, policy: Policy, cfg: SimConfig, states: range
     Row (s - states.start) * cfg.runs + run of a block holds exactly the
     draws of that run's own streams (``rng.demand_stream``/
     ``rng.policy_stream``) for the block's periods: the keys are derived
-    once, each block is filled from uniform k0 * M of every stream, and
-    its demand is transformed in place with one call.  One buffer per
-    stream, rows x min(T, _DRAW_PERIODS) x M, is reused by every block.
+    once, and each block is filled from uniform k0 * M of every stream.
+    The rows are filled a chunk of at most ``_FILL_DOUBLES`` doubles at a
+    time into one scratch; a chunk's demand is transformed, and its
+    policy uniforms copied, into the stream's block buffer.  Each buffer,
+    rows x min(T, _DRAW_PERIODS) x M, is reused by every block and is
+    stored (period, location, run), so the returned (B, n, M) arrays have
+    location-major (Fortran-ordered) period slices.
     """
     tag = policy.tag
     m = problem.m
-    shape = (len(states) * cfg.runs, min(problem.periods, _DRAW_PERIODS), m)
+    rows = len(states) * cfg.runs
+    span = min(problem.periods, _DRAW_PERIODS)
+    chunk = max(1, min(rows, _FILL_DOUBLES // (span * m)))
+    scratch = np.empty((chunk, span, m))
     demand_keys = rng_mod.demand_keys(cfg.seed, states, cfg.runs, tag, cfg.crn)
-    demand = np.empty(shape)
+    demand = np.empty((span, m, rows)).transpose(2, 0, 1)
     policy_keys = uniforms = None
     if policy.uses_randomness:
         policy_keys = rng_mod.policy_keys(cfg.seed, states, cfg.runs, tag)
-        uniforms = np.empty(shape)
+        uniforms = np.empty((span, m, rows)).transpose(2, 0, 1)
 
     def draws(k0, n):
-        block = rng_mod.fill_streams(demand[:, :n], demand_keys, start=k0 * m)
-        transform_uniform_draws(problem.demand, block, out=block)
-        if policy_keys is None:
-            return block, None
-        return block, rng_mod.fill_streams(uniforms[:, :n], policy_keys, start=k0 * m)
+        for r0 in range(0, rows, chunk):
+            r1 = min(r0 + chunk, rows)
+            raw = rng_mod.fill_streams(scratch[:r1 - r0, :n], demand_keys[r0:r1],
+                                       start=k0 * m)
+            transform_uniform_draws(problem.demand, raw, out=demand[r0:r1, :n])
+            if policy_keys is not None:
+                uniforms[r0:r1, :n] = rng_mod.fill_streams(
+                    scratch[:r1 - r0, :n], policy_keys[r0:r1], start=k0 * m)
+        return demand[:, :n], None if uniforms is None else uniforms[:, :n]
 
     return draws
 

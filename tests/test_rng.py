@@ -6,6 +6,7 @@ generator per row.  Every row of a block must equal its run's own stream.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import multinv as mi
 from multinv import rng
 from multinv.model import (DemandModel, DiscreteMarginal, UniformMarginal,
                            transform_uniform_draws)
+from multinv import sim as sim_mod
 from multinv.sim import SimConfig, _keyed_draws
 
 
@@ -172,3 +174,72 @@ class TestTransformInPlace:
         raw = np.random.default_rng(1).random((50, 1))
         assert np.array_equal(transform_uniform_draws(d, raw),
                               0.3 + raw * (2.9 - 0.3))
+
+
+def chunk_problem(m, periods):
+    """fig1_linear widened to m locations whose demand alternates between
+    a discrete and a uniform marginal, over ``periods`` periods."""
+    p = mi.instances.build("fig1_linear")
+    marginals = (DiscreteMarginal((0.0, 1.0, 2.0), (0.2, 0.5, 0.3)),
+                 UniformMarginal(0.25, 1.75))
+    return replace(p, m=m, horizon=mi.model.Finite(periods),
+                   holding=mi.model.HoldingBacklogCost((1.0,) * m, (10.0,) * m),
+                   demand=DemandModel(tuple(marginals[i % 2] for i in range(m))))
+
+
+class TestKeyedDrawChunks:
+    """``_keyed_draws`` fills a block a chunk of runs at a time through a
+    scratch of ``_FILL_DOUBLES`` doubles; every block must still equal the
+    runs' own streams, however the rows fall into chunks."""
+
+    def check(self, m, periods, states, runs, draw_periods, fill_doubles=None,
+              chunk=None):
+        p = chunk_problem(m, periods)
+        policy = mi.make_balancing_policy(p, K=2.0)
+        assert policy.uses_randomness
+        cfg = SimConfig(runs=runs, seed=29)
+        shape = (periods, m)
+        demand_ref = transform_uniform_draws(p.demand, reference_uniforms(
+            29, states, runs, policy.tag, False, shape, "demand"))
+        policy_ref = reference_uniforms(29, states, runs, policy.tag, False, shape, "policy")
+        span = min(periods, draw_periods)
+        if fill_doubles is None:
+            fill_doubles = chunk * span * m
+        with mock.patch.object(sim_mod, "_DRAW_PERIODS", draw_periods), \
+                mock.patch.object(sim_mod, "_FILL_DOUBLES", fill_doubles), \
+                mock.patch.object(sim_mod, "transform_uniform_draws",
+                                  wraps=sim_mod.transform_uniform_draws) as spy:
+            draws = _keyed_draws(p, policy, cfg, states)
+            for k0 in range(0, periods, draw_periods):
+                n = min(draw_periods, periods - k0)
+                calls = spy.call_count
+                demand, uniforms = draws(k0, n)
+                assert demand.shape == uniforms.shape == (len(states) * runs, n, m)
+                assert np.array_equal(demand, demand_ref[:, k0:k0 + n])
+                assert np.array_equal(uniforms, policy_ref[:, k0:k0 + n])
+                for k in range(n):
+                    assert demand[:, k].flags.f_contiguous
+                    assert uniforms[:, k].flags.f_contiguous
+                rows_per_chunk = max(1, min(len(demand), fill_doubles // (span * m)))
+                assert spy.call_count - calls == -(-len(demand) // rows_per_chunk)
+
+    @pytest.mark.parametrize("runs", [7, 8, 9])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_rows_around_a_multiple_of_the_chunk(self, runs, m):
+        # chunks of 4 rows: 2 states x runs rows is 14, 16 or 18
+        self.check(m, 6, range(3, 5), runs, draw_periods=1024, chunk=4)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_row_chunks(self, m):
+        self.check(m, 5, range(2), 3, draw_periods=1024, fill_doubles=1)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_later_blocks_and_a_short_last_block(self, m):
+        # blocks of 4, 4 and 2 periods, each filled in chunks of 3 rows
+        self.check(m, 10, range(1, 3), 5, draw_periods=4, chunk=3)
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025])
+    def test_default_chunk_size(self, rows):
+        # 16 periods x 2 locations make chunks of 1024 rows at the default
+        self.check(2, 16, range(1), rows, draw_periods=1024,
+                   fill_doubles=sim_mod._FILL_DOUBLES)

@@ -754,6 +754,18 @@ class TestDrawBlocks:
         assert spy.call_count == len(cfg.initial_states)
         assert got == want
 
+    def test_long_horizon_estimates_are_pinned(self):
+        # three draw blocks (1024, 1024 and 52 periods) of continuous
+        # demand; the heatmap CSV hashes cover only 20-period horizons
+        p = mi.instances.build(f"{TIGHTNESS},sim_periods=2100")
+        cfg = SimConfig(runs=64, seed=2024)
+        got = {kind: repr(estimate_cost(p, policy, np.zeros(2), cfg))
+               for kind, policy in tightness_policies().items()}
+        assert got == {
+            "base_stock": "(8.131654483794868, 0.00014554606429267476)",
+            "pi_v": "(2.0355355846470196, 3.6152026742951504e-05)",
+        }
+
     def test_long_horizon_draw_memory_is_bounded(self):
         # 500 runs x 2000 periods x 2 locations is 16 MB of demand drawn
         # at once; in blocks of 1024 periods the buffer is 8.2 MB
