@@ -27,11 +27,6 @@ PROB_SUM_TOL = 1e-12
 # constructed from the stored discount values land within a few ulps,
 # while continuous demand sums miss the band almost surely.
 DISCOUNT_MATCH_TOL = 1e-12
-# Draws per block of the discrete demand lookup in transform_uniform_draws.
-# A block's contiguous copy and index array (256 KB at 2**14) are alive
-# next to a Monte Carlo chunk's draw buffers, so a small block keeps the
-# peak memory down.
-LOOKUP_BLOCK = 1 << 14
 
 
 class ValidationError(ValueError):
@@ -262,8 +257,11 @@ def transform_uniform_draws(d: DemandModel, raw: np.ndarray,
 
     This is the single place raw randomness becomes demand, so scalar and
     batch simulation paths consume streams identically: one uniform per
-    location per period, period-major.  ``out`` may be ``raw`` itself,
-    which transforms a whole block of runs in place.
+    location per period, period-major.  ``out`` may be ``raw`` itself.
+    The caller bounds the size of ``raw``: the estimators transform one
+    fill chunk per call (``sim._FILL_DOUBLES`` draws, or one run's draw
+    block if that is larger) into a separate block buffer, and
+    ``simulate_run`` one draw block of a single run.
 
     A discrete draw u takes the atom whose index is the number of
     cumulative probabilities c with c <= u, clipped to the last atom.
@@ -275,7 +273,7 @@ def transform_uniform_draws(d: DemandModel, raw: np.ndarray,
     and NaN included (NaN compares false, stays at K and clips to the last
     atom, as searchsorted sorts it last).  The sorted atoms and the
     thresholds are the marginal's ``lookup``, computed once and kept, so
-    a one-period call pays only the lookup itself.  Each block of draws
+    a one-period call pays only the lookup itself.  Each discrete column
     is copied to a contiguous buffer once and then read once per atom, so
     the lookup is O(K) passes where searchsorted is O(log K): it is the
     faster of the two up to about 48 atoms (every instance here has at
@@ -288,16 +286,14 @@ def transform_uniform_draws(d: DemandModel, raw: np.ndarray,
         col = out[..., i]
         if isinstance(g, DiscreteMarginal):
             values, thresholds = g.lookup
-            # Blocks of leading rows keep the temporaries small; each
-            # block is read before it is written, so out may be raw.
+            # The whole index is counted before the column is written, so
+            # out may be raw.
             u, col = np.atleast_1d(u, col)
-            rows = max(1, LOOKUP_BLOCK // max(1, u[0].size))
-            for lo in range(0, len(u), rows):
-                block = np.ascontiguousarray(u[lo:lo + rows])
-                idx = np.full(block.shape, len(thresholds), dtype=np.intp)
-                for c in thresholds:
-                    idx -= block < c
-                np.take(values, idx, out=col[lo:lo + rows], mode="clip")
+            u = np.ascontiguousarray(u)
+            idx = np.full(u.shape, len(thresholds), dtype=np.intp)
+            for c in thresholds:
+                idx -= u < c
+            np.take(values, idx, out=col, mode="clip")
         else:
             np.multiply(u, g.hi - g.lo, out=col)
             col += g.lo

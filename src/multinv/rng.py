@@ -112,10 +112,6 @@ def policy_keys(master_seed: int, states: range, runs: int,
     return _run_keys(master_seed, "policy", states, runs, policy_tag)
 
 
-# Rows of keys converted to Python ints at a time by ``fill_streams``.
-KEY_ROWS = 1024
-
-
 def fill_streams(out: np.ndarray, keys: np.ndarray, start: int = 0) -> np.ndarray:
     """Fill ``out[r]`` with uniforms ``start, start + 1, ...`` of the
     stream keyed by ``keys[r]``: row r equals ``Generator(Philox(key=
@@ -131,23 +127,24 @@ def fill_streams(out: np.ndarray, keys: np.ndarray, start: int = 0) -> np.ndarra
     The re-key template holds every word as a Python int: the Philox
     ``state`` setter reads each word, and a word read from a uint64 array
     makes a numpy scalar, which slows the setter (numpy 2.4.6).  The
-    stream is the same either way.  The keys are converted ``KEY_ROWS``
-    rows at a time (``tolist``), so the int lists stay small, and each
-    row's key pair is written into the template's inner ``state`` dict in
-    place."""
+    stream is the same either way.  Each row's key pair is written into
+    the template's inner ``state`` dict in place.  The caller bounds the
+    size of ``keys``, and so of its ``tolist``: the estimators pass one
+    fill chunk at a time (``sim._FILL_DOUBLES``)."""
     if out.shape[0] != keys.shape[0]:
         raise ValueError("need one key per output row")
     if start < 0 or start % 4:
         raise ValueError(f"start must be a nonnegative multiple of 4, got {start}")
-    bits = np.random.Philox()
+    # A fixed seed skips the OS entropy read of an unseeded constructor;
+    # the first re-key overwrites the whole state anyway.
+    bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
     inner = {"counter": [start // 4, 0, 0, 0], "key": None}
     state = {"bit_generator": "Philox", "state": inner,
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for r0 in range(0, len(keys), KEY_ROWS):
-        for row, key in zip(out[r0:r0 + KEY_ROWS], keys[r0:r0 + KEY_ROWS].tolist()):
-            inner["key"] = key
-            bits.state = state
-            gen.random(out=row)
+    for row, key in zip(out, keys.tolist()):
+        inner["key"] = key
+        bits.state = state
+        gen.random(out=row)
     return out

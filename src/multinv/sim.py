@@ -89,7 +89,9 @@ _DRAW_PERIODS = 1024
 # runs, at least one), in one scratch reused by every block and stream, and
 # then stored location-major in the block buffer.  Filling the block buffer
 # in place would store it run-major, and transforming whole blocks into a
-# second buffer of the same size would double the draws' memory.
+# second buffer of the same size would double the draws' memory.  This is
+# the one bound on the draws of an ``rng.fill_streams`` or
+# ``transform_uniform_draws`` call: neither splits its input further.
 _FILL_DOUBLES = 1 << 15
 
 
@@ -308,10 +310,12 @@ def initial_states(problem: Problem, cfg: SimConfig) -> np.ndarray:
     """The (S, M) initial states of a report: every joint grid state in
     ``Grid.states`` order for "grid", else the given list, each of whose
     states must be a grid state (``Grid.indices`` raises a ValueError
-    naming the first value that is not)."""
+    naming the first value that is not), and which must not be empty."""
     if isinstance(cfg.initial_states, str) and cfg.initial_states == "grid":
         return problem.grid.states(problem.m)
     states = np.asarray(cfg.initial_states, dtype=float).reshape(-1, problem.m)
+    if not len(states):
+        raise ValueError("initial_states must list at least one state")
     problem.grid.indices(states)
     return states
 
@@ -391,7 +395,8 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
 
     The initial states are ``initial_states(problem, cfg)``: the whole
     joint grid, or a given list of grid states (a state off the grid or
-    outside it raises a ValueError that names it).
+    outside it raises a ValueError that names it, and an empty list one
+    that names ``initial_states``).
 
     The numerator is always estimated by Monte Carlo.  The denominator
     uses exact forward evaluation when the policy admits it (zero

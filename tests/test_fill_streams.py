@@ -136,14 +136,14 @@ class TestStreamOffset:
         assert_rows_continue_fresh_streams(out, keys, start)
 
     @pytest.mark.parametrize("start", [0, 4096])
-    def test_edge_keys_across_key_slices(self, start):
-        # more rows than two key slices, the edge words on both sides of
-        # each slice boundary and at the first and last rows
-        rows = 2 * rng.KEY_ROWS + 452
+    def test_edge_keys_among_many_rows(self, start):
+        # 2500 rows, the edge words around rows 1024 and 2048 and at the
+        # first and last rows
+        rows = 2 * 1024 + 452
         keys = np.random.default_rng(7).integers(0, 2 ** 64, size=(rows, 2),
                                                  dtype=np.uint64)
         edges = EDGE_KEYS[[1, 2, 3, 8, 12, 15]]   # words 0, 2**63, 2**64 - 1
-        for b in (0, rng.KEY_ROWS, 2 * rng.KEY_ROWS, rows):
+        for b in (0, 1024, 2 * 1024, rows):
             lo = max(0, b - 3)
             keys[lo:lo + 6] = edges[:len(keys[lo:lo + 6])]
         out = rng.fill_streams(np.empty((rows, 3, 2)), keys, start)

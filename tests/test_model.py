@@ -1,6 +1,5 @@
 import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from multinv.model import (DemandModel, DiscreteMarginal, Finite, Grid,
                            UnsupportedDemandError, location_sum, sample_demand,
                            single_location_problem, transform_uniform_draws,
                            validate_problem)
-from multinv import model as model_mod
 from multinv import rng
 
 
@@ -440,6 +438,8 @@ def lookup_inputs(marginal):
 
 LOOKUP_MARGINALS = [random_marginal(k, seed=k) for k in range(1, 9)] + [
     random_marginal(64, seed=64)]
+MIXED_DEMAND = DemandModel(marginals=(LOOKUP_MARGINALS[3], UniformMarginal(0.25, 1.75),
+                                      LOOKUP_MARGINALS[-1], LOOKUP_MARGINALS[0]))
 
 
 class TestDiscreteLookup:
@@ -455,21 +455,25 @@ class TestDiscreteLookup:
             got = transform_uniform_draws(d, raw)
             assert got.tobytes() == searchsorted_draws(d, raw).tobytes(), u
 
-    @pytest.mark.parametrize("block", [1, 13, 1 << 16])
-    def test_in_place_block_matches_searchsorted(self, block):
-        # a (rows, n, M) block transformed in place, mixed marginals, in
-        # lookup blocks of one row, of two rows (the last one partial) and
-        # of every row
-        d = DemandModel(marginals=(LOOKUP_MARGINALS[3], UniformMarginal(0.25, 1.75),
-                                   LOOKUP_MARGINALS[-1], LOOKUP_MARGINALS[0]))
+    def test_in_place_matches_searchsorted(self):
+        # a (rows, n, M) array transformed in place, mixed marginals
+        d = MIXED_DEMAND
         cols = [np.resize(lookup_inputs(g), 5 * 6 * 7) if isinstance(g, DiscreteMarginal)
                 else np.resize(SPECIAL_DRAWS, 5 * 6 * 7) for g in d.marginals]
         raw = np.stack(cols, axis=-1).reshape(5 * 7, 6, d.m)
         want = searchsorted_draws(d, raw)
-        with mock.patch.object(model_mod, "LOOKUP_BLOCK", block):
-            got = transform_uniform_draws(d, raw, out=raw)
+        got = transform_uniform_draws(d, raw, out=raw)
         assert got is raw
         assert raw.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["fresh", "in_place"])
+    @pytest.mark.parametrize("shape", [(0,), (0, 6), (5, 0)], ids=str)
+    def test_empty_axes(self, shape, in_place):
+        # no draws on a leading axis: nothing to look up, the shape kept
+        raw = np.empty(shape + (MIXED_DEMAND.m,))
+        got = transform_uniform_draws(MIXED_DEMAND, raw, out=raw if in_place else None)
+        assert got.shape == raw.shape and got.dtype == float
+        assert (got is raw) == in_place
 
     def test_zero_probability_end_atoms_are_never_drawn(self):
         # cumsum of ten 0.1s is 0.9999999999999999 < 1, so a draw at that

@@ -191,6 +191,11 @@ class TestRatioHeatmap:
             ratio_heatmap(fig1, mi.make_pi_square(fig1, 2.0), mi.TabularGridPolicy(tab),
                           SimConfig(runs=2, seed=1, initial_states=[state]))
 
+    def test_empty_initial_state_list_raises(self, fig1):
+        policy = mi.make_pi_square(fig1, 2.0)
+        with pytest.raises(ValueError, match="initial_states"):
+            ratio_heatmap(fig1, policy, policy, SimConfig(runs=2, initial_states=[]))
+
     def test_tabular_policy_rejects_state_outside_the_grid(self, fig1, fig1_solved):
         _, tab = fig1_solved
         with pytest.raises(ValueError, match=re.escape("value -3.0 ")):
@@ -766,6 +771,37 @@ class TestDrawBlocks:
             "pi_v": "(2.0355355846470196, 3.6152026742951504e-05)",
         }
 
+    @pytest.mark.parametrize("case", ["heatmap", "long estimate"])
+    def test_no_call_exceeds_the_fill_chunk(self, case):
+        # every fill and lookup handles at most one fill chunk, or one
+        # run's block when that alone is larger: 1764 balancing rows of 20
+        # periods in 3 chunks (demand and policy fills), and 40 runs of
+        # 2100 periods in 3 chunks per draw block, 3 blocks
+        if case == "heatmap":
+            p = mi.instances.build("affine_sim")
+            policy = mi.make_balancing_policy(p, variant="cumulative")
+            fills, lookups = 6, 3
+
+            def run():
+                ratio_heatmap(p, policy, policy, SimConfig(runs=4, seed=2))
+        else:
+            p = mi.instances.build(f"{TIGHTNESS},sim_periods=2100")
+            policy = tightness_policies()["pi_v"]
+            fills = lookups = 9
+
+            def run():
+                estimate_cost(p, policy, np.zeros(2), SimConfig(runs=40, seed=2))
+        with mock.patch.object(rng, "fill_streams", wraps=rng.fill_streams) as fill, \
+                mock.patch.object(sim_mod, "transform_uniform_draws",
+                                  wraps=sim_mod.transform_uniform_draws) as lookup:
+            run()
+        span = min(p.periods, sim_mod._DRAW_PERIODS)
+        bound = max(sim_mod._FILL_DOUBLES, span * p.m)
+        sizes = [c.args[0].size for c in fill.call_args_list]
+        sizes += [c.args[1].size for c in lookup.call_args_list]
+        assert (fill.call_count, lookup.call_count) == (fills, lookups)
+        assert 0 < max(sizes) <= bound
+
     def test_long_horizon_draw_memory_is_bounded(self):
         # 500 runs x 2000 periods x 2 locations is 16 MB of demand drawn
         # at once; in blocks of 1024 periods the buffer is 8.2 MB
@@ -795,3 +831,11 @@ class TestVerifyConfig:
         p, policy = affine_balancing
         with pytest.raises(ValueError, match="runs must be >= 1"):
             verify_cost_transformation(p, policy, 1.0, SimConfig(runs=0))
+
+    def test_empty_initial_state_list_raises(self, affine_balancing):
+        # a randomized policy takes the Monte Carlo branch, which reads
+        # the initial states
+        p, policy = affine_balancing
+        with pytest.raises(ValueError, match="initial_states"):
+            verify_cost_transformation(p, policy, 1.0,
+                                       SimConfig(runs=2, initial_states=[]))
