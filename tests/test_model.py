@@ -455,12 +455,14 @@ class TestDiscreteLookup:
             got = transform_uniform_draws(d, raw)
             assert got.tobytes() == searchsorted_draws(d, raw).tobytes(), u
 
-    def test_in_place_matches_searchsorted(self):
-        # a (rows, n, M) array transformed in place, mixed marginals
+    @pytest.mark.parametrize("block", [1, 13, 1 << 16])
+    def test_in_place_block_matches_searchsorted(self, block):
+        # a (block, n, M) array of one row, of a few rows and of many rows
+        # transformed in place, mixed marginals
         d = MIXED_DEMAND
-        cols = [np.resize(lookup_inputs(g), 5 * 6 * 7) if isinstance(g, DiscreteMarginal)
-                else np.resize(SPECIAL_DRAWS, 5 * 6 * 7) for g in d.marginals]
-        raw = np.stack(cols, axis=-1).reshape(5 * 7, 6, d.m)
+        cols = [np.resize(lookup_inputs(g), block * 6) if isinstance(g, DiscreteMarginal)
+                else np.resize(SPECIAL_DRAWS, block * 6) for g in d.marginals]
+        raw = np.stack(cols, axis=-1).reshape(block, 6, d.m)
         want = searchsorted_draws(d, raw)
         got = transform_uniform_draws(d, raw, out=raw)
         assert got is raw
