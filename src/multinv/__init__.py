@@ -19,10 +19,9 @@ from .dp import (SizeError, StructureError, TabularPolicy, ValueFunction,
 from .policies import (BaseStockPolicy, DecoupledPolicy, ExplicitVPolicy,
                        Policy, SSPolicy, TabularGridPolicy, act,
                        make_pi_diamond, make_pi_square, make_pi_v)
-from .balancing import (BalancingPolicy, BalancingState, act_balancing,
-                        balancing_order, balancing_probability,
+from .balancing import (BalancingPolicy, BalancingState,
                         expected_backlog_proxy, expected_holding_proxy,
-                        holding_cost_K_order, make_balancing_policy)
+                        make_balancing_policy)
 from .stationary import (StationaryLevels, optimize_individual,
                          optimize_joint, stationary_cost)
 from .bounds import (AffineFit, FitUnavailableError, NotSectorBoundableError,

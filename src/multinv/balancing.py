@@ -50,6 +50,10 @@ rows; only the ``uniform < p`` pick is made row by row.
 ``BalancingState``s run the same rule, so their columns are stacked into
 one batch and solved in one call per stage, and a level shared by
 several of those locations is solved once for all of them.
+
+Every solve takes its caps from the caller; the policy passes
+``Problem.order_cap``, so orders stay in the grid box.  Orders at one
+joint state come from ``BalancingPolicy.act``.
 """
 
 from __future__ import annotations
@@ -77,7 +81,6 @@ class BalancingState:
     b: float
     K: float = 0.0
     marginal: object = None  # DiscreteMarginal or UniformMarginal
-    u_cap: float = np.inf
     variant: str = "printed"
 
     def __post_init__(self):
@@ -265,7 +268,8 @@ def expected_backlog_proxy(state: BalancingState, k: int, x: float,
 
 def balancing_order_batch(state: BalancingState, k: int, x: np.ndarray,
                           caps: np.ndarray):
-    """(u_hat, theta) arrays for a batch of states.
+    """(u_hat, theta): the order equating the two proxies, and their
+    common cost, at each level of x under its cap in ``caps``.
 
     u_hat is the leftmost order in [0, hi] where the balance gap EH - EB
     turns nonnegative, clamped to hi = min(cap, the order that zeroes the
@@ -280,15 +284,11 @@ def balancing_order_batch(state: BalancingState, k: int, x: np.ndarray,
     return u_hat, hold.rise(x, u_hat)
 
 
-def balancing_order(state: BalancingState, k: int, x: float):
-    """The order equating the two proxies, and their common cost."""
-    u, theta = balancing_order_batch(state, k, np.asarray([x]),
-                                     np.asarray([state.u_cap]))
-    return float(u[0]), float(theta[0])
-
-
 def holding_cost_K_order_batch(state: BalancingState, k: int, x: np.ndarray,
                                caps: np.ndarray):
+    """(u_tilde, saturated) arrays for a batch of states: the order whose
+    holding proxy equals K, or the level's cap in ``caps`` with a
+    saturation flag when even the cap stays below K."""
     if state.K <= 0:
         raise ValueError("the holding-cost-K order exists only for K > 0")
     x = np.asarray(x, dtype=float)
@@ -305,16 +305,10 @@ def holding_cost_K_order_batch(state: BalancingState, k: int, x: np.ndarray,
     return u, saturated
 
 
-def holding_cost_K_order(state: BalancingState, k: int, x: float):
-    """(u_tilde, saturated): the order whose holding proxy equals K, or
-    the cap with a saturation flag when even the cap stays below K."""
-    u, sat = holding_cost_K_order_batch(state, k, np.asarray([x]),
-                                        np.asarray([state.u_cap]))
-    return float(u[0]), bool(sat[0])
-
-
 def balancing_probability_batch(state: BalancingState, k: int, x: np.ndarray,
                                 u_tilde: np.ndarray) -> np.ndarray:
+    """p at each level of x: p*K = p*EB(u_tilde) + (1-p)*EB(0), clipped to
+    [0, 1], and 1 (with a warning) where K - EB(u_tilde) + EB(0) <= 0."""
     if state.K <= 0:
         raise ValueError("the balancing probability exists only for K > 0")
     x = np.asarray(x, dtype=float)
@@ -329,12 +323,6 @@ def balancing_probability_batch(state: BalancingState, k: int, x: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(bad, 1.0, eb0 / np.where(bad, 1.0, denom))
     return np.clip(p, 0.0, 1.0)
-
-
-def balancing_probability(state: BalancingState, k: int, x: float,
-                          u_tilde: float) -> float:
-    return float(balancing_probability_batch(state, k, np.asarray([x]),
-                                             np.asarray([u_tilde]))[0])
 
 
 def _levels(x: np.ndarray):
@@ -357,13 +345,16 @@ def _levels(x: np.ndarray):
 
 def act_balancing_batch(state: BalancingState, k: int, x: np.ndarray,
                         order_cap, uniforms) -> np.ndarray:
-    """Orders for a batch of states; consumes one uniform per state when
-    K > 0 (whether or not the randomized branch is taken).
+    """One location's order under the balancing rule at each state of a
+    batch; consumes one uniform per state when K > 0 (whether or not the
+    randomized branch is taken), so ``uniforms`` is then required.
 
     ``order_cap`` maps an array of inventory levels to their order caps
     (``Problem.order_cap``); the rule is solved once per distinct level of
     x and gathered back to the rows.
     """
+    if state.K > 0 and uniforms is None:
+        raise ValueError("K > 0 balancing needs one uniform per state")
     levels, inverse = _levels(np.asarray(x, dtype=float))
     level_caps = order_cap(levels)
     u_hat, theta = balancing_order_batch(state, k, levels, level_caps)
@@ -380,20 +371,6 @@ def act_balancing_batch(state: BalancingState, k: int, x: np.ndarray,
     hit, miss = u_hat.copy(), u_hat.copy()
     bar[low], hit[low], miss[low] = p, u_til, 0.0
     return np.where(uniforms < bar[inverse], hit[inverse], miss[inverse])
-
-
-def act_balancing(state: BalancingState, k: int, x: float,
-                  stream=None) -> float:
-    """One location's order under the balancing rule."""
-    uniforms = None
-    if state.K > 0:
-        if stream is None:
-            raise ValueError("K > 0 balancing needs a random stream")
-        uniforms = stream.random(1)
-    u = act_balancing_batch(state, k, np.asarray([x]),
-                            lambda levels: np.full(levels.shape, state.u_cap),
-                            uniforms)
-    return float(u[0])
 
 
 class BalancingPolicy(Policy):
@@ -450,25 +427,6 @@ class BalancingPolicy(Policy):
                 "backlog": [s.b for s in self.states],
                 "periods": s0.periods}
 
-    def diagnostics(self, problem, k: int, x) -> list:
-        """Per-location trace of the rule's quantities at (k, x): the
-        balancing order and cost, and for K > 0 also the holding-cost-K
-        order and the ordering probability."""
-        X = np.asarray(x, dtype=float).reshape(1, -1)
-        caps = problem.order_cap(X)
-        out = []
-        for i, state in enumerate(self.states):
-            u_hat, theta = balancing_order_batch(state, k, X[:, i], caps[:, i])
-            entry = {"location": i, "u_hat": float(u_hat[0]),
-                     "theta": float(theta[0])}
-            if state.K > 0:
-                u_til, sat = holding_cost_K_order_batch(state, k, X[:, i], caps[:, i])
-                p = balancing_probability_batch(state, k, X[:, i], u_til)
-                entry.update(u_tilde=float(u_til[0]), saturated=bool(sat[0]),
-                             probability=float(p[0]))
-            out.append(entry)
-        return out
-
 
 def make_balancing_policy(problem: Problem, K: float | None = None,
                           variant: str = "printed") -> BalancingPolicy:
@@ -486,7 +444,6 @@ def make_balancing_policy(problem: Problem, K: float | None = None,
             b=problem.holding.backlog[i],
             K=K,
             marginal=problem.demand.marginals[i],
-            u_cap=problem.max_order_per_location,
             variant=variant,
         ))
     return BalancingPolicy(states)

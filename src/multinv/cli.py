@@ -348,7 +348,7 @@ def _suite_balancing_monotone() -> list:
     for variant in ("printed", "cumulative"):
         ok = True
         st = BalancingState(periods=20, a=0.1, b=10.0, K=4.0, marginal=fig2,
-                            u_cap=10.0, variant=variant)
+                            variant=variant)
         for k in (0, 7, 19):
             for x in (-2.0, 0.0, 1.5, 6.0):
                 u = np.linspace(0.0, 10.0, 400)

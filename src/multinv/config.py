@@ -159,7 +159,9 @@ def load_problem(path) -> Problem:
 
 def policy_from_config(cfg: dict, problem: Problem):
     """Reconstruct a serialized policy; balancing policies rebuild from
-    their parameters against the given problem."""
+    their parameters against the given problem, and a ``holding``,
+    ``backlog`` or ``periods`` field that the rebuilt policy does not
+    reproduce is a ValueError naming it."""
     return _policy_from_config(cfg, (), problem)
 
 
@@ -182,6 +184,13 @@ def _policy_from_config(cfg: dict, where: tuple, problem: Problem):
                                        threshold=field("threshold"))
     if kind == "balancing":
         from .balancing import make_balancing_policy
-        return make_balancing_policy(problem, K=field("fixed_charge"),
-                                     variant=field("variant"))
+        policy = make_balancing_policy(problem, K=field("fixed_charge"),
+                                       variant=field("variant"))
+        rebuilt = policy.to_config()
+        for name in ("holding", "backlog", "periods"):
+            given = _field(cfg, *where, name, default=rebuilt[name])
+            if given != rebuilt[name]:
+                raise ValueError(f"config: balancing field {name!r} is {given!r}, "
+                                 f"but the problem gives {rebuilt[name]!r}")
+        return policy
     raise ValueError(f"policy kind {kind!r} cannot be reconstructed from config")

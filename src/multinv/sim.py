@@ -483,7 +483,8 @@ def verify_cost_transformation(problem: Problem, policy: Policy, m_slope: float,
     statistical under common random numbers.
 
     ``cfg`` (default 200 runs, seed 0) is checked before either branch,
-    as in ``estimate_cost``.
+    as in ``estimate_cost``, and both branches report over its
+    ``initial_states``.
     """
     cfg = replace(cfg or SimConfig(runs=200, seed=0), crn=True)
     cfg.check()
@@ -491,14 +492,15 @@ def verify_cost_transformation(problem: Problem, policy: Policy, m_slope: float,
     per_period_demand = sum(problem.demand.mean(i) for i in range(problem.m))
     demand_term = m_slope * per_period_demand
 
+    states = initial_states(problem, cfg)
     ex, _ = _exact_costs(problem, policy, dp_mod.exact_expectations)
     if ex is not None:
-        rhs = dp_mod.evaluate_policy_exact(hat, policy)
+        at = tuple(problem.grid.indices(states).T)
+        cost, rhs = ex.cost[at], dp_mod.evaluate_policy_exact(hat, policy)[at]
         periods = problem.horizon.periods
-        x0 = problem.grid.states(problem.m).reshape(ex.final_level.shape)
-        displacement = (ex.final_level - x0 - ex.clamp).sum(axis=-1)
-        formula_gap = ex.cost - (rhs + demand_term)
-        accounting_gap = ex.cost - rhs - m_slope * ex.orders / periods
+        displacement = (ex.final_level[at] - states - ex.clamp[at]).sum(axis=-1)
+        formula_gap = cost - (rhs + demand_term)
+        accounting_gap = cost - rhs - m_slope * ex.orders[at] / periods
         displacement_gap = formula_gap - m_slope * displacement / periods
         return {
             "mode": "exact",
@@ -508,7 +510,6 @@ def verify_cost_transformation(problem: Problem, policy: Policy, m_slope: float,
             "max_abs_displacement_gap": float(np.max(np.abs(displacement_gap))),
         }
 
-    states = initial_states(problem, cfg)
     mean_p, se_p = _estimate_over_states(problem, policy, states, cfg)
     mean_h, se_h = _estimate_over_states(hat, policy, states, cfg)
     gap = mean_p - (mean_h + demand_term)

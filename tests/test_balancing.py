@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import multinv as mi
-from multinv.balancing import (BalancingPolicy, BalancingState, act_balancing,
-                               act_balancing_batch, balancing_order,
-                               balancing_order_batch, balancing_probability,
+from multinv.balancing import (BalancingPolicy, BalancingState,
+                               act_balancing_batch, balancing_order_batch,
                                balancing_probability_batch,
                                expected_backlog_proxy, expected_holding_proxy,
-                               holding_cost_K_order, holding_cost_K_order_batch,
-                               make_balancing_policy)
+                               holding_cost_K_order_batch, make_balancing_policy)
 from multinv.model import DiscreteMarginal, UniformMarginal
 from multinv import rng
 
@@ -23,12 +21,17 @@ DET = DiscreteMarginal((2.0,), (1.0,))
 
 def state(marginal=FIG2, periods=20, a=0.1, b=10.0, K=0.0, variant="printed"):
     return BalancingState(periods=periods, a=a, b=b, K=K, marginal=marginal,
-                          u_cap=10.0, variant=variant)
+                          variant=variant)
 
 
 def flat_cap(value):
     """A cap rule that gives every inventory level the same cap."""
     return lambda levels: np.full(levels.shape, value)
+
+
+def one(values):
+    """The entries of a batch result at its single level, as Python scalars."""
+    return tuple(v[0].item() for v in values)
 
 
 class TestHoldingProxy:
@@ -92,17 +95,17 @@ class TestBacklogProxy:
 
 class TestBalancingOrder:
     def test_no_backlog_pressure_is_balanced_at_zero(self):
-        assert balancing_order(state(), 5, 4.0) == (0.0, 0.0)
+        assert one(balancing_order_batch(state(), 5, [4.0], [10.0])) == (0.0, 0.0)
 
     def test_deterministic_demand_orders_to_cover(self):
         st = state(DET)
-        u, theta = balancing_order(st, 0, 0.0)
+        u, theta = one(balancing_order_batch(st, 0, [0.0], [10.0]))
         assert u == pytest.approx(2.0, abs=1e-9)
         assert theta == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_dense_grid_crossing(self):
         st = state()
-        u, theta = balancing_order(st, 19, 0.0)
+        u, theta = one(balancing_order_batch(st, 19, [0.0], [10.0]))
         grid = np.linspace(0.0, 1.5, 1_500_001)
         eh = np.zeros_like(grid)
         eb = np.zeros_like(grid)
@@ -116,7 +119,7 @@ class TestBalancingOrder:
         st = state()
         for k in (0, 10, 19):
             for x in (-2.0, -0.5, 0.0, 1.0):
-                u, _ = balancing_order(st, k, x)
+                u, _ = one(balancing_order_batch(st, k, [x], [10.0]))
                 gap = abs(expected_holding_proxy(st, k, x, u)
                           - expected_backlog_proxy(st, k, x, u))
                 assert gap <= 1e-9
@@ -126,37 +129,35 @@ class TestHoldingCostKOrder:
     def test_deterministic_closed_form_matches_bisection(self):
         st = state(DET, a=1.0, K=3.0)
         for k in (0, 2, 4, 16):
-            u, saturated = holding_cost_K_order(st, k, 0.0)
+            u, saturated = one(holding_cost_K_order_batch(st, k, [0.0], [10.0]))
             assert not saturated
             assert u == pytest.approx(2.0 + 3.0 / (20 - k), abs=1e-9)
 
     def test_saturation_flagged(self):
-        st = BalancingState(periods=20, a=1e-6, b=10.0, K=5.0, marginal=DET,
-                            u_cap=3.0)
-        u, saturated = holding_cost_K_order(st, 0, 0.0)
+        st = BalancingState(periods=20, a=1e-6, b=10.0, K=5.0, marginal=DET)
+        u, saturated = one(holding_cost_K_order_batch(st, 0, [0.0], [3.0]))
         assert saturated and u == 3.0
 
     def test_cap_exactly_at_K_is_not_saturated(self):
         # x past every atom: EH(cap) = 0.2 * 2 periods * 10 = K exactly
-        st = BalancingState(periods=20, a=0.2, b=10.0, K=4.0, marginal=FIG2,
-                            u_cap=10.0)
+        st = BalancingState(periods=20, a=0.2, b=10.0, K=4.0, marginal=FIG2)
         for x in (1.505, 1.61, 3.0):
-            assert holding_cost_K_order(st, 18, x) == (10.0, False)
+            assert one(holding_cost_K_order_batch(st, 18, [x], [10.0])) == (10.0, False)
 
     def test_zero_fixed_charge_is_domain_error(self):
         with pytest.raises(ValueError):
-            holding_cost_K_order(state(K=0.0), 0, 0.0)
+            holding_cost_K_order_batch(state(K=0.0), 0, [0.0], [10.0])
 
 
 class TestBalancingProbability:
     def test_no_backlog_pressure_never_orders(self):
         st = state(K=4.0)
-        assert balancing_probability(st, 0, 5.0, 1.0) == 0.0
+        assert balancing_probability_batch(st, 0, [5.0], [1.0])[0] == 0.0
 
     def test_covered_u_tilde_specializes_formula(self):
         st = state(FIG1, b=10.0, K=4.0, periods=4)
         eb0 = expected_backlog_proxy(st, 0, 0.0, 0.0)
-        p = balancing_probability(st, 0, 0.0, 5.0)  # x+u covers all demand
+        p = balancing_probability_batch(st, 0, [0.0], [5.0])[0]  # x+u covers all demand
         assert p == pytest.approx(eb0 / (4.0 + eb0))
 
     def test_defining_linear_equation_holds(self):
@@ -165,8 +166,8 @@ class TestBalancingProbability:
         st = policy.states[0]
         for k in (0, 7, 15):
             for x in (-1.0, 0.5, 1.5):
-                u_t, _ = holding_cost_K_order(st, k, x)
-                p = balancing_probability(st, k, x, u_t)
+                u_t, _ = one(holding_cost_K_order_batch(st, k, [x], [10.0]))
+                p = balancing_probability_batch(st, k, [x], [u_t])[0]
                 ebt = expected_backlog_proxy(st, k, x, u_t)
                 eb0 = expected_backlog_proxy(st, k, x, 0.0)
                 assert p * st.K == pytest.approx(p * ebt + (1 - p) * eb0, abs=1e-9)
@@ -175,35 +176,59 @@ class TestBalancingProbability:
 class TestActBalancing:
     def test_linear_case_is_deterministic(self):
         st = state()
-        u1 = act_balancing(st, 0, -1.0)
-        u2 = act_balancing(st, 0, -1.0)
-        uh, _ = balancing_order(st, 0, -1.0)
+        u1 = act_balancing_batch(st, 0, [-1.0], flat_cap(10.0), None)[0]
+        u2 = act_balancing_batch(st, 0, [-1.0], flat_cap(10.0), None)[0]
+        uh, _ = one(balancing_order_batch(st, 0, [-1.0], [10.0]))
         assert u1 == u2 == uh
 
     def test_zero_probability_never_orders(self):
         st = state(K=4.0)
         # well stocked: theta = 0 < K and no backlog pressure at zero
         for _ in range(20):
-            assert act_balancing(st, 5, 4.0, rng.stream(_)) == 0.0
+            uniforms = rng.stream(_).random(1)
+            assert act_balancing_batch(st, 5, [4.0], flat_cap(10.0), uniforms)[0] == 0.0
+
+    def test_positive_fixed_charge_needs_uniforms(self):
+        with pytest.raises(ValueError, match="needs one uniform per state"):
+            act_balancing_batch(state(K=4.0), 0, [-2.0, 0.0], flat_cap(10.0), None)
 
     def test_empirical_order_frequency_matches_probability(self):
-        from multinv.balancing import act_balancing_batch
         p_aff = mi.instances.build("affine_sim")
         policy = make_balancing_policy(p_aff, variant="printed")
         st = policy.states[0]
         k, x = 10, 1.0
-        _, theta = balancing_order(st, k, x)
+        _, theta = one(balancing_order_batch(st, k, [x], [10.0]))
         assert theta < st.K  # randomized branch is live here
-        u_t, _ = holding_cost_K_order(st, k, x)
-        p = balancing_probability(st, k, x, u_t)
+        u_t, _ = one(holding_cost_K_order_batch(st, k, [x], [10.0]))
+        p = balancing_probability_batch(st, k, [x], [u_t])[0]
         n = 100_000
         uniforms = rng.stream(99, "freq").random(n)
-        draws = act_balancing_batch(st, k, np.full(n, x), flat_cap(st.u_cap),
-                                    uniforms)
+        draws = act_balancing_batch(st, k, np.full(n, x), flat_cap(10.0), uniforms)
         freq = np.mean(draws > 0)
         sigma = np.sqrt(p * (1 - p) / n)
         assert abs(freq - p) <= 3 * sigma
         assert set(np.round(draws[draws > 0], 9)) == {round(u_t, 9)}
+
+
+class TestGridTop:
+    """The caps come from ``Problem.order_cap``, so orders stay inside the
+    grid box even where the per-location order limit alone would not."""
+
+    def test_k_order_saturates_at_the_grid_top(self):
+        affine = mi.instances.build("affine_sim")
+        st = make_balancing_policy(affine, variant="cumulative").states[0]
+        u, saturated = holding_cost_K_order_batch(st, 19, [0.0], affine.order_cap([0.0]))
+        assert (u[0], saturated[0]) == (8.0, True)
+
+    @pytest.mark.parametrize("variant", ["printed", "cumulative"])
+    def test_orders_stay_in_the_grid_box(self, variant):
+        affine = mi.instances.build("affine_sim")
+        policy = make_balancing_policy(affine, variant=variant)
+        X = affine.grid.states(affine.m)
+        for k in range(affine.periods):
+            # uniform 0 takes u_tilde wherever p > 0: the largest orders
+            U = policy.act_batch(affine, k, X, np.zeros(X.shape))
+            assert np.all(X + U <= affine.grid.hi)
 
 
 class TestStageRange:
@@ -221,11 +246,11 @@ class TestStageRange:
         x = np.array([-2.0, 0.0])
         X = np.stack([x, x], axis=1)
         for stage in range(st.periods):
-            act_balancing_batch(st, stage, x, flat_cap(st.u_cap), np.full(2, 0.5))
+            act_balancing_batch(st, stage, x, flat_cap(10.0), np.full(2, 0.5))
         calls = [
-            lambda: act_balancing_batch(st, k, x, flat_cap(st.u_cap), np.full(2, 0.5)),
+            lambda: act_balancing_batch(st, k, x, flat_cap(10.0), np.full(2, 0.5)),
             lambda: policy.act_batch(problem, k, X, np.full(X.shape, 0.5)),
-            lambda: balancing_order_batch(st, k, x, np.full(2, st.u_cap)),
+            lambda: balancing_order_batch(st, k, x, np.full(2, 10.0)),
             lambda: _eh_batch(st, k, x, np.ones(2)),
         ]
         for call in calls:
@@ -281,17 +306,10 @@ class TestPolicyIntegration:
         policy = make_balancing_policy(p, variant="printed")
         x = np.array([[-1.0, 2.0]])
         joint = policy.act_batch(p, 0, x, None)
+        caps = p.order_cap(x)
         for i, st in enumerate(policy.states):
-            u, _ = balancing_order(st, 0, x[0, i])
+            u, _ = one(balancing_order_batch(st, 0, x[:, i], caps[:, i]))
             assert joint[0, i] == pytest.approx(u, abs=1e-12)
-
-    def test_diagnostics_trace(self):
-        p = mi.instances.build("affine_sim")
-        policy = make_balancing_policy(p, variant="printed")
-        trace = policy.diagnostics(p, 3, [0.0, 1.0])
-        assert len(trace) == 2
-        for entry in trace:
-            assert {"u_hat", "theta", "u_tilde", "probability"} <= set(entry)
 
     def test_infinite_horizon_rejected(self):
         p = mi.instances.build("tightness:M=2,eps=0.1,l=1,h=4,p=100")
@@ -329,7 +347,7 @@ class TestUniformSolve:
     @pytest.mark.parametrize("k,x", [(0, 0.0), (3, 1.2), (4, -0.5)])
     def test_balancing_order(self, k, x):
         st = state(UniformMarginal(1.0, 2.0), periods=5, a=2.0, b=3.0)
-        u, theta = balancing_order(st, k, x)
+        u, theta = one(balancing_order_batch(st, k, [x], [10.0]))
         expected = self.crossing(lambda g: np.subtract(*self.proxies(st, k, x, g)), 3.0)
         assert u == pytest.approx(expected, abs=1e-6)
         assert theta == pytest.approx(self.proxies(st, k, x, np.array([u]))[0][0], abs=1e-6)
@@ -337,7 +355,7 @@ class TestUniformSolve:
     @pytest.mark.parametrize("k,x", [(0, 0.0), (3, 1.2), (4, -0.5)])
     def test_holding_cost_K_order(self, k, x):
         st = state(UniformMarginal(1.0, 2.0), periods=5, a=2.0, b=3.0, K=1.5)
-        u, saturated = holding_cost_K_order(st, k, x)
+        u, saturated = one(holding_cost_K_order_batch(st, k, [x], [10.0]))
         expected = self.crossing(lambda g: self.proxies(st, k, x, g)[0] - st.K, 6.0)
         assert not saturated
         assert u == pytest.approx(expected, abs=1e-6)
@@ -419,7 +437,7 @@ class TestSolveAgainstBisection:
         w = np.array(weights[:len(grid)], dtype=float)
         marginal = DiscreteMarginal(tuple(0.5 * v for v in grid), tuple(w / w.sum()))
         st = BalancingState(periods=periods, a=a, b=b, K=K, marginal=marginal,
-                            u_cap=cap, variant=variant)
+                            variant=variant)
         x = np.array(xs)
         caps = np.full_like(x, cap)
         for k in range(periods):
@@ -505,9 +523,9 @@ class TestSharedLookup:
         w = np.array(weights[:len(grid)], dtype=float)
         marginal = DiscreteMarginal(tuple(0.5 * v for v in grid), tuple(w / w.sum()))
         states = [BalancingState(periods=periods, a=a, b=b, K=K, marginal=marginal,
-                                 u_cap=cap, variant=variant),
+                                 variant=variant),
                   BalancingState(periods=periods, a=a, b=2.0 * b, K=K,
-                                 marginal=FIG2, u_cap=cap, variant=variant)]
+                                 marginal=FIG2, variant=variant)]
         self.check(states, np.array(xs), cap, top=max(xs) + 1.0, seed=seed)
 
     @pytest.mark.parametrize("variant", ["printed", "cumulative"])
@@ -569,7 +587,7 @@ class TestPerLevelSolve:
                                                        periods, a, b, K, picks,
                                                        cap, seed):
         st = BalancingState(periods=periods, a=a, b=b, K=K, marginal=marginal,
-                            u_cap=cap, variant=variant)
+                            variant=variant)
         x = LEVEL_POOL[picks]
         caps = np.minimum(cap, 8.0 - x)
         uniforms = np.random.default_rng(seed).random(x.shape)

@@ -249,6 +249,18 @@ class TestExitCodes:
                        "--den", "optimal", "--runs", "2", "--out", str(tmp_path / "o")) == 2
         assert "config: missing field 'components[0].levels'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [
+        ("periods", 5), ("holding", [9, 9]), ("backlog", [10.0, 1.0])])
+    def test_mismatched_balancing_field_exits_2(self, tmp_path, capsys, name, value):
+        problem = mi.instances.build("affine_sim")
+        data = mi.make_balancing_policy(problem, variant="cumulative").to_config()
+        data[name] = value
+        spec = tmp_path / "policy.json"
+        spec.write_text(json.dumps(data))
+        assert run_cli("compare", "--instance", "affine_sim", "--num", f"config:{spec}",
+                       "--den", "optimal", "--runs", "2", "--out", str(tmp_path / "o")) == 2
+        assert f"config: balancing field {name!r} is {value!r}" in capsys.readouterr().err
+
     def test_unreconstructable_policy_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "policy.json"
         spec.write_text(json.dumps({"kind": "tabular"}))

@@ -220,6 +220,7 @@ class TestSerialization:
             SSPolicy(np.array([0.5, 0.5]), np.array([2.0, 2.0])),
             mi.make_pi_square(fig1, 2.0),
             mi.make_pi_v(2, 0.05),
+            mi.make_balancing_policy(fig1, K=1.0, variant="cumulative"),
         ]
         for policy in policies:
             clone = policy_from_config(policy.to_config(), fig1)

@@ -407,6 +407,33 @@ class TestCostTransformation:
         with pytest.raises(ValueError):
             shift_ordering_slopes(fig1, 3.0)
 
+    def test_exact_branch_reads_initial_states(self, fig1):
+        # a one-state list reports the full-grid gaps at that state, and
+        # the grid's report is the largest of them
+        policy = mi.make_pi_square(fig1, 2.0)
+        full = verify_cost_transformation(fig1, policy, 2.0)
+        ex = mi.dp.exact_expectations(fig1, policy)
+        rhs = mi.evaluate_policy_exact(shift_ordering_slopes(fig1, 2.0), policy)
+        formula_gap = np.abs(ex.cost - (rhs + full["demand_term"]))
+        seen = []
+        for x0 in fig1.grid.states(fig1.m):
+            rep = verify_cost_transformation(fig1, policy, 2.0,
+                                             SimConfig(initial_states=[x0]))
+            assert rep["mode"] == "exact"
+            assert rep["max_abs_formula_gap"] == formula_gap[tuple(fig1.grid.indices(x0))]
+            assert rep["max_abs_accounting_gap"] <= full["max_abs_accounting_gap"]
+            assert rep["max_abs_displacement_gap"] <= full["max_abs_displacement_gap"]
+            seen.append(rep["max_abs_formula_gap"])
+        assert max(seen) == full["max_abs_formula_gap"]
+        assert min(seen) < max(seen)
+
+    @pytest.mark.parametrize("states", [[], [[99.0, 0.0]]])
+    def test_exact_branch_rejects_bad_state_lists(self, fig1, states):
+        policy = mi.make_pi_square(fig1, 2.0)
+        with pytest.raises(ValueError):
+            verify_cost_transformation(fig1, policy, 2.0,
+                                       SimConfig(initial_states=states))
+
     def test_randomized_policy_checked_by_crn(self):
         p = mi.instances.build("affine_sim")
         policy = mi.make_balancing_policy(p, variant="printed")
