@@ -10,15 +10,14 @@ the theoretical worst-case guarantees.
 from .model import (DemandModel, DiscreteMarginal, Finite, Grid,
                     HoldingBacklogCost, InfiniteAveraged, OrderingCost, Piece,
                     Problem, UniformMarginal, ValidationError,
-                    affine_cost, demand_pmf, eval_holding_cost,
-                    eval_ordering_cost, linear_cost, sample_demand,
+                    affine_cost, demand_pmf, linear_cost,
                     single_location_problem, validate_problem)
 from .dp import (SizeError, StructureError, TabularPolicy, ValueFunction,
                  evaluate_policy_exact, extract_base_stock, extract_sS,
                  solve_joint_dp, solve_single_dp)
 from .policies import (BaseStockPolicy, DecoupledPolicy, ExplicitVPolicy,
-                       Policy, SSPolicy, TabularGridPolicy, act,
-                       make_pi_diamond, make_pi_square, make_pi_v)
+                       Policy, SSPolicy, TabularGridPolicy, make_pi_diamond,
+                       make_pi_square, make_pi_v)
 from .balancing import (BalancingPolicy, BalancingState,
                         expected_backlog_proxy, expected_holding_proxy,
                         make_balancing_policy)
@@ -27,7 +26,7 @@ from .stationary import (StationaryLevels, optimize_individual,
 from .bounds import (AffineFit, FitUnavailableError, NotSectorBoundableError,
                      SectorFit, fit_affine, fit_sector, theoretical_ratio)
 from .sim import (RatioReport, SimConfig, estimate_cost, ratio_heatmap,
-                  simulate_run, verify_cost_transformation)
+                  verify_cost_transformation)
 from . import instances
 
 __version__ = "0.1.0"

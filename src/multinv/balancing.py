@@ -53,7 +53,8 @@ several of those locations is solved once for all of them.
 
 Every solve takes its caps from the caller; the policy passes
 ``Problem.order_cap``, so orders stay in the grid box.  Orders at one
-joint state come from ``BalancingPolicy.act``.
+joint state come from ``BalancingPolicy.act``, given one uniform per
+location.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ logger = logging.getLogger(__name__)
 VARIANTS = ("printed", "cumulative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BalancingState:
     """Per-location data of the balancing rule."""
 
@@ -86,8 +87,8 @@ class BalancingState:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown balancing variant {self.variant!r}")
-        if self.a < 0 or self.b < 0 or self.K < 0:
-            raise ValueError("rates and fixed charge must be >= 0")
+        if not all(np.isfinite(v) and v >= 0 for v in (self.a, self.b, self.K)):
+            raise ValueError("rates and fixed charge must be finite and >= 0")
 
 
 def _partial_sum_atoms(values: tuple, probs: tuple, horizon: int) -> list:
@@ -383,24 +384,14 @@ class BalancingPolicy(Policy):
 
     def __init__(self, states):
         self.states = list(states)
+        # location indices of each distinct state, in order of first appearance
+        self._groups = {}
+        for i, state in enumerate(self.states):
+            self._groups.setdefault(state, []).append(i)
 
     @property
     def uses_randomness(self):
         return any(s.K > 0 for s in self.states)
-
-    def _groups(self):
-        """(state, location indices) for each distinct state, in order of
-        first appearance.  States are mutable dataclasses (unhashable), so
-        they are compared with == on every call."""
-        groups = []
-        for i, state in enumerate(self.states):
-            for rule, cols in groups:
-                if rule == state:
-                    cols.append(i)
-                    break
-            else:
-                groups.append((state, [i]))
-        return groups
 
     def act_batch(self, problem, k, X, uniforms):
         """Orders for a batch of joint states X (rows) at stage k.
@@ -413,7 +404,7 @@ class BalancingPolicy(Policy):
         contiguous columns.
         """
         out = np.empty_like(X, dtype=float)
-        for state, cols in self._groups():
+        for state, cols in self._groups.items():
             u = None if uniforms is None else uniforms.T[cols].ravel()
             orders = act_balancing_batch(state, k, X.T[cols].ravel(),
                                          problem.order_cap, u)

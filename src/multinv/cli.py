@@ -153,9 +153,9 @@ def build_policy(spec: str, problem: Problem, defaults: dict):
                 raise UsageError("S=auto is defined for tightness instances only")
             level = defaults["base_stock_auto"]
         else:
-            with _parsing():
-                level = float(params["S"])
-        return BaseStockPolicy(np.full(problem.m, level))
+            level = params["S"]
+        with _parsing():
+            return BaseStockPolicy(np.full(problem.m, float(level)))
     if name == "sS":
         if "s" not in params or "S" not in params:
             raise UsageError("sS needs s=<level>,S=<level>")

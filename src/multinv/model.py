@@ -255,13 +255,11 @@ def transform_uniform_draws(d: DemandModel, raw: np.ndarray,
                             out: np.ndarray | None = None) -> np.ndarray:
     """Map uniform [0,1) draws of shape (..., M) onto demand values.
 
-    This is the single place raw randomness becomes demand, so scalar and
-    batch simulation paths consume streams identically: one uniform per
-    location per period, period-major.  ``out`` may be ``raw`` itself.
+    This is the single place raw randomness becomes demand: one uniform
+    per location per period, period-major.  ``out`` may be ``raw`` itself.
     The caller bounds the size of ``raw``: the estimators transform one
     fill chunk per call (``sim._FILL_DOUBLES`` draws, or one run's draw
-    block if that is larger) into a separate block buffer, and
-    ``simulate_run`` one draw block of a single run.
+    block if that is larger) into a separate block buffer.
 
     A discrete draw u takes the atom whose index is the number of
     cumulative probabilities c with c <= u, clipped to the last atom.
@@ -298,12 +296,6 @@ def transform_uniform_draws(d: DemandModel, raw: np.ndarray,
             np.multiply(u, g.hi - g.lo, out=col)
             col += g.lo
     return out
-
-
-def sample_demand(d: DemandModel, k: int, stream: np.random.Generator) -> np.ndarray:
-    """One period's demand vector.  ``k`` is accepted for interface
-    symmetry; demand is i.i.d. across periods."""
-    return transform_uniform_draws(d, stream.random(d.m))
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +437,6 @@ def affine_cost(K: float, m: float) -> OrderingCost:
     return OrderingCost(pieces=(Piece(math.inf, K, m),))
 
 
-def eval_ordering_cost(c: OrderingCost, z: float) -> float:
-    return c(z)
-
-
 @dataclass(frozen=True)
 class HoldingBacklogCost:
     """Two-sided piecewise-linear holding/backlog rates per location."""
@@ -473,9 +461,6 @@ class HoldingBacklogCost:
             if a == 0 and b == 0:
                 errors.append(f"holding[{i}]: at least one rate must be > 0 (radial unboundedness)")
         return errors
-
-    def eval(self, i: int, x: float) -> float:
-        return float(holding_backlog(self.holding[i], self.backlog[i], x))
 
     def eval_batch(self, levels: np.ndarray) -> np.ndarray:
         """Per-location cost for levels of shape (..., M)."""
@@ -520,12 +505,6 @@ def expected_holding_backlog(a, b, levels, demand: DemandModel, i: int):
     discrete demand, for every entry of ``levels``."""
     values, probs = demand_pmf(demand, i)
     return holding_backlog(a, b, np.asarray(levels)[..., None] - values) @ probs
-
-
-def eval_holding_cost(r: HoldingBacklogCost, i: int, x: float) -> float:
-    if not 0 <= i < r.m:
-        raise IndexError(f"location {i} out of range")
-    return r.eval(i, x)
 
 
 # ---------------------------------------------------------------------------

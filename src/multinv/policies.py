@@ -3,9 +3,9 @@ action interface.
 
 Every policy answers ``act_batch(problem, k, X, uniforms)`` for a batch
 of states X of shape (B, M) and returns feasible orders of shape (B, M);
-the scalar ``act`` is the B = 1 special case, so scalar and batched
-simulation consume randomness identically.  Deterministic policies
-ignore the uniforms.
+randomized policies read one uniform per location from ``uniforms``
+(B, M) and deterministic ones ignore it.  ``act`` at one state is the
+B = 1 row of ``act_batch``.
 
 Orders are always componentwise nonnegative and truncated to the
 feasible action box (per-location cap, grid ceiling); truncation at the
@@ -40,13 +40,11 @@ class Policy:
     uses_randomness = False
 
     # -- acting ------------------------------------------------------------
-    def act(self, problem: Problem, k: int, x, stream=None) -> np.ndarray:
+    def act(self, problem: Problem, k: int, x, uniforms=None) -> np.ndarray:
+        """Orders at one state x (M,), given its uniforms (M,) if any."""
         X = np.asarray(x, dtype=float).reshape(1, -1)
-        uniforms = None
-        if self.uses_randomness:
-            if stream is None:
-                raise ValueError(f"{self.kind} policy needs a random stream")
-            uniforms = stream.random((1, problem.m))
+        if uniforms is not None:
+            uniforms = np.asarray(uniforms, dtype=float).reshape(1, -1)
         return self.act_batch(problem, k, X, uniforms)[0]
 
     def act_batch(self, problem: Problem, k: int, X: np.ndarray,
@@ -84,11 +82,6 @@ class Policy:
         return f"{self.kind}:{digest}"
 
 
-def act(policy: Policy, problem: Problem, k: int, x, stream=None) -> np.ndarray:
-    """Uniform action interface: feasible joint order at (k, x)."""
-    return policy.act(problem, k, x, stream)
-
-
 def _truncate(raw: np.ndarray, problem: Problem, X: np.ndarray,
               kind: str) -> np.ndarray:
     cap = problem.order_cap(X)
@@ -119,6 +112,8 @@ class BaseStockPolicy(Policy):
         self.levels = np.asarray(levels, dtype=float)
         if self.levels.ndim not in (1, 2):
             raise ValueError("levels must be (M,) or (stages, M)")
+        if not np.all(np.isfinite(self.levels)):
+            raise ValueError("base-stock levels must be finite")
 
     def act_batch(self, problem, k, X, uniforms):
         S = _stage_row(self.levels, k, "base-stock levels")
@@ -138,6 +133,8 @@ class SSPolicy(Policy):
         self.big_s = np.asarray(big_s, dtype=float)
         if self.small_s.shape != self.big_s.shape:
             raise ValueError("s and S shapes must match")
+        if not (np.all(np.isfinite(self.small_s)) and np.all(np.isfinite(self.big_s))):
+            raise ValueError("every s and S must be finite")
         if np.any(self.small_s > self.big_s):
             raise ValueError("every s must be <= its S")
 
@@ -222,6 +219,8 @@ class ExplicitVPolicy(Policy):
         self.threshold = float(threshold)
         if not self.v_values or self.v_values[0] <= 0:
             raise ValueError("explicit-v policy needs order sizes that are all > 0")
+        if not np.all(np.isfinite((*self.v_values, self.threshold))):
+            raise ValueError("explicit-v order sizes and threshold must be finite")
         # _totals[c] is the order total of a row below the threshold whose
         # c smallest sizes fall short of it (all of them short: the smallest
         # size as the fallback); the last entry is for rows at or above it

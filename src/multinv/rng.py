@@ -14,11 +14,12 @@ randomness stays policy-specific:
 * ``policy``  -- randomness consumed by randomized policies.
 
 ``demand_stream``/``policy_stream`` hand out one run's stream as a
-fresh ``Generator``.  The batched estimators draw the very same numbers
-through ``fill_streams``: the keys of a whole block of runs are derived
-in one pass, and a single Philox generator is re-keyed for each run,
-so every row equals what that run's own ``Generator`` would produce;
-the key words are handed to the generator as Python ints.
+fresh ``Generator``: they are the reference definition of the streams,
+and no simulation path draws from them.  The estimators draw the very
+same numbers through ``fill_streams``: the keys of a whole block of runs
+are derived in one pass, and a single Philox generator is re-keyed for
+each run, so every row equals what that run's own ``Generator`` would
+produce; the key words are handed to the generator as Python ints.
 A fill may start part-way into the streams (at any multiple of 4
 uniforms, by the Philox counter), so a long horizon is drawn one block
 of periods at a time into a buffer of bounded size.  In the key pass

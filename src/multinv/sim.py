@@ -8,10 +8,10 @@ bit-identical regardless of worker count or which other policies were
 estimated in the same session.  Each run's stream is the same as if
 drawn from its own generator.
 
-One batched stepper serves scalar simulation (batch of one) and the
-full-grid estimators, so both consume randomness identically: demand is
-one uniform per location per period, policy randomness (when a policy
-is randomized) likewise.  The stepper draws them inside its loop, one
+One batched stepper serves every estimate, from one initial state or
+the whole grid, and it takes its randomness one way: demand is one
+uniform per location per period, policy randomness (when a policy is
+randomized) likewise.  The stepper draws them inside its loop, one
 block of at most ``_DRAW_PERIODS`` periods at a time: the estimators
 re-key one Philox generator per run and block, starting each stream at
 the block's first uniform (``rng.fill_streams``' counter offset).  A
@@ -156,31 +156,6 @@ def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray, draws,
     if collect_orders:
         return costs, z_trace, c_trace
     return costs
-
-
-def simulate_run(problem: Problem, policy: Policy, x0,
-                 demand_stream: np.random.Generator,
-                 policy_stream: np.random.Generator | None = None,
-                 collect_orders: bool = False):
-    """Average cost of one trajectory; deterministic given the streams.
-
-    Each block of periods is drawn from the streams right after the
-    previous one, which gives the numbers one whole-horizon draw would."""
-    if policy.uses_randomness and policy_stream is None:
-        raise ValueError("randomized policy needs a policy stream")
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-
-    def draws(k0, n):
-        shape = (1, n, problem.m)
-        demand = transform_uniform_draws(problem.demand, demand_stream.random(shape))
-        uniforms = policy_stream.random(shape) if policy.uses_randomness else None
-        return demand, uniforms
-
-    out = _simulate_batch(problem, policy, x0, draws, collect_orders=collect_orders)
-    if collect_orders:
-        costs, z, c = out
-        return float(costs[0]), z[0], c[0]
-    return float(out[0])
 
 
 def _keyed_draws(problem: Problem, policy: Policy, cfg: SimConfig, states: range):

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -315,6 +316,16 @@ class TestPolicyIntegration:
         p = mi.instances.build("tightness:M=2,eps=0.1,l=1,h=4,p=100")
         with pytest.raises(ValueError):
             make_balancing_policy(p)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("field", ["a", "b", "K"])
+    def test_non_finite_or_negative_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            state(**{field: value})
+
+    def test_state_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state().K = 1.0
 
     def test_fixed_charge_defaults_to_cost_jump(self):
         p = mi.instances.build("affine_sim")

@@ -281,6 +281,21 @@ class TestExitCodes:
         assert run_cli(*argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("balancing:K=nan", "rates and fixed charge must be finite and >= 0"),
+        ("balancing:K=inf", "rates and fixed charge must be finite and >= 0"),
+        ("base_stock:S=nan", "base-stock levels must be finite"),
+        ("sS:s=nan,S=1", "every s and S must be finite"),
+        ("config:{nan_config}", "base-stock levels must be finite"),
+    ])
+    def test_non_finite_policy_parameter_exits_2(self, tmp_path, capsys, spec, message):
+        nan_config = tmp_path / "policy.json"
+        nan_config.write_text(json.dumps({"kind": "base_stock", "levels": [float("nan"), 1.0]}))
+        assert run_cli("compare", "--instance", "affine_sim",
+                       "--num", spec.format(nan_config=nan_config), "--den", "optimal",
+                       "--runs", "2", "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBoundsAndConfig:
     def test_bounds_sector(self, capsys):

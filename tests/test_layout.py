@@ -116,7 +116,7 @@ class TestPolicyZoo:
         p = widened(AFFINE, m, holding)
         policy = mi.make_balancing_policy(p, variant=variant)
         assert policy.uses_randomness
-        assert len(policy._groups()) == (1 if pooled else m)
+        assert len(policy._groups) == (1 if pooled else m)
         X = with_specials(grid_batch(p, 50, m))
         check_layout_independent(p, policy, X, [0, 10, p.periods - 1])
 

@@ -10,7 +10,7 @@ import multinv as mi
 from multinv.model import (DemandModel, DiscreteMarginal, Finite, Grid,
                            DISCOUNT_MATCH_TOL, HoldingBacklogCost, OrderingCost,
                            Piece, Problem, UniformMarginal,
-                           UnsupportedDemandError, location_sum, sample_demand,
+                           UnsupportedDemandError, location_sum,
                            single_location_problem, transform_uniform_draws,
                            validate_problem)
 from multinv import rng
@@ -99,7 +99,7 @@ class TestOrderingCost:
     def test_negative_order_rejected(self):
         c = mi.linear_cost(2.0)
         with pytest.raises(ValueError):
-            mi.eval_ordering_cost(c, -1.0)
+            c(-1.0)
 
     def test_discount_overrides_covering_piece(self):
         c = OrderingCost(pieces=(Piece(math.inf, 0.0, 4.0),),
@@ -309,18 +309,20 @@ class TestOrderingKernel:
 class TestHoldingCost:
     def test_backlog_dominates(self):
         r = HoldingBacklogCost(holding=(1.0,), backlog=(10.0,))
-        assert mi.eval_holding_cost(r, 0, -1.0) == 10.0
-        assert mi.eval_holding_cost(r, 0, 0.0) == 0.0
+        cost = r.eval_batch(np.array([[-1.0], [0.0]]))[:, 0]
+        assert cost[0] == 10.0
+        assert cost[1] == 0.0
 
     def test_light_holding(self):
         r = HoldingBacklogCost(holding=(0.1,), backlog=(10.0,))
-        assert mi.eval_holding_cost(r, 0, 2.0) == pytest.approx(0.2)
+        assert r.eval_batch(np.array([2.0]))[0] == pytest.approx(0.2)
 
     def test_three_point_convexity(self):
         r = HoldingBacklogCost(holding=(0.3, 1.0), backlog=(7.0, 2.0))
         xs = np.linspace(-5, 5, 41)
+        costs = r.eval_batch(np.column_stack([xs, xs]))
         for i in range(2):
-            vals = np.array([r.eval(i, x) for x in xs])
+            vals = costs[:, i]
             chords = 0.5 * (vals[:-2] + vals[2:])
             assert np.all(vals[1:-1] <= chords + 1e-12)
 
@@ -363,17 +365,17 @@ class TestDemand:
     def test_uniform_support_membership(self):
         d = DemandModel(marginals=(UniformMarginal(1.0, 1.1),))
         stream = rng.stream(1, "support")
-        draws = np.array([sample_demand(d, k, stream)[0] for k in range(200)])
+        draws = transform_uniform_draws(d, stream.random((200, 1)))[:, 0]
         assert np.all((draws >= 1.0) & (draws < 1.1))
 
     def test_degenerate_atom(self):
         d = DemandModel(marginals=(DiscreteMarginal((2.0,), (1.0,)),))
-        assert sample_demand(d, 0, rng.stream(5))[0] == 2.0
+        assert transform_uniform_draws(d, rng.stream(5).random(1))[0] == 2.0
 
     def test_empirical_frequencies_match_pmf(self):
         d = DemandModel(marginals=(FIG2_DEMAND,))
         stream = rng.stream(123, "freq")
-        draws = np.array([sample_demand(d, 0, stream)[0] for _ in range(100_000)])
+        draws = transform_uniform_draws(d, stream.random((100_000, 1)))[:, 0]
         values, probs = mi.demand_pmf(d, 0)
         n = len(draws)
         for v, p in zip(values, probs):
@@ -448,7 +450,7 @@ class TestDiscreteLookup:
     @pytest.mark.parametrize("marginal", LOOKUP_MARGINALS,
                              ids=lambda g: f"K{len(g.values)}")
     def test_zero_d_columns_match_searchsorted(self, marginal):
-        # sample_demand's layout: one (M,) draw, so each column is 0-d
+        # one (M,) draw, so each column is 0-d
         d = DemandModel(marginals=(marginal, UniformMarginal(0.5, 2.0)))
         for u in lookup_inputs(marginal):
             raw = np.array([u, u])

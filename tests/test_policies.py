@@ -5,7 +5,7 @@ from hypothesis import strategies as hs
 
 import multinv as mi
 from multinv.policies import (BaseStockPolicy, DecoupledPolicy, SSPolicy,
-                              _sorted_columns, _waterfill, act)
+                              _sorted_columns, _waterfill)
 from multinv import rng
 
 TIGHT = "tightness:M=2,eps=0.1,l=1,h=4,p=100"
@@ -19,29 +19,43 @@ def fig1():
 class TestActInterface:
     def test_base_stock_orders_up_to_level(self, fig1):
         policy = BaseStockPolicy(np.array([1.0, 1.0]))
-        assert np.array_equal(act(policy, fig1, 0, [0.0, 2.0]), [1.0, 0.0])
+        assert np.array_equal(policy.act(fig1, 0, [0.0, 2.0]), [1.0, 0.0])
 
     def test_ss_waits_above_reorder_point(self):
         p = mi.instances.build("sector_sim")
         policy = SSPolicy(np.array([0.5, 0.5]), np.array([2.0, 2.0]))
-        assert np.array_equal(act(policy, p, 0, [1.0, 1.0]), [0.0, 0.0])
-        assert np.array_equal(act(policy, p, 3, [0.0, 3.0]), [2.0, 0.0])
+        assert np.array_equal(policy.act(p, 0, [1.0, 1.0]), [0.0, 0.0])
+        assert np.array_equal(policy.act(p, 3, [0.0, 3.0]), [2.0, 0.0])
 
     def test_decoupled_single_location_optima(self, fig1):
         policy = mi.make_pi_square(fig1, 2.0)
-        assert np.array_equal(act(policy, fig1, 0, [0.0, 0.0]), [1.0, 1.0])
+        assert np.array_equal(policy.act(fig1, 0, [0.0, 0.0]), [1.0, 1.0])
 
     def test_feasibility_and_truncation(self, fig1):
         policy = BaseStockPolicy(np.array([100.0, 100.0]))
-        u = act(policy, fig1, 0, [0.0, 3.0])
+        u = policy.act(fig1, 0, [0.0, 3.0])
         assert np.array_equal(u, [4.0, 1.0])  # order cap, then grid ceiling
         assert np.all(u >= 0)
 
     def test_determinism_ignores_stream(self, fig1):
         policy = BaseStockPolicy(np.array([1.0, 1.0]))
-        a = act(policy, fig1, 0, [0.0, 0.0], rng.stream(1))
-        b = act(policy, fig1, 0, [0.0, 0.0], rng.stream(2))
+        a = policy.act(fig1, 0, [0.0, 0.0], rng.stream(1).random(2))
+        b = policy.act(fig1, 0, [0.0, 0.0], rng.stream(2).random(2))
         assert np.array_equal(a, b)
+
+    def test_randomized_act_is_a_row_of_act_batch(self):
+        p = mi.instances.build("affine_sim")
+        policy = mi.make_balancing_policy(p, variant="cumulative")
+        X = p.grid.states(p.m)
+        U = rng.stream(4, "act").random(X.shape)
+        for k in (0, p.periods - 1):
+            batch = policy.act_batch(p, k, X, U)
+            # the uniforms pick the order: the randomized branch is taken
+            assert not np.array_equal(batch, policy.act_batch(p, k, X, np.ones_like(U)))
+            for x, u, want in zip(X, U, batch):
+                assert policy.act(p, k, x, u).tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            policy.act(p, 0, X[0])
 
     def test_decoupled_composition_is_componentwise(self, fig1):
         comp0 = BaseStockPolicy(np.array([[1.0], [0.0]]))
@@ -49,18 +63,31 @@ class TestActInterface:
         policy = DecoupledPolicy([comp0, comp1])
         for k in range(2):
             for x in ([0.0, -1.0], [2.0, 0.5], [-2.0, 4.0]):
-                joint = act(policy, fig1, k, x)
-                assert joint[0] == act(comp0, fig1, k, [x[0]])[0]
-                assert joint[1] == act(comp1, fig1, k, [x[1]])[0]
+                joint = policy.act(fig1, k, x)
+                assert joint[0] == comp0.act(fig1, k, [x[0]])[0]
+                assert joint[1] == comp1.act(fig1, k, [x[1]])[0]
 
     def test_stage_out_of_range(self, fig1):
         policy = BaseStockPolicy(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(IndexError):
-            act(policy, fig1, 2, [0.0, 0.0])
+            policy.act(fig1, 2, [0.0, 0.0])
 
     def test_ss_requires_s_below_big_s(self):
         with pytest.raises(ValueError):
             SSPolicy(np.array([2.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: BaseStockPolicy(np.array([np.nan, 1.0])),
+        lambda: BaseStockPolicy(np.array([[1.0], [np.inf]])),
+        lambda: SSPolicy(np.array([np.nan]), np.array([1.0])),
+        lambda: SSPolicy(np.array([0.0]), np.array([np.inf])),
+        lambda: mi.ExplicitVPolicy((2.0, np.nan), 2.2),
+        lambda: mi.ExplicitVPolicy((2.0, np.inf), 2.2),
+        lambda: mi.ExplicitVPolicy((2.0, 2.2), np.nan),
+    ], ids=["S-nan", "S-inf", "sS-s-nan", "sS-S-inf", "v-nan", "v-inf", "threshold-nan"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
 
 class TestMakePiSquare:
@@ -85,7 +112,7 @@ class TestMakePiSquare:
             marginals=(DiscreteMarginal((0.0,), (1.0,)),) * 2))
         policy = mi.make_pi_square(q, 2.0)
         for x in ([0.0, 0.0], [2.0, 1.0]):
-            assert np.array_equal(act(policy, q, 0, x), [0.0, 0.0])
+            assert np.array_equal(policy.act(q, 0, x), [0.0, 0.0])
 
 
 class TestMakePiDiamond:
@@ -99,7 +126,7 @@ class TestMakePiDiamond:
         pts = fig1.grid.points()
         for x1 in pts:
             for x2 in pts:
-                assert np.array_equal(act(policy, fig1, 0, [x1, x2]), [0.0, 0.0])
+                assert np.array_equal(policy.act(fig1, 0, [x1, x2]), [0.0, 0.0])
 
     def test_reproduction_parameters_give_valid_ss(self):
         p = mi.instances.build("affine_sim")
@@ -119,18 +146,18 @@ class TestExplicitV:
         policy = mi.make_pi_v(2, 0.1)
         p = mi.instances.build("tightness:M=2,eps=0.3,l=1,h=4,p=100")
         # eps=0.3 with l=1 gives delta exactly 0.1
-        u = act(policy, p, 0, [0.0, 0.0])
+        u = policy.act(p, 0, [0.0, 0.0])
         assert u.sum() == pytest.approx(2.2, abs=1e-12)
         assert np.allclose(np.array([0.0, 0.0]) + u, [1.1, 1.1])
 
     def test_above_threshold_orders_nothing(self):
         p, policy = self.build()
-        assert np.array_equal(act(policy, p, 0, [2.0, 2.0]), [0.0, 0.0])
+        assert np.array_equal(policy.act(p, 0, [2.0, 2.0]), [0.0, 0.0])
 
     def test_waterfill_when_equal_split_infeasible(self):
         policy = mi.make_pi_v(2, 0.1)
         p = mi.instances.build("tightness:M=2,eps=0.3,l=1,h=4,p=100")
-        u = act(policy, p, 0, [2.0, 0.0])
+        u = policy.act(p, 0, [2.0, 0.0])
         # the smallest size reaching the threshold is 2; raising the lower
         # location to the common level consumes exactly that
         assert u.sum() == pytest.approx(2.0, abs=1e-12)
@@ -143,14 +170,14 @@ class TestExplicitV:
         stream = rng.stream(17)
         for _ in range(50):
             x = stream.uniform(0.0, 0.4, size=2)
-            u = act(policy, p, 0, x)
+            u = policy.act(p, 0, x)
             post = x + u
             assert post.sum() >= threshold - 1e-12
             assert abs(post[0] - post[1]) <= 1e-12
 
     def test_exact_order_sizes_hit_discounted_prices(self):
         p, policy = self.build()
-        u = act(policy, p, 0, [0.0, 0.0])
+        u = policy.act(p, 0, [0.0, 0.0])
         total = float(u[0] + u[1])
         h = 4.0
         assert p.ordering(total) < h * total  # discounted, not the h price
@@ -158,7 +185,7 @@ class TestExplicitV:
     def test_requires_matching_instance(self, fig1):
         policy = mi.make_pi_v(2, 0.1)
         with pytest.raises(ValueError):
-            act(policy, fig1, 0, [0.0, 0.0])
+            policy.act(fig1, 0, [0.0, 0.0])
 
     def test_exact_evaluation_rejected_off_grid(self):
         p, policy = self.build()

@@ -18,8 +18,7 @@ from multinv.policies import GridTabulationError
 from multinv.sim import (RatioReport, SimConfig, _estimate_over_states, _keyed_draws,
                          _simulate_batch, estimate_cost,
                          exact_ineligibility, ratio_heatmap,
-                         shift_ordering_slopes, simulate_run,
-                         verify_cost_transformation)
+                         shift_ordering_slopes, verify_cost_transformation)
 from multinv import rng
 from multinv import sim as sim_mod
 from multinv.testing import random_order_table, random_small_problem
@@ -45,14 +44,14 @@ class TestSimulateRun:
     def test_zero_demand_never_order_is_free(self, fig1):
         q = zero_demand(fig1)
         policy = mi.BaseStockPolicy(np.array([q.grid.lo] * 2))
-        cost = simulate_run(q, policy, [0.0, 0.0], rng.stream(1))
+        cost, _ = estimate_cost(q, policy, [0.0, 0.0], SimConfig(runs=1, seed=1))
         assert cost == 0.0
 
     def test_deterministic_setting_ignores_streams(self, fig1):
         q = replace(fig1, demand=DemandModel(
             marginals=(DiscreteMarginal((1.0,), (1.0,)),) * 2))
         policy = mi.BaseStockPolicy(np.array([1.0, 1.0]))
-        costs = {simulate_run(q, policy, [0.0, 0.0], rng.stream(s))
+        costs = {estimate_cost(q, policy, [0.0, 0.0], SimConfig(runs=1, seed=s))[0]
                  for s in range(5)}
         assert len(costs) == 1
 
@@ -84,8 +83,8 @@ class TestSimulateRun:
         # from the grid floor with no orders, backlog accrues on the
         # pre-clamp level even though the state cannot leave the box
         policy = mi.BaseStockPolicy(np.array([fig1.grid.lo] * 2))
-        cost = simulate_run(fig1, policy, [fig1.grid.lo] * 2,
-                            rng.stream(3, "clamp"))
+        cost, _ = estimate_cost(fig1, policy, [fig1.grid.lo] * 2,
+                                SimConfig(runs=1, seed=3))
         assert cost > 0
 
 
@@ -369,14 +368,11 @@ class TestCommonRandomNumbers:
         b = mi.BaseStockPolicy(np.array([2.0, 2.0]))
 
         def diff_costs(crn, seed):
-            out = []
-            for run in range(400):
-                ca = simulate_run(fig1, a, [0.0, 0.0],
-                                  rng.demand_stream(seed, 0, run, a.tag, crn))
-                cb = simulate_run(fig1, b, [0.0, 0.0],
-                                  rng.demand_stream(seed, 0, run, b.tag, crn))
-                out.append(ca - cb)
-            return np.var(out)
+            cfg = SimConfig(runs=400, seed=seed, crn=crn)
+            x0 = np.zeros((cfg.runs, 2))
+            ca, cb = (_simulate_batch(fig1, p, x0, _keyed_draws(fig1, p, cfg, range(1)))
+                      for p in (a, b))
+            return np.var(ca - cb)
 
         assert diff_costs(True, 13) <= diff_costs(False, 13)
 
