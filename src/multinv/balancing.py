@@ -378,12 +378,20 @@ class BalancingPolicy(Policy):
     """Decoupled composition of per-location balancing rules.
 
     Locations whose ``BalancingState``s are equal run the same rule; each
-    stage solves every such group in one ``act_balancing_batch`` call."""
+    stage solves every such group in one ``act_balancing_batch`` call.
+    Every state must have the same fixed charge, variant and horizon:
+    ``to_config`` writes each of them once, and the tag built from it
+    keys the policy's random streams."""
 
     kind = "balancing"
 
     def __init__(self, states):
         self.states = list(states)
+        for name, attr in (("fixed_charge", "K"), ("variant", "variant"),
+                           ("periods", "periods")):
+            values = [getattr(s, attr) for s in self.states]
+            if any(v != values[0] for v in values):
+                raise ValueError(f"balancing states disagree on {name!r}: {values}")
         # location indices of each distinct state, in order of first appearance
         self._groups = {}
         for i, state in enumerate(self.states):

@@ -404,6 +404,12 @@ class OrderingCost:
                       and math.isfinite(first.slope))
         return fixed, rate, zero_exact
 
+    @functools.cached_property
+    def discount_points(self) -> frozenset:
+        """The discount z values as a set, computed on first use and kept,
+        since the cost is immutable (like ``piece_tables``, not a field)."""
+        return frozenset(z for z, _ in self.discounts)
+
     def eval_array(self, z: np.ndarray) -> np.ndarray:
         """c(z) elementwise for totals z >= 0 (NaN passes through as NaN).
 
@@ -478,9 +484,11 @@ class HoldingBacklogCost:
         return out
 
 
-def location_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of ``a`` (..., M) over its last (location) axis, column 0 first
-    and then columns 1..M-1 added in place.
+def location_sum(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of ``a`` (..., M) over its last (location) axis: columns 0 and
+    1 added in one call, then columns 2..M-1 added in place (M = 1 copies
+    column 0).  ``out``, if given, receives the sum and is returned; its
+    bytes are those of the call without it, in any memory layout.
 
     On short rows M - 1 whole-column additions are several times faster
     than the axis reduction ``a.sum(axis=-1)``.  The result is bit-equal to
@@ -488,16 +496,35 @@ def location_sum(a: np.ndarray) -> np.ndarray:
     differ in the last bits (under 1e-15 relative for nonnegative terms
     such as orders and holding costs).
     """
-    out = a[..., 0].copy()
-    for i in range(1, a.shape[-1]):
+    if a.shape[-1] == 1:
+        if out is None:
+            return a[..., 0].copy()
+        np.copyto(out, a[..., 0])
+        return out
+    out = np.add(a[..., 0], a[..., 1], out=out)
+    for i in range(2, a.shape[-1]):
         out += a[..., i]
     return out
 
 
 def holding_backlog(a, b, y):
     """a*max(0, y) + b*max(0, -y), elementwise: the one holding/backlog
-    expression every cost path uses."""
-    return a * np.maximum(0.0, y) + b * np.maximum(0.0, -y)
+    expression every cost path uses, for rates a, b >= 0 (scalars or
+    arrays broadcasting against y).
+
+    It is computed in three passes as max(a*y, -b*y) + 0.0: for y > 0 the
+    first term is the larger, for y < 0 the second, and the added +0.0
+    turns the -0.0 that y = -0.0 gives into +0.0.  The bytes equal those
+    of the two-sided expression for every finite level.  A NaN level
+    gives a NaN with its own sign bit; so does the two-sided expression,
+    except where numpy's add returns its second operand's NaN (the
+    remainder loop of a long array), which has the opposite sign.  Only
+    an infinite level with a zero rate differs in value (NaN here, +inf
+    there), and no cost path produces one.
+    """
+    out = np.maximum(a * y, -b * y)
+    out += 0.0
+    return out
 
 
 def expected_holding_backlog(a, b, levels, demand: DemandModel, i: int):

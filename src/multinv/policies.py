@@ -225,10 +225,10 @@ class ExplicitVPolicy(Policy):
         # c smallest sizes fall short of it (all of them short: the smallest
         # size as the fallback); the last entry is for rows at or above it
         self._totals = np.array((*self.v_values, self.v_values[0], 0.0))
+        self._sizes = frozenset(self.v_values)
 
     def _check_instance(self, problem):
-        zs = {z for z, _ in problem.ordering.discounts}
-        if not set(self.v_values) <= zs:
+        if not self._sizes <= problem.ordering.discount_points:
             raise ValueError("explicit-v policy requires an instance whose "
                              "discount set contains its order sizes")
 
@@ -260,13 +260,17 @@ def _sorted_columns(X: np.ndarray) -> list:
 
 def _waterfill(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rowwise orders max(L - x, 0) with the common level L chosen so the
-    row sums to v.  Reduces to the equal split when feasible; a row with
-    v = 0 orders nothing (every entry +0.0).
+    row sums to v, for totals v >= 0 (the one caller passes entries of
+    ``ExplicitVPolicy._totals``).  Reduces to the equal split when
+    feasible; a row with v = 0 orders nothing (every entry +0.0).
 
     L is the candidate (v + sum of the q lowest levels) / q of the
     smallest q that lies between the q-th and (q+1)-th lowest level, and
-    the q = M candidate when none does.  The prefix sums are a running
-    sum of the sorted columns, which is the order ``np.cumsum`` adds in.
+    the q = M candidate when none does.  The q = 1 candidate v + x is
+    never below the lowest level x, so only its upper bound is tested; a
+    NaN candidate fails that test as it would fail both.  The prefix sums
+    are a running sum of the sorted columns, which is the order
+    ``np.cumsum`` adds in.
     """
     m = X.shape[1]
     xs = _sorted_columns(X)
@@ -280,8 +284,9 @@ def _waterfill(X: np.ndarray, v: np.ndarray) -> np.ndarray:
         cand = v + prefix[q - 1]
         if q > 1:  # x / 1 == x exactly
             cand /= q
-        ok = cand >= xs[q - 1] - 1e-15
-        ok &= cand <= xs[q] + 1e-15
+        ok = cand <= xs[q] + 1e-15
+        if q > 1:  # at q = 1, cand = fl(v + xs[0]) >= xs[0] since v >= 0
+            ok &= cand >= xs[q - 1] - 1e-15
         level = np.where(ok, cand, level)
     orders = level[:, None] - X
     return np.maximum(orders, 0.0, out=orders)

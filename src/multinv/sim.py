@@ -25,14 +25,17 @@ period and charges costs per block of periods, adding the periods' costs
 to each trajectory's total in period order.  A cost block holds at most
 ``_BLOCK_ROWS`` (period, trajectory) rows, a budget sized so the block
 and its temporaries stay in the L2 cache: a 500-run estimate costs 32
-periods per call, an 8,820-row heatmap chunk one period.
+periods per call, an 8,820-row heatmap chunk one period.  The block's
+orders are held as they are stepped, and their per-period totals are
+formed once per block, not once per period.
 
-The stepper is location-major throughout: the state, the post-demand
-levels and each period's demand and policy uniforms are (B, M) arrays
-whose columns (one per location) are contiguous, so every whole-array
-operation of a period runs as M passes over B runs rather than B passes
-over M locations.  The numbers do not depend on the layout: every
-operation is elementwise or a column-by-column ``location_sum``.
+The stepper is location-major throughout: the state, the held orders,
+the post-demand levels and each period's demand and policy uniforms are
+(B, M) arrays whose columns (one per location) are contiguous, so every
+whole-array operation of a period runs as M passes over B runs rather
+than B passes over M locations.  The numbers do not depend on the
+layout: every operation is elementwise or a column-by-column
+``location_sum``.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ class SimConfig:
 # Periods are stepped one at a time, but their costs are evaluated once per
 # block of up to this many (period, trajectory) rows, so the cost calls
 # are amortized when the batch is small.  The budget is sized for the L2
-# cache: a block's order totals, post-demand levels and cost temporaries
-# come to about 1-2 MB at 2**14 rows.  Bigger is not better: against 4096
+# cache: a block's held orders, order totals, post-demand levels and cost
+# temporaries come to about 1-2 MB at 2**14 rows.  Bigger is not better: against 4096
 # rows, the tightness work time read 0.92-0.94 at 2**14, 0.97-1.00 at
 # 2**16 and 1.14 at 2**20, once blocks spill out of the cache (2-core
 # Xeon with 4 MiB of L2, numpy 2.4.6).
@@ -114,9 +117,12 @@ def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray, draws,
     columns.  Any layout gives the same numbers.
 
     The dynamics (policy, orders, post-demand level, clamp) run period
-    by period.  The order totals and post-demand levels of a block of
-    periods are kept, and the block's ordering and holding/backlog costs
-    are evaluated in one call each; every period's cost is then added to
+    by period.  Each period's orders are copied into the block's held
+    buffer, laid out like the post-demand levels ((span, B, M) views of
+    (span, M, B) storage), and the block's order totals are formed from
+    it in one ``location_sum``: the same column additions per entry as a
+    sum per period.  The block's ordering and holding/backlog costs are
+    then evaluated in one call each, and every period's cost is added to
     the running total in period order, so the result is the same as
     charging each period as it is stepped.
     """
@@ -130,6 +136,7 @@ def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray, draws,
     c_trace = np.empty((batch, periods)) if collect_orders else None
     span = max(1, min(periods, _DRAW_PERIODS, _BLOCK_ROWS // batch))
     z = np.empty((span, batch))
+    held = np.empty((span, m, batch)).transpose(0, 2, 1)
     post = np.empty((span, m, batch)).transpose(0, 2, 1)
     for d0 in range(0, periods, _DRAW_PERIODS):
         d_end = min(d0 + _DRAW_PERIODS, periods)
@@ -140,11 +147,12 @@ def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray, draws,
                 k = k0 + j
                 uni = None if uniforms is None else uniforms[:, k - d0, :]
                 orders = policy.act_batch(problem, k, x, uni)
-                z[j] = location_sum(orders)
+                np.copyto(held[j], orders)
                 np.add(x, orders, out=post[j])
                 post[j] -= demand[:, k - d0, :]
                 np.maximum(post[j], grid.lo, out=x)
                 np.minimum(x, grid.hi, out=x)
+            location_sum(held[:n], out=z[:n])
             order_cost = problem.ordering.eval_array(z[:n])
             stage = order_cost + problem.holding.location_total(post[:n])
             for j in range(max(0, burn - k0), n):

@@ -52,6 +52,13 @@ def _expected_cost(problem: Problem, scenarios, state, order, future) -> float:
     return total
 
 
+def reference_holding_backlog(a, b, y):
+    """a*max(0, y) + b*max(0, -y) elementwise, computed as written: the
+    expression ``model.holding_backlog`` is checked against byte for
+    byte."""
+    return a * np.maximum(0.0, y) + b * np.maximum(0.0, -y)
+
+
 def _every_state(problem: Problem, cost) -> np.ndarray:
     n = problem.grid.count
     out = np.zeros((n,) * problem.m)

@@ -327,6 +327,18 @@ class TestPolicyIntegration:
         with pytest.raises(dataclasses.FrozenInstanceError):
             state().K = 1.0
 
+    @pytest.mark.parametrize("field, attr, value", [
+        ("fixed_charge", "K", 0.0), ("variant", "variant", "cumulative"),
+        ("periods", "periods", 19)])
+    def test_states_must_share_the_configured_fields(self, field, attr, value):
+        # to_config writes these once, and the tag made from it keys the
+        # streams: a second state with K = 0 on affine_sim would otherwise
+        # share make_balancing_policy's tag and rebuild with K = 4
+        states = make_balancing_policy(mi.instances.build("affine_sim")).states
+        odd = dataclasses.replace(states[1], **{attr: value})
+        with pytest.raises(ValueError, match=f"disagree on '{field}'"):
+            BalancingPolicy([states[0], odd])
+
     def test_fixed_charge_defaults_to_cost_jump(self):
         p = mi.instances.build("affine_sim")
         policy = make_balancing_policy(p)

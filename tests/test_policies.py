@@ -239,7 +239,41 @@ class TestWaterfill:
         assert np.array_equal(np.column_stack(_sorted_columns(X)), np.sort(X, axis=1))
 
 
+def round_trip_cases():
+    """(name, problem, policy) of every kind ``policy_from_config``
+    rebuilds, each on a problem it acts on."""
+    affine = mi.instances.build("affine_sim")
+    tight = mi.instances.build(TIGHT)
+    gen = np.random.default_rng(3)
+    small = gen.uniform(-1.0, 2.0, (affine.periods, 2))
+    d = mi.instances.policy_defaults(TIGHT)["pi_v"]
+    return [
+        ("base_stock", affine, BaseStockPolicy(gen.uniform(0.0, 4.0, (affine.periods, 2)))),
+        ("sS", affine, SSPolicy(small, small + gen.uniform(0.0, 3.0, small.shape))),
+        ("pi_square", affine, mi.make_pi_square(affine, 2.0)),
+        ("pi_diamond", affine, mi.make_pi_diamond(affine, 16.0 / 3.0, 4.0 / 3.0)),
+        ("pi_v", tight, mi.make_pi_v(d["m"], d["delta"])),
+        ("balancing printed", affine, mi.make_balancing_policy(affine, variant="printed")),
+        ("balancing cumulative", affine,
+         mi.make_balancing_policy(affine, variant="cumulative")),
+    ]
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("case", round_trip_cases(), ids=lambda c: c[0])
+    def test_rebuilt_policy_acts_alike(self, case):
+        # the same tag and the same order bytes at every grid state and stage
+        from multinv.config import policy_from_config
+        _, problem, policy = case
+        clone = policy_from_config(policy.to_config(), problem)
+        assert type(clone) is type(policy) and clone.tag == policy.tag
+        X = problem.grid.states(problem.m)
+        gen = np.random.default_rng(0)
+        for k in range(problem.periods):
+            U = gen.random(X.shape) if policy.uses_randomness else None
+            got = clone.act_batch(problem, k, X, U)
+            assert got.tobytes() == policy.act_batch(problem, k, X, U).tobytes(), k
+
     def test_round_trip_through_config(self, fig1):
         from multinv.config import policy_from_config
         policies = [

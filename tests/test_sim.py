@@ -21,7 +21,8 @@ from multinv.sim import (RatioReport, SimConfig, _estimate_over_states, _keyed_d
                          shift_ordering_slopes, verify_cost_transformation)
 from multinv import rng
 from multinv import sim as sim_mod
-from multinv.testing import random_order_table, random_small_problem
+from multinv.testing import (random_order_table, random_small_problem,
+                             reference_holding_backlog)
 
 
 @pytest.fixture(scope="module")
@@ -455,7 +456,8 @@ def sliced(demand, uniforms):
 def reference_simulate_batch(problem, policy, x0, demand, uniforms,
                              collect_orders=False):
     """The per-period stepper: every period's costs are evaluated as it is
-    stepped, with ``sum(axis=1)`` row reductions."""
+    stepped, with ``sum(axis=1)`` row reductions and the two-sided
+    holding/backlog expression as written."""
     grid = problem.grid
     burn = 0 if isinstance(problem.horizon, mi.model.Finite) else problem.horizon.burn_in
     periods = demand.shape[1]
@@ -469,7 +471,9 @@ def reference_simulate_batch(problem, policy, x0, demand, uniforms,
         z = orders.sum(axis=1)
         order_cost = problem.ordering.eval_array(z)
         post = x + orders - demand[:, k, :]
-        stage = order_cost + problem.holding.eval_batch(post).sum(axis=1)
+        stage = order_cost + reference_holding_backlog(
+            np.asarray(problem.holding.holding), np.asarray(problem.holding.backlog),
+            post).sum(axis=1)
         if k >= burn:
             total += stage
         z_trace[:, k] = z
@@ -562,6 +566,21 @@ class TestExplicitVTotals:
         X[32:, -1] = edges - (location_sum(X[32:, :-1]) if m > 1 else 0.0)
         got = policy.act_batch(p, 0, X, None)
         assert got.tobytes() == ref.act_batch(p, 0, X, None).tobytes()
+
+    def test_instance_checked_on_every_call(self):
+        # the policy keeps nothing from a problem it has acted on: one whose
+        # discounts lack a size still raises afterwards
+        p = mi.instances.build("tightness:M=2")
+        policy = mi.make_pi_v(2, mi.instances.tightness_delta(0.1, 1.0))
+        X = np.zeros((3, 2))
+        policy.act_batch(p, 0, X, None)
+        lacking = replace(p, ordering=replace(p.ordering,
+                                              discounts=p.ordering.discounts[:1]))
+        assert set(policy.v_values) - lacking.ordering.discount_points
+        with pytest.raises(ValueError, match="discount set contains its order sizes"):
+            policy.act_batch(lacking, 0, X, None)
+        assert location_sum(policy.act_batch(p, 0, X, None)).tolist() == [
+            policy.v_values[-1]] * 3
 
     @pytest.mark.parametrize("sizes", [(), (0.0, 2.0), (-1.0, 2.0)])
     def test_order_sizes_must_be_positive(self, sizes):
@@ -695,12 +714,21 @@ class TestBlockStepper:
     @given(m=hs.integers(1, 6), seed=hs.integers(0, 2 ** 32 - 1),
            ties=hs.booleans())
     def test_waterfill_bit_equal_to_sorted_reference(self, m, seed, ties):
+        # rows of signed zeros and rows of NaN of either sign as well; a
+        # NaN's sign bit is whatever numpy's loops pass on, so only the
+        # other entries' sign bits are compared
         gen = np.random.default_rng(seed)
         X = gen.uniform(-4.0, 4.0, (40, m))
         if ties:
             X = np.round(X)
-        v = gen.choice([0.5, 1.0, 2.0 + 1e-3, 7.0], 40)
-        assert np.array_equal(mi.policies._waterfill(X, v), reference_waterfill(X, v))
+        X[:4] = gen.choice([0.0, -0.0], (4, m))
+        X[4] = np.nan
+        X[5] = np.copysign(np.nan, -1.0)
+        v = gen.choice([0.0, 0.5, 1.0, 2.0 + 1e-3, 7.0], 40)
+        got, want = mi.policies._waterfill(X, v), reference_waterfill(X, v)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got[~np.isnan(got)]),
+                              np.signbit(want[~np.isnan(got)]))
 
 
 # ---------------------------------------------------------------------------
