@@ -14,7 +14,7 @@ from .model import (DemandModel, DiscreteMarginal, Finite, Grid,
                     single_location_problem, validate_problem)
 from .dp import (SizeError, StructureError, TabularPolicy, ValueFunction,
                  evaluate_policy_exact, extract_base_stock, extract_sS,
-                 solve_joint_dp, solve_single_dp)
+                 solve_joint_dp)
 from .policies import (BaseStockPolicy, DecoupledPolicy, ExplicitVPolicy,
                        Policy, SSPolicy, TabularGridPolicy, make_pi_diamond,
                        make_pi_square, make_pi_v)

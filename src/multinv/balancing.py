@@ -237,34 +237,23 @@ def _table(state: BalancingState, k: int):
                          state.periods)[k]
 
 
-def _eh_batch(state: BalancingState, k: int, x: np.ndarray,
-              u: np.ndarray) -> np.ndarray:
-    x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, float)),
-                               np.atleast_1d(np.asarray(u, float)))
-    return _table(state, k)[0].rise(x, u)
-
-
-def _eb_batch(state: BalancingState, k: int, x: np.ndarray,
-              u: np.ndarray) -> np.ndarray:
-    x, u = np.broadcast_arrays(np.atleast_1d(np.asarray(x, float)),
-                               np.atleast_1d(np.asarray(u, float)))
-    return _table(state, k)[1](x + u)
-
-
-def expected_holding_proxy(state: BalancingState, k: int, x: float,
-                           u: float) -> float:
-    """EH(u) at (k, x), in closed form for discrete and uniform demand."""
-    if u < 0:
+def expected_holding_proxy(state: BalancingState, k: int, x, u) -> np.ndarray:
+    """EH(u) at stage k and level x, elementwise over broadcast x and u
+    (0-d for scalars), in closed form for discrete and uniform demand; a
+    ValueError if any u < 0."""
+    u = np.asarray(u, float)
+    if np.any(u < 0):
         raise ValueError("order must be >= 0")
-    return float(_eh_batch(state, k, np.asarray(x, float), np.asarray(u, float)).ravel()[0])
+    return _table(state, k)[0].rise(np.asarray(x, float), u)
 
 
-def expected_backlog_proxy(state: BalancingState, k: int, x: float,
-                           u: float) -> float:
-    """EB(u) at (k, x)."""
-    if u < 0:
+def expected_backlog_proxy(state: BalancingState, k: int, x, u) -> np.ndarray:
+    """EB(u) at stage k and level x, elementwise like
+    ``expected_holding_proxy``."""
+    u = np.asarray(u, float)
+    if np.any(u < 0):
         raise ValueError("order must be >= 0")
-    return float(_eb_batch(state, k, np.asarray(x, float), np.asarray(u, float)).ravel()[0])
+    return np.asarray(_table(state, k)[1](np.asarray(x, float) + u))
 
 
 def balancing_order_batch(state: BalancingState, k: int, x: np.ndarray,

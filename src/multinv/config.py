@@ -24,8 +24,8 @@ quantities share the grid's units, rates are cost per unit per period):
 
 Pieces list consecutive intervals starting just above zero; "upper" is
 the inclusive right end, null meaning unbounded.  Policies serialize as
-a kind tag plus parameters; tabular policies serialize by digest only
-and are reconstructed from their CSV exports instead.
+a kind tag plus parameters; tabular policies serialize by digest only,
+so ``policy_from_config`` cannot reconstruct them and says so.
 """
 
 from __future__ import annotations
@@ -90,19 +90,33 @@ def _field(cfg, *path, default=_REQUIRED):
         except (KeyError, IndexError, TypeError):
             if default is not _REQUIRED and j == len(path) - 1:
                 return default
-            where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
-                            for k in path[:j + 1]).lstrip(".")
-            raise ValueError(f"config: missing field {where!r}") from None
+            raise ValueError(f"config: missing field {_where(path[:j + 1])!r}") from None
     return node
+
+
+def _where(path) -> str:
+    """A field path as written in messages, e.g. ``holding[1].backlog_rate``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _count(cfg, *path, default=_REQUIRED) -> int:
+    """``_field`` read as a count: a whole number such as 20 or 20.0, or a
+    ValueError naming its path, e.g. ``config: field 'horizon.periods'
+    must be a whole number, got 2.7``."""
+    value = _field(cfg, *path, default=default)
+    if not float(value).is_integer():
+        raise ValueError(f"config: field {_where(path)!r} must be a whole number, "
+                         f"got {value!r}")
+    return int(value)
 
 
 def problem_from_config(cfg: dict) -> Problem:
     kind = _field(cfg, "horizon", "kind")
     if kind == "finite":
-        horizon = Finite(int(_field(cfg, "horizon", "periods")))
+        horizon = Finite(_count(cfg, "horizon", "periods"))
     elif kind == "infinite_averaged":
-        horizon = InfiniteAveraged(int(_field(cfg, "horizon", "sim_periods")),
-                                   int(_field(cfg, "horizon", "burn_in", default=0)))
+        horizon = InfiniteAveraged(_count(cfg, "horizon", "sim_periods"),
+                                   _count(cfg, "horizon", "burn_in", default=0))
     else:
         raise ValueError(f"unknown horizon kind {kind!r}")
     marginals = []
@@ -131,7 +145,7 @@ def problem_from_config(cfg: dict) -> Problem:
         for j in range(len(_field(cfg, "ordering", "discounts", default=[]))))
     rates = range(len(_field(cfg, "holding")))
     return Problem(
-        m=int(_field(cfg, "locations")),
+        m=_count(cfg, "locations"),
         horizon=horizon,
         ordering=OrderingCost(pieces=tuple(pieces), discounts=discounts),
         holding=HoldingBacklogCost(

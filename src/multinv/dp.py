@@ -3,7 +3,7 @@
 Backward induction over the discretized joint state space gives the
 optimal coupled policy and its cost-to-go; the same backward recursion
 under a fixed order table gives exact expected costs (and other
-expectations) of any deterministic grid policy.
+expectations) of any deterministic ``Policy`` that tabulates on the grid.
 
 Conventions shared with the simulator:
 
@@ -281,29 +281,15 @@ def solve_joint_dp(problem: Problem):
             TabularPolicy(grid=grid, m=m, orders=orders, cap_steps=cap_steps))
 
 
-def solve_single_dp(problem: Problem):
-    """Backward induction for a single-location problem (M = 1)."""
-    if problem.m != 1:
-        raise ValueError("solve_single_dp requires a one-location problem")
-    return solve_joint_dp(problem)
-
-
 def _order_table(problem: Problem, policy) -> np.ndarray:
     """Per-stage order tables (in grid steps) of a deterministic grid
-    policy on a DP-eligible problem, with feasibility checked."""
+    ``Policy`` on a DP-eligible problem.  ``policy.tabulate`` checks the
+    grid and horizon; the orders are checked nonnegative and inside the
+    grid box and order cap here, which guards hand-built tables."""
     _require_dp(problem)
-    if isinstance(policy, TabularPolicy):
-        if policy.grid != problem.grid:
-            raise ValueError("order table grid does not match the problem's grid")
-        table = policy.orders
-    elif hasattr(policy, "tabulate"):
-        table = policy.tabulate(problem)
-    else:
-        raise TypeError(f"policy of type {type(policy).__name__} has no grid tabulation")
+    table = policy.tabulate(problem)
     n = problem.grid.count
     cap_steps = problem.grid.to_steps(problem.max_order_per_location)
-    if table.shape != (problem.periods,) + (n,) * problem.m + (problem.m,):
-        raise ValueError("order table shape does not match the problem")
     if np.any(table < 0):
         raise ValueError("order table contains negative orders")
     idx = np.indices((n,) * problem.m)
@@ -337,10 +323,12 @@ def _stage_cost(problem: Problem, u: np.ndarray, post: tuple, eh: list) -> np.nd
 
 
 def evaluate_policy_exact(problem: Problem, policy) -> np.ndarray:
-    """Expected average cost of a deterministic grid policy from every
+    """Expected average cost of a deterministic ``Policy`` from every
     initial grid state, by exact backward recursion of the remaining
-    cost under the policy.  Randomized or online policies are not
-    representable here; estimate those by Monte Carlo instead.
+    cost under its ``tabulate`` table (an optimal ``TabularPolicy``
+    enters wrapped in a ``TabularGridPolicy``).  Randomized or online
+    policies are not representable here; estimate those by Monte Carlo
+    instead.
     """
     table = _order_table(problem, policy)
     eh = _expected_holding_tables(problem)
@@ -366,7 +354,7 @@ class ExactExpectations:
 
 def exact_expectations(problem: Problem, policy) -> ExactExpectations:
     """Cost, total orders, final levels and floor-clamp mass of a
-    deterministic grid policy, by one backward recursion whose value
+    deterministic ``Policy``, by one backward recursion whose value
     table carries the quantities on a trailing axis."""
     table = _order_table(problem, policy)
     grid, m, n = problem.grid, problem.m, problem.grid.count
@@ -391,43 +379,21 @@ def exact_expectations(problem: Problem, policy) -> ExactExpectations:
 # Structure extraction
 # ---------------------------------------------------------------------------
 
-def _single_stage_orders(policy: TabularPolicy, k: int) -> np.ndarray:
-    if policy.m != 1:
-        raise ValueError("structure extraction works on single-location policies")
-    if not 0 <= k < policy.stages:
-        raise IndexError(f"stage {k} out of range")
-    return policy.orders[k][:, 0]
-
-
-def _caps(policy: TabularPolicy) -> np.ndarray:
-    n = policy.grid.count
-    return np.minimum(policy.cap_steps, n - 1 - np.arange(n))
-
-
 def extract_base_stock(policy: TabularPolicy, k: int) -> float:
-    """Base-stock level of one stage table, or StructureError.
+    """Base-stock level S of one stage table, or StructureError.
 
-    The table must equal order-up-to-S truncated to the feasible action
-    set: u(x) = clip(S - x, 0, cap(x)).  This is a structural scan, not a
-    fit; the first violating state is reported.  A never-ordering table
-    yields the grid floor (any level at or below it acts identically).
+    A base-stock table is the s = S case of ``extract_sS``: order-up-to-S
+    truncated to the feasible action set, u(x) = clip(S - x, 0, cap(x)).
+    This is a structural scan, not a fit; the first violating state is
+    reported, and an (s,S) table with s < S fails at s, the first state
+    below S that orders nothing.  A never-ordering table yields the grid
+    floor (any level at or below it acts identically).
     """
-    u = _single_stage_orders(policy, k)
-    caps = _caps(policy)
-    grid = policy.grid
-    positive = np.nonzero(u > 0)[0]
-    if positive.size == 0:
-        return grid.point(0)
-    s_idx = int((positive + u[positive]).max())
-    expected = np.clip(s_idx - np.arange(grid.count), 0, caps)
-    bad = np.nonzero(u != expected)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise StructureError(
-            f"stage {k} is not base-stock: state {grid.point(j)} orders "
-            f"{u[j] * grid.step}, expected {expected[j] * grid.step} for S={grid.point(s_idx)}",
-            state=grid.point(j))
-    return grid.point(s_idx)
+    s, S = extract_sS(policy, k)
+    if s != S:
+        raise StructureError(f"stage {k} is not base-stock: state {s} orders 0.0 "
+                             f"below S={S}", state=s)
+    return S
 
 
 def extract_sS(policy: TabularPolicy, k: int):
@@ -437,10 +403,14 @@ def extract_sS(policy: TabularPolicy, k: int):
     at or above s it must order nothing.  A never-ordering table yields
     s = S = the grid floor.
     """
-    u = _single_stage_orders(policy, k)
-    caps = _caps(policy)
+    if policy.m != 1:
+        raise ValueError("structure extraction works on single-location policies")
+    if not 0 <= k < policy.stages:
+        raise IndexError(f"stage {k} out of range")
+    u = policy.orders[k][:, 0]
     grid = policy.grid
     n = grid.count
+    caps = np.minimum(policy.cap_steps, n - 1 - np.arange(n))
     positive = np.nonzero(u > 0)[0]
     if positive.size == 0:
         return grid.point(0), grid.point(0)

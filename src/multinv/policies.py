@@ -11,6 +11,13 @@ Orders are always componentwise nonnegative and truncated to the
 feasible action box (per-location cap, grid ceiling); truncation at the
 grid top is logged because order-up-to levels are defined on the whole
 real line while the grid is not.
+
+A deterministic policy's ``tabulate`` gives its per-stage order table
+on the problem's grid, the one input of exact evaluation in ``dp``.  The
+decoupled policies pi_square (base-stock) and pi_diamond ((s,S)) share
+one construction: each location's single-location DP table, read stage
+by stage by ``dp.extract_base_stock`` (the s = S case of
+``dp.extract_sS``) or ``dp.extract_sS``.
 """
 
 from __future__ import annotations
@@ -271,6 +278,10 @@ def _waterfill(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     NaN candidate fails that test as it would fail both.  The prefix sums
     are a running sum of the sorted columns, which is the order
     ``np.cumsum`` adds in.
+
+    A row with a NaN level orders NaN at every location, for every M: the
+    common level depends on the whole row, and the min/max
+    compare-exchanges carry the NaN into every sorted column.
     """
     m = X.shape[1]
     xs = _sorted_columns(X)
@@ -296,32 +307,33 @@ def _waterfill(X: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Constructors for the named decoupled policies
 # ---------------------------------------------------------------------------
 
+def _per_location(problem: Problem, ordering, extract) -> list:
+    """Per location, ``extract(tab, k)`` over the stages k of the optimal
+    table of its single-location problem under ``ordering``, as one
+    array."""
+    out = []
+    for i in range(problem.m):
+        _, tab = dp_mod.solve_joint_dp(single_location_problem(problem, i, ordering=ordering))
+        out.append(np.array([extract(tab, k) for k in range(tab.stages)]))
+    return out
+
+
 def make_pi_square(problem: Problem, l: float) -> DecoupledPolicy:
     """Decoupled base-stock policy: each location solves its own
     single-location problem under the linear cost l*z and keeps the
     per-stage base-stock levels the DP produces."""
-    components = []
-    for i in range(problem.m):
-        sub = single_location_problem(problem, i, ordering=linear_cost(l))
-        _, tab = dp_mod.solve_single_dp(sub)
-        levels = np.array([[dp_mod.extract_base_stock(tab, k)]
-                           for k in range(tab.stages)])
-        components.append(BaseStockPolicy(levels))
-    return DecoupledPolicy(components)
+    return DecoupledPolicy([
+        BaseStockPolicy(levels[:, None])
+        for levels in _per_location(problem, linear_cost(l), dp_mod.extract_base_stock)])
 
 
 def make_pi_diamond(problem: Problem, K_h: float, h: float) -> DecoupledPolicy:
     """Decoupled (s,S) policy: each location solves its own
-    single-location problem under the affine cost K_h*1(z) + h*z."""
-    components = []
-    for i in range(problem.m):
-        sub = single_location_problem(problem, i, ordering=affine_cost(K_h, h))
-        _, tab = dp_mod.solve_single_dp(sub)
-        pairs = [dp_mod.extract_sS(tab, k) for k in range(tab.stages)]
-        small = np.array([[p[0]] for p in pairs])
-        big = np.array([[p[1]] for p in pairs])
-        components.append(SSPolicy(small, big))
-    return DecoupledPolicy(components)
+    single-location problem under the affine cost K_h*1(z) + h*z and
+    keeps the per-stage (s, S) pairs the DP produces."""
+    return DecoupledPolicy([
+        SSPolicy(pairs[:, :1], pairs[:, 1:])
+        for pairs in _per_location(problem, affine_cost(K_h, h), dp_mod.extract_sS)])
 
 
 def make_pi_v(m: int, delta: float) -> ExplicitVPolicy:

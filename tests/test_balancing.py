@@ -239,7 +239,6 @@ class TestStageRange:
     @pytest.mark.parametrize("variant", ["printed", "cumulative"])
     @pytest.mark.parametrize("k", [20, -1])
     def test_out_of_range_stage_raises(self, variant, k):
-        from multinv.balancing import _eh_batch
         problem = mi.instances.build("affine_sim")
         policy = make_balancing_policy(problem, variant=variant)
         st = policy.states[0]
@@ -252,7 +251,7 @@ class TestStageRange:
             lambda: act_balancing_batch(st, k, x, flat_cap(10.0), np.full(2, 0.5)),
             lambda: policy.act_batch(problem, k, X, np.full(X.shape, 0.5)),
             lambda: balancing_order_batch(st, k, x, np.full(2, 10.0)),
-            lambda: _eh_batch(st, k, x, np.ones(2)),
+            lambda: expected_holding_proxy(st, k, x, np.ones(2)),
         ]
         for call in calls:
             with pytest.raises(IndexError, match=f"stage {k} out of range"):
@@ -262,13 +261,12 @@ class TestStageRange:
 class TestMonotonicity:
     @pytest.mark.parametrize("variant", ["printed", "cumulative"])
     def test_proxies_monotone_in_order(self, variant):
-        from multinv.balancing import _eb_batch, _eh_batch
         st = state(variant=variant, K=4.0)
         u = np.linspace(0.0, 10.0, 500)
         for k in (0, 9, 19):
             for x in (-2.0, 0.0, 2.5):
-                eh = _eh_batch(st, k, np.full_like(u, x), u)
-                eb = _eb_batch(st, k, np.full_like(u, x), u)
+                eh = expected_holding_proxy(st, k, x, u)
+                eb = expected_backlog_proxy(st, k, x, u)
                 assert np.all(np.diff(eh) >= -1e-12)
                 assert np.all(np.diff(eb) <= 1e-12)
 
@@ -282,7 +280,7 @@ class TestCompetitiveProperty:
     def test_single_location_linear_within_two_optimal(self, variant):
         p = mi.instances.build("sector_sim")
         sub = mi.single_location_problem(p, 0, ordering=mi.linear_cost(3.0))
-        vf, _ = mi.solve_single_dp(sub)
+        vf, _ = mi.solve_joint_dp(sub)
         policy = make_balancing_policy(sub, variant=variant)
         for x0 in (-2.0, 0.0, 2.0):
             mean, se = self.simulate_policy_mean(sub, policy, [x0])
@@ -293,7 +291,7 @@ class TestCompetitiveProperty:
     def test_single_location_affine_within_three_optimal(self, variant):
         p = mi.instances.build("affine_sim")
         sub = mi.single_location_problem(p, 0, ordering=mi.affine_cost(4.0, 2.0))
-        vf, _ = mi.solve_single_dp(sub)
+        vf, _ = mi.solve_joint_dp(sub)
         policy = make_balancing_policy(sub, variant=variant)
         for x0 in (-2.0, 0.0, 2.0):
             mean, se = self.simulate_policy_mean(sub, policy, [x0])
@@ -454,8 +452,7 @@ class TestSolveAgainstBisection:
                        min_size=1, max_size=8),
            cap=hs.one_of(hs.floats(0.5, 12.0), hs.integers(1, 24).map(lambda n: 0.5 * n)))
     def test_matches_reference(self, grid, weights, variant, periods, a, b, K, xs, cap):
-        from multinv.balancing import (_eb_batch, _eh_batch, balancing_order_batch,
-                                       balancing_probability_batch,
+        from multinv.balancing import (balancing_order_batch, balancing_probability_batch,
                                        holding_cost_K_order_batch)
         w = np.array(weights[:len(grid)], dtype=float)
         marginal = DiscreteMarginal(tuple(0.5 * v for v in grid), tuple(w / w.sum()))
@@ -475,8 +472,8 @@ class TestSolveAgainstBisection:
             assert np.all(np.abs(eh(u_hat) - eb(u_hat))[interior] <= 1e-9)
             assert np.all(np.abs(eh(u_til) - K)[~sat] <= 1e-9)
             for u in (np.zeros_like(x), u_hat, u_til):
-                assert np.max(np.abs(_eh_batch(st, k, x, u) - eh(u))) <= 1e-9
-                assert np.max(np.abs(_eb_batch(st, k, x, u) - eb(u))) <= 1e-9
+                assert np.max(np.abs(expected_holding_proxy(st, k, x, u) - eh(u))) <= 1e-9
+                assert np.max(np.abs(expected_backlog_proxy(st, k, x, u) - eb(u))) <= 1e-9
             eb0, denom = eb(np.zeros_like(x)), K - eb(u_til) + eb(np.zeros_like(x))
             ref_p = np.where(denom <= 0, 1.0, eb0 / np.where(denom <= 0, 1.0, denom))
             p = balancing_probability_batch(st, k, x, u_til)

@@ -241,6 +241,40 @@ class TestExitCodes:
         assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("instance, path, value", [
+        ("fig1_linear", ("locations",), 2.9),
+        ("fig1_linear", ("horizon", "periods"), 2.7),
+        ("tightness:M=2,eps=0.1,l=1,h=4,p=100", ("horizon", "sim_periods"), 50.5),
+        ("tightness:M=2,eps=0.1,l=1,h=4,p=100", ("horizon", "burn_in"), 3.9),
+    ])
+    def test_non_integral_count_exits_2(self, tmp_path, capsys, instance, path, value):
+        cfg = tmp_path / "p.json"
+        assert run_cli("config", "--instance", instance, "--out", str(cfg)) == 0
+        data = json.loads(cfg.read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg.write_text(json.dumps(data))
+        assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        where = ".".join(path)
+        assert (f"config: field {where!r} must be a whole number, got {value!r}"
+                in capsys.readouterr().err)
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        cfg = tmp_path / "p.json"
+        assert run_cli("config", "--instance", "fig1_linear", "--out", str(cfg)) == 0
+        data = json.loads(cfg.read_text())
+        assert data["horizon"]["periods"] == 2
+        assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "int")) == 0
+        data["horizon"]["periods"] = 2.0
+        data["locations"] = 2.0
+        cfg.write_text(json.dumps(data))
+        assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "float")) == 0
+        for name in ("values.csv", "policy.csv"):
+            assert ((tmp_path / "float" / name).read_bytes()
+                    == (tmp_path / "int" / name).read_bytes())
+
     def test_missing_nested_policy_field_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "policy.json"
         spec.write_text(json.dumps({"kind": "decoupled",

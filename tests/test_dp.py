@@ -48,7 +48,7 @@ class TestSolveDP:
         # enumerating u in {0,1,2,...}: ordering to 1 costs 0.5 in
         # expectation, everything else is worse
         p = single_problem(linear_cost(0.0), DiscreteMarginal((0.0, 1.0), (0.5, 0.5)))
-        vf, tab = mi.solve_single_dp(p)
+        vf, tab = mi.solve_joint_dp(p)
         i0 = p.grid.index(0.0)
         assert tab.orders[0][i0, 0] == 1
         assert vf.values[0][i0] == pytest.approx(0.5, abs=1e-12)
@@ -77,7 +77,7 @@ class TestSolveDP:
     def test_zero_demand_orders_nothing_from_nonnegative_states(self):
         p = single_problem(linear_cost(2.0), DiscreteMarginal((0.0,), (1.0,)),
                            periods=2)
-        _, tab = mi.solve_single_dp(p)
+        _, tab = mi.solve_joint_dp(p)
         nonneg = p.grid.points() >= 0
         assert np.all(tab.orders[:, nonneg, 0] == 0)
 
@@ -120,7 +120,7 @@ class TestOracleEquivalence:
     def test_linear_cost_decouples(self, fig1_linear):
         p, vf, _ = fig1_linear
         sub = single_location_problem(p, 0)
-        vf1, _ = mi.solve_single_dp(sub)
+        vf1, _ = mi.solve_joint_dp(sub)
         v1 = vf1.values[0]
         joint = vf.values[0]
         split = v1[:, None] + v1[None, :]
@@ -560,13 +560,14 @@ class TestOrderTableGrid:
         p, _, tab = fig1_linear
         shifted = replace(p, grid=Grid(p.grid.lo + 1.0, p.grid.hi + 1.0, p.grid.step))
         with pytest.raises(ValueError, match="grid"):
-            mi.evaluate_policy_exact(shifted, tab)
+            mi.evaluate_policy_exact(shifted, mi.TabularGridPolicy(tab))
         with pytest.raises(ValueError, match="grid"):
-            dp.exact_expectations(shifted, tab)
+            dp.exact_expectations(shifted, mi.TabularGridPolicy(tab))
 
     def test_raw_table_on_its_own_grid(self, fig1_linear):
         p, vf, tab = fig1_linear
-        assert np.max(np.abs(mi.evaluate_policy_exact(p, tab) - vf.values[0] / 2)) <= 1e-12
+        assert np.max(np.abs(mi.evaluate_policy_exact(p, mi.TabularGridPolicy(tab))
+                             - vf.values[0] / 2)) <= 1e-12
 
 
 class TestStructureExtraction:
@@ -586,7 +587,7 @@ class TestStructureExtraction:
     def test_dp_output_is_base_stock(self, fig1_linear):
         p, _, _ = fig1_linear
         sub = single_location_problem(p, 0)
-        _, tab = mi.solve_single_dp(sub)
+        _, tab = mi.solve_joint_dp(sub)
         assert extract_base_stock(tab, 0) == 1.0
 
     def test_jump_breaks_structure(self):
@@ -605,10 +606,18 @@ class TestStructureExtraction:
         p = single_problem(mi.affine_cost(4.0, 2.0), DiscreteMarginal(
             (0.0, 0.5, 1.0, 1.5), (0.125, 0.375, 0.375, 0.125)),
             periods=3, grid=Grid(-2.0, 8.0, 0.5), cap=10.0)
-        _, tab = mi.solve_single_dp(p)
+        _, tab = mi.solve_joint_dp(p)
         for k in range(3):
             s, S = extract_sS(tab, k)
             assert s <= S
+
+    def test_ss_table_with_gap_is_not_base_stock(self):
+        # below s = 0 order up to S = 2; the base-stock scan fails at s
+        policy = self.policy_from_orders([4, 3, 0, 0, 0, 0, 0])
+        assert extract_sS(policy, 0) == (0.0, 2.0)
+        with pytest.raises(StructureError, match="not base-stock") as info:
+            extract_base_stock(policy, 0)
+        assert info.value.state == 0.0
 
     def test_non_monotone_table_rejected(self):
         u = np.array([3, 0, 1, 0, 0, 0, 0])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,15 @@ class TestExplicitV:
         with pytest.raises(ValueError):
             policy.act(fig1, 0, [0.0, 0.0])
 
+    def test_partial_nan_row_orders_nan_everywhere(self):
+        p = mi.instances.build("tightness:M=3,eps=0.1,l=1,h=4,p=100")
+        d = mi.instances.policy_defaults("tightness:M=3,eps=0.1,l=1,h=4,p=100")["pi_v"]
+        policy = mi.make_pi_v(d["m"], d["delta"])
+        X = np.array([[0.0, np.nan, 1.0], [0.0, 0.5, 1.0]])
+        u = policy.act_batch(p, 0, X, None)
+        assert np.all(np.isnan(u[0]))
+        assert u[1].tobytes() == policy.act_batch(p, 0, X[1:], None)[0].tobytes()
+
     def test_exact_evaluation_rejected_off_grid(self):
         p, policy = self.build()
         with pytest.raises(ValueError):
@@ -238,6 +249,19 @@ class TestWaterfill:
         X, _ = waterfill_inputs(m, seed, ties)
         assert np.array_equal(np.column_stack(_sorted_columns(X)), np.sort(X, axis=1))
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_partial_nan_row_orders_nan_everywhere(self, m):
+        # one NaN level, at each position and of either sign, leaves the
+        # row's common level undefined; the other rows are untouched
+        X, v = waterfill_inputs(m, m, False)
+        for j in range(m):
+            X[j, j] = np.copysign(np.nan, -1.0) if j % 2 else np.nan
+        X[m, :m - 1] = np.nan
+        nan_rows = np.isnan(X).any(axis=1)
+        u = _waterfill(X, v)
+        assert np.all(np.isnan(u[nan_rows]))
+        assert u[~nan_rows].tobytes() == _waterfill(X[~nan_rows], v[~nan_rows]).tobytes()
+
 
 def round_trip_cases():
     """(name, problem, policy) of every kind ``policy_from_config``
@@ -257,6 +281,49 @@ def round_trip_cases():
         ("balancing cumulative", affine,
          mi.make_balancing_policy(affine, variant="cumulative")),
     ]
+
+
+def one_parameter_pairs():
+    """(name, problem, a, b): policies of one kind that differ in one
+    parameter, each pair on a problem they act on."""
+    affine = mi.instances.build("affine_sim")
+    tight = mi.instances.build(TIGHT)
+    pi_v = mi.make_pi_v(**mi.instances.policy_defaults(TIGHT)["pi_v"])
+    table = mi.solve_joint_dp(affine)[1]
+    edited = replace(table, orders=table.orders.copy())
+    edited.orders[3, 10, 10, 0] += 1
+    s, S = np.array([0.5, 0.5]), np.array([2.0, 2.0])
+    return [
+        ("base_stock", affine, BaseStockPolicy([1.0, 1.5]), BaseStockPolicy([1.0, 2.0])),
+        ("sS small_s", affine, SSPolicy(s, S), SSPolicy([0.5, 1.0], S)),
+        ("sS big_s", affine, SSPolicy(s, S), SSPolicy(s, [2.0, 2.5])),
+        ("pi_square l", affine, mi.make_pi_square(affine, 1.0), mi.make_pi_square(affine, 3.0)),
+        ("pi_diamond K_h", affine, mi.make_pi_diamond(affine, 4.0, 1.0),
+         mi.make_pi_diamond(affine, 6.4, 1.0)),
+        ("pi_diamond h", affine, mi.make_pi_diamond(affine, 4.0, 1.0),
+         mi.make_pi_diamond(affine, 4.0, 1.6)),
+        ("pi_v threshold", tight, pi_v,
+         mi.ExplicitVPolicy(pi_v.v_values, pi_v.threshold + 1.0)),
+        ("balancing K", affine, mi.make_balancing_policy(affine, K=4.0, variant="cumulative"),
+         mi.make_balancing_policy(affine, K=2.0, variant="cumulative")),
+        ("balancing variant", affine, mi.make_balancing_policy(affine, variant="printed"),
+         mi.make_balancing_policy(affine, variant="cumulative")),
+        ("tabular entry", affine, mi.TabularGridPolicy(table), mi.TabularGridPolicy(edited)),
+    ]
+
+
+class TestDistinctTags:
+    @pytest.mark.parametrize("case", one_parameter_pairs(), ids=lambda c: c[0])
+    def test_policies_that_act_apart_have_distinct_tags(self, case):
+        # tags key every random stream, and ratio_heatmap reads equal tags
+        # as one policy: a pair ordering apart somewhere must not share one
+        _, problem, a, b = case
+        X = problem.grid.states(problem.m)
+        U = np.random.default_rng(0).random(X.shape)
+        assert any(not np.array_equal(a.act_batch(problem, k, X, U),
+                                      b.act_batch(problem, k, X, U))
+                   for k in range(problem.periods))
+        assert a.tag != b.tag
 
 
 class TestSerialization:
