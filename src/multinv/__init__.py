@@ -21,8 +21,7 @@ from .policies import (BaseStockPolicy, DecoupledPolicy, ExplicitVPolicy,
 from .balancing import (BalancingPolicy, BalancingState,
                         expected_backlog_proxy, expected_holding_proxy,
                         make_balancing_policy)
-from .stationary import (StationaryLevels, optimize_individual,
-                         optimize_joint, stationary_cost)
+from .stationary import optimize_individual, optimize_joint, stationary_cost
 from .bounds import (AffineFit, FitUnavailableError, NotSectorBoundableError,
                      SectorFit, fit_affine, fit_sector, theoretical_ratio)
 from .sim import (RatioReport, SimConfig, estimate_cost, ratio_heatmap,

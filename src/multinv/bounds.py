@@ -176,20 +176,6 @@ def fit_affine(cost: OrderingCost, m_locations: int) -> AffineFit:
                      objective=m_locations / s, m_locations=m_locations)
 
 
-def envelope_gap(cost: OrderingCost, fit, z: np.ndarray):
-    """(lower slack, upper slack) of a fit at sample points z > 0; both
-    must be >= 0 for a feasible envelope.  Used by validation tests."""
-    z = np.asarray(z, dtype=float)
-    c = cost.eval_array(z)
-    if isinstance(fit, SectorFit):
-        lower = fit.l * z
-        upper = fit.h * z
-    else:
-        lower = fit.K_l * (z > 0) + fit.l * z
-        upper = fit.K_h * (z > 0) + fit.h * z
-    return c - lower, upper - c
-
-
 def theoretical_ratio(fit, m_locations: int, policy_family: str) -> float:
     """Worst-case cost-ratio bound for a fit/policy-family pairing."""
     if isinstance(fit, SectorFit):

@@ -300,7 +300,7 @@ def _suite_theorem1() -> list:
         indiv = optimize_individual(problem)
         gap = abs(stationary_cost(joint, problem) - stationary_cost(indiv, problem))
         ok = gap <= 1e-12 and joint == indiv
-        results.append((f"theorem1[{j}] levels {indiv.levels} gap {gap:.2e}", ok))
+        results.append((f"theorem1[{j}] levels {indiv} gap {gap:.2e}", ok))
     return results
 
 

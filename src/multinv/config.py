@@ -23,7 +23,9 @@ quantities share the grid's units, rates are cost per unit per period):
     }
 
 Pieces list consecutive intervals starting just above zero; "upper" is
-the inclusive right end, null meaning unbounded.  Policies serialize as
+the inclusive right end, null meaning unbounded.  "iid_across_periods"
+is a required declaration that must be true: demand i.i.d. across
+periods is the only model the package has.  Policies serialize as
 a kind tag plus parameters; tabular policies serialize by digest only,
 so ``policy_from_config`` cannot reconstruct them and says so.
 """
@@ -71,8 +73,7 @@ def problem_to_config(problem: Problem) -> dict:
         },
         "holding": [{"holding_rate": a, "backlog_rate": b}
                     for a, b in zip(problem.holding.holding, problem.holding.backlog)],
-        "demand": {"iid_across_periods": problem.demand.iid_across_periods,
-                   "locations": locations},
+        "demand": {"iid_across_periods": True, "locations": locations},
     }
 
 
@@ -119,6 +120,10 @@ def problem_from_config(cfg: dict) -> Problem:
                                    _count(cfg, "horizon", "burn_in", default=0))
     else:
         raise ValueError(f"unknown horizon kind {kind!r}")
+    iid = _field(cfg, "demand", "iid_across_periods")
+    if iid is not True:
+        raise ValueError("config: field 'demand.iid_across_periods' must be true "
+                         f"(only i.i.d. demand is supported), got {iid!r}")
     marginals = []
     for i in range(len(_field(cfg, "demand", "locations"))):
         loc = ("demand", "locations", i)
@@ -151,9 +156,7 @@ def problem_from_config(cfg: dict) -> Problem:
         holding=HoldingBacklogCost(
             holding=tuple(float(_field(cfg, "holding", i, "holding_rate")) for i in rates),
             backlog=tuple(float(_field(cfg, "holding", i, "backlog_rate")) for i in rates)),
-        demand=DemandModel(
-            marginals=tuple(marginals),
-            iid_across_periods=bool(_field(cfg, "demand", "iid_across_periods"))),
+        demand=DemandModel(marginals=tuple(marginals)),
         grid=Grid(lo=float(_field(cfg, "grid", "min")), hi=float(_field(cfg, "grid", "max")),
                   step=float(_field(cfg, "grid", "step"))),
         max_order_per_location=float(_field(cfg, "max_order_per_location")),

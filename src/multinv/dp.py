@@ -83,7 +83,7 @@ class TabularPolicy:
     grid: object
     m: int
     orders: np.ndarray  # int array, shape (N,) + (n,)*m + (m,)
-    cap_steps: int = 10 ** 9
+    cap_steps: int
 
     @property
     def stages(self) -> int:

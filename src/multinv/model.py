@@ -194,14 +194,10 @@ class UniformMarginal:
 
 @dataclass(frozen=True)
 class DemandModel:
-    """Per-location demand marginals, independent across locations.
-
-    ``iid_across_periods`` records the temporal assumption; everything in
-    this package requires it and validation rejects the alternative.
-    """
+    """Per-location demand marginals, independent across locations and
+    i.i.d. across periods (the only temporal model this package has)."""
 
     marginals: tuple
-    iid_across_periods: bool = True
 
     @property
     def m(self) -> int:
@@ -215,14 +211,9 @@ class DemandModel:
         errors = []
         if not self.marginals:
             errors.append("demand: needs at least one location")
-        if not self.iid_across_periods:
-            errors.append("demand: only i.i.d.-across-periods demand is supported")
         for i, g in enumerate(self.marginals):
             errors.extend(g.check(f"demand[{i}]"))
         return errors
-
-    def max_value(self, i: int) -> float:
-        return self.marginals[i].max_value
 
     def mean(self, i: int) -> float:
         g = self.marginals[i]
@@ -644,6 +635,5 @@ def single_location_problem(problem: Problem, i: int,
         ordering=problem.ordering if ordering is None else ordering,
         holding=HoldingBacklogCost(holding=(problem.holding.holding[i],),
                                    backlog=(problem.holding.backlog[i],)),
-        demand=DemandModel(marginals=(problem.demand.marginals[i],),
-                           iid_across_periods=problem.demand.iid_across_periods),
+        demand=DemandModel(marginals=(problem.demand.marginals[i],)),
     )

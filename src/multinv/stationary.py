@@ -16,7 +16,6 @@ equality holds argmin-by-argmin, not just in value.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,22 +26,15 @@ from .model import (Problem, SizeError, UnsupportedDemandError,
 MAX_JOINT_CANDIDATES = 2_000_000
 
 
-@dataclass(frozen=True)
-class StationaryLevels:
-    levels: tuple
-
-
-def _require_discrete_iid(problem: Problem):
+def _require_discrete(problem: Problem):
     if not problem.demand.is_discrete:
         raise UnsupportedDemandError("stationary analysis requires discrete demand")
-    if not problem.demand.iid_across_periods:
-        raise UnsupportedDemandError("stationary analysis requires i.i.d. demand")
 
 
 def total_demand_pmf(problem: Problem):
     """Pmf of one period's total demand across locations (convolution of
     the independent marginals)."""
-    _require_discrete_iid(problem)
+    _require_discrete(problem)
     atoms = {0.0: 1.0}
     for i in range(problem.m):
         atoms = convolve_atoms(atoms, list(zip(*demand_pmf(problem.demand, i))))
@@ -63,28 +55,29 @@ def _location_cost(problem: Problem, i: int, levels) -> np.ndarray:
                                     problem.demand, i)
 
 
-def stationary_cost(levels: StationaryLevels, problem: Problem) -> float:
+def stationary_cost(levels: tuple, problem: Problem) -> float:
     """Steady-state per-period average cost of the stationary base-stock
-    policy with the given levels: the sum of ``cost_decomposition``."""
+    policy with the given levels (one per location): the sum of
+    ``cost_decomposition``."""
     return sum(cost_decomposition(levels, problem).values())
 
 
-def optimize_individual(problem: Problem) -> StationaryLevels:
+def optimize_individual(problem: Problem) -> tuple:
     """Per-location argmin of E[r_i(S - w_i)] over the grid; ties break
     toward the smaller level."""
-    _require_discrete_iid(problem)
+    _require_discrete(problem)
     points = problem.grid.points()
     levels = []
     for i in range(problem.m):
         curve = _location_cost(problem, i, points)
         levels.append(float(points[int(np.argmin(curve))]))
-    return StationaryLevels(levels=tuple(levels))
+    return tuple(levels)
 
 
-def optimize_joint(problem: Problem) -> StationaryLevels:
+def optimize_joint(problem: Problem) -> tuple:
     """Exhaustive search of the joint level grid; ties break toward the
     lexicographically smallest level vector."""
-    _require_discrete_iid(problem)
+    _require_discrete(problem)
     points = problem.grid.points()
     n = len(points)
     if n ** problem.m > MAX_JOINT_CANDIDATES:
@@ -95,13 +88,13 @@ def optimize_joint(problem: Problem) -> StationaryLevels:
                                             for i in range(problem.m)])
     flat = int(np.argmin(total))  # first minimum in C order = lexicographic
     idx = np.unravel_index(flat, total.shape)
-    return StationaryLevels(levels=tuple(float(points[j]) for j in idx))
+    return tuple(float(points[j]) for j in idx)
 
 
-def cost_decomposition(levels: StationaryLevels, problem: Problem) -> dict:
+def cost_decomposition(levels: tuple, problem: Problem) -> dict:
     """Reporting helper: the constant ordering term and the per-location
     holding/backlog terms."""
     parts = {"ordering": expected_ordering_term(problem)}
-    for i, s in enumerate(levels.levels):
+    for i, s in enumerate(levels):
         parts[f"location_{i}"] = float(_location_cost(problem, i, s))
     return parts

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .bounds import SectorFit
 from .model import (DemandModel, DiscreteMarginal, Finite, Grid,
                     HoldingBacklogCost, OrderingCost, Piece, Problem,
                     demand_pmf)
@@ -57,6 +58,20 @@ def reference_holding_backlog(a, b, y):
     expression ``model.holding_backlog`` is checked against byte for
     byte."""
     return a * np.maximum(0.0, y) + b * np.maximum(0.0, -y)
+
+
+def envelope_gap(cost: OrderingCost, fit, z: np.ndarray):
+    """(lower slack, upper slack) of a sector or affine fit at sample
+    points z > 0; both must be >= 0 for a feasible envelope."""
+    z = np.asarray(z, dtype=float)
+    c = cost.eval_array(z)
+    if isinstance(fit, SectorFit):
+        lower = fit.l * z
+        upper = fit.h * z
+    else:
+        lower = fit.K_l * (z > 0) + fit.l * z
+        upper = fit.K_h * (z > 0) + fit.h * z
+    return c - lower, upper - c
 
 
 def _every_state(problem: Problem, cost) -> np.ndarray:

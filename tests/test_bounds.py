@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +11,9 @@ from hypothesis import strategies as hs
 import multinv as mi
 from multinv import bounds
 from multinv.bounds import (AffineFit, FitUnavailableError, NotSectorBoundableError,
-                            envelope_gap, fit_affine, fit_sector, report,
-                            theoretical_ratio)
-from multinv.model import OrderingCost, Piece
+                            fit_affine, fit_sector, report, theoretical_ratio)
+from multinv.model import DISCOUNT_MATCH_TOL, Grid, OrderingCost, Piece
+from multinv.testing import envelope_gap, random_problem
 
 
 def sector_cost():
@@ -63,11 +65,17 @@ def ordering_costs(draw, jump_at_zero=True):
 
 def dense_grid(cost):
     """z > 0 densely up to past the last breakpoint, plus every
-    breakpoint, its right neighbour, every discount z and far points."""
+    breakpoint, its right neighbour, every discount z, the nearest points
+    on either side outside the discount's match band (so both one-sided
+    limits of c are read there, also at a discount on a breakpoint) and
+    far points."""
     ends = [p.upper for p in cost.pieces[:-1]]
+    discounts = np.array([z for z, _ in cost.discounts])
     return np.concatenate([np.linspace(1e-9, (ends[-1] if ends else 0.0) + 10.0, 2_001),
-                           ends, np.nextafter(ends, math.inf),
-                           [z for z, _ in cost.discounts], [1e3, 1e6]])
+                           ends, np.nextafter(ends, math.inf), discounts,
+                           np.nextafter(discounts - DISCOUNT_MATCH_TOL, -math.inf),
+                           np.nextafter(discounts + DISCOUNT_MATCH_TOL, math.inf),
+                           [1e3, 1e6]])
 
 
 class TestFitSector:
@@ -321,3 +329,79 @@ class TestTheoreticalRatio:
         monkeypatch.setattr(bounds, name, boom)
         with pytest.raises(ValueError, match="boom"):
             report(sector_cost(), 2)
+
+
+def structure_error_class(exc, grid, cap) -> str:
+    """Which way a decoupled build's ``StructureError`` departs from (s,S)
+    structure: "floor" (the grid floor orders nothing while a state above
+    it orders), "cap" (a state below s orders less than the order cap,
+    where (s,S) truncated to the cap expects the full cap), "not
+    base-stock" (a valid (s,S) stage with s < S), or the message itself."""
+    msg = str(exc)
+    if msg.endswith(f"orders above the reorder point {grid.lo}"):
+        return "floor"
+    found = re.search(r"orders (\S+), expected (\S+) for S=", msg)
+    if found and float(found[1]) < float(found[2]) == cap:
+        return "cap"
+    if "is not base-stock" in msg:
+        return "not base-stock"
+    return msg
+
+
+class TestGuaranteesExact:
+    """The paper's worst-case bounds for decoupled policies, checked on
+    small random problems with both costs exact: ``evaluate_policy_exact``
+    of the decoupled policy against the DP optimum, at every initial state
+    with a positive optimal cost.  pi_square from the sector fit's l is
+    bounded by h/l; pi_diamond from the affine fit's (K_h, h) by
+    M*max(K_h/K_l, h/l)."""
+
+    @staticmethod
+    def two_pieces(fixed):
+        def pieces(rng):
+            b = float(0.5 * rng.integers(1, 5))
+            m1, m2 = (float(v) for v in rng.uniform(0.5, 4.0, 2))
+            K = float(rng.uniform(0.5, 3.0)) if fixed else 0.0
+            # lower semicontinuous: no downward jump at b
+            lift = K + max(0.0, (m1 - m2) * b) + float(rng.uniform(0.0, 2.0))
+            return Piece(b, K, m1), Piece(math.inf, lift, m2)
+        return pieces
+
+    def test_decoupled_policies_within_their_bounds(self):
+        rng = np.random.default_rng(4)
+        grid = Grid(-2.0, 3.0, 0.5)
+        evaluated = collections.Counter()
+        errors = collections.Counter()
+        violations = []
+        for j in range(300):
+            m = int(rng.integers(1, 4))
+            fixed = j % 2 == 1
+            p = random_problem(rng, m, int(rng.integers(2, 5)), grid, atoms=(2, 4),
+                               support=4, pieces=self.two_pieces(fixed),
+                               cap=lambda rng: float(0.5 * rng.integers(2, 5)))
+            if fixed:
+                family, fit = "sS", fit_affine(p.ordering, m)
+            else:
+                family, fit = "base_stock", fit_sector(p.ordering)
+            bound = theoretical_ratio(fit, m, family)
+            try:
+                policy = (mi.make_pi_diamond(p, fit.K_h, fit.h) if fixed
+                          else mi.make_pi_square(p, fit.l))
+            except mi.StructureError as exc:
+                errors[family, structure_error_class(
+                    exc, grid, p.max_order_per_location)] += 1
+                continue
+            _, tab = mi.solve_joint_dp(p)
+            den = mi.evaluate_policy_exact(p, mi.TabularGridPolicy(tab))
+            num = mi.evaluate_policy_exact(p, policy)
+            positive = den > 0
+            ratio = float(np.max(num[positive] / den[positive]))
+            evaluated[family] += 1
+            if ratio > bound * (1 + 1e-9):
+                violations.append((j, family, ratio, bound))
+        assert violations == []
+        # every build that is not evaluated is counted by its cause; a new
+        # cause, or a change in how often one occurs, fails here
+        assert dict(evaluated) == {"base_stock": 143, "sS": 110}
+        assert dict(errors) == {("base_stock", "floor"): 7, ("sS", "floor"): 32,
+                                ("sS", "cap"): 8}

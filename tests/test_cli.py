@@ -10,6 +10,7 @@ import pytest
 
 import multinv as mi
 from multinv.cli import build_policy, main
+from multinv.config import problem_from_config, problem_to_config
 
 
 def run_cli(*args):
@@ -228,6 +229,8 @@ class TestExitCodes:
         (("holding", 1, "backlog_rate"), "config: missing field 'holding[1].backlog_rate'"),
         (("demand", "locations", 0, "atoms"),
          "config: missing field 'demand.locations[0].atoms'"),
+        (("demand", "iid_across_periods"),
+         "config: missing field 'demand.iid_across_periods'"),
     ])
     def test_missing_config_field_exits_2(self, tmp_path, capsys, path, message):
         cfg = tmp_path / "p.json"
@@ -260,6 +263,24 @@ class TestExitCodes:
         where = ".".join(path)
         assert (f"config: field {where!r} must be a whole number, got {value!r}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", [False, "false", 0, 1])
+    def test_iid_declaration_other_than_true_exits_2(self, tmp_path, capsys, value):
+        # only JSON true declares the i.i.d. demand the package supports;
+        # a truthy string or number is not read as one
+        data = problem_to_config(mi.instances.build("fig1_linear"))
+        data["demand"]["iid_across_periods"] = value
+        message = ("config: field 'demand.iid_across_periods' must be true "
+                   f"(only i.i.d. demand is supported), got {value!r}")
+        with pytest.raises(ValueError) as exc:
+            problem_from_config(data)
+        assert str(exc.value) == message
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps(data))
+        assert run_cli("compare", "--config", str(cfg),
+                       "--num", "base_stock:S=1.0", "--den", "base_stock:S=1.0",
+                       "--runs", "2", "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
 
     def test_integral_float_count_accepted(self, tmp_path):
         cfg = tmp_path / "p.json"
@@ -403,14 +424,27 @@ class TestVerify:
         assert "order-accounting residual" in out
 
 
+def run_child(*args):
+    """``python *args`` in a fresh interpreter that imports the package
+    from where this process found it."""
+    src = str(Path(mi.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # the child imports the package from where this process found it
-        src = str(Path(mi.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "multinv.cli", "verify", "balancing-monotone"],
-            capture_output=True, text=True, env=env)
+        proc = run_child("-m", "multinv.cli", "verify", "balancing-monotone")
         assert proc.returncode == 0
         assert "[PASS]" in proc.stdout
+
+    def test_package_import_loads_no_scipy(self):
+        # the package neither declares nor needs scipy; importing it must
+        # not load it as a side effect
+        proc = run_child("-c", "import sys, multinv; "
+                               "print(sorted(m for m in sys.modules "
+                               "if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -119,3 +119,4 @@ class TestConfigRoundTrip:
                                                 "slope": 2.0}
         assert cfg["holding"][0] == {"holding_rate": 0.2, "backlog_rate": 10.0}
         assert cfg["demand"]["locations"][0]["kind"] == "discrete"
+        assert cfg["demand"]["iid_across_periods"] is True

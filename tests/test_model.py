@@ -424,7 +424,7 @@ class TestDemand:
     def test_bounded_support(self):
         p = mi.instances.build("sector_sim")
         for i in range(p.m):
-            assert np.isfinite(p.demand.max_value(i))
+            assert np.isfinite(p.demand.marginals[i].max_value)
             values, _ = mi.demand_pmf(p.demand, i)
             assert np.all(values >= 0)
 

@@ -335,7 +335,8 @@ class TestExactDenominator:
         shifted = replace(fig1, grid=Grid(fig1.grid.lo + 1.0, fig1.grid.hi + 1.0,
                                           fig1.grid.step))
         den = mi.TabularGridPolicy(mi.dp.TabularPolicy(
-            grid=fig1.grid, m=fig1.m, orders=np.zeros_like(tab.orders)))
+            grid=fig1.grid, m=fig1.m, orders=np.zeros_like(tab.orders),
+            cap_steps=tab.cap_steps))
         rep = ratio_heatmap(shifted, mi.make_pi_square(shifted, 2.0), den,
                             SimConfig(runs=4, seed=2,
                                       initial_states=[[0.0, 0.0], [4.0, -1.0]]))
