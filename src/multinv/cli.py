@@ -85,9 +85,9 @@ def _load_problem(args) -> tuple[Problem, str, dict]:
 
 
 def _sim_config(args) -> SimConfig:
-    cfg = SimConfig(runs=args.runs, seed=args.seed, crn=args.crn,
-                    threads=args.threads)
     with _parsing():
+        cfg = SimConfig(runs=args.runs, seed=args.seed, crn=args.crn,
+                        threads=args.threads)
         cfg.check()
     return cfg
 

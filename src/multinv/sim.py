@@ -40,6 +40,7 @@ layout: every operation is elementwise or a column-by-column
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -60,6 +61,16 @@ class SimConfig:
     initial_states: object = "grid"  # "grid" or a list of state vectors
     crn: bool = False
     threads: int = 1
+
+    def __post_init__(self):
+        # Stream keys hash repr(seed), and a numpy integer's repr is not
+        # the int's: each integer field is stored as the equal int, and a
+        # bool, float or other non-integer is refused.
+        for name in ("runs", "seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     def check(self):
         if self.runs < 1:

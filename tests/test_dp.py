@@ -186,9 +186,11 @@ TIE_COSTS = [linear_cost(0.0), linear_cost(1.0), affine_cost(1.0, 0.5),
 
 @hs.composite
 def dp_problems(draw):
-    m = draw(hs.integers(1, 3))
+    m = draw(hs.integers(1, 4))
     step = draw(hs.sampled_from([0.5, 1.0]))
-    count = draw(hs.integers(2, 6))
+    # four locations on grids of at most four points keep the state loop
+    # at 256 states
+    count = draw(hs.integers(2, 6 if m < 4 else 4))
     lo = -step * draw(hs.integers(0, 2))
     marginals = []
     for _ in range(m):
@@ -214,7 +216,8 @@ def dp_problems(draw):
 
 
 class TestSolveAgainstStateLoop:
-    """The action-major scan against the per-state loop it replaced."""
+    """Both stage minimizations, the scan (one or two locations) and the
+    per-axis recursion (three or more), against the per-state loop."""
 
     def assert_same(self, problem):
         vf, tab = mi.solve_joint_dp(problem)
@@ -273,8 +276,9 @@ def action_major_scan(problem):
     return values, orders
 
 
-# (block cap, states-per-order cap): q = 0 everywhere, a partial q on 2-
-# and 3-location problems, the defaults, and q = m everywhere
+# (block cap, states-per-order cap): q = 0 everywhere, a partial q on
+# 2-location problems, the defaults, and q = m everywhere; three or more
+# locations take the per-axis stage whatever the limits
 TILE_LIMITS = [(1, dp._TILE_STATES_PER_ORDER), (64, 2 ** 40),
                (dp._TILE_ELEMENTS, dp._TILE_STATES_PER_ORDER), (2 ** 40, 2 ** 40)]
 
@@ -314,11 +318,55 @@ class TestTileWidths(TestSolveAgainstStateLoop):
                                         periods=2, grid=Grid(0.0, 1.0, 1.0), cap=cap))
 
 
+def many_location_problem(grid, cap, m):
+    """``two_location_problem`` with m locations, the first two as
+    there and the rest like the second."""
+    marginal = DiscreteMarginal((0.0, grid.step, 2 * grid.step), (0.25, 0.5, 0.25))
+    return Problem(m=m, horizon=Finite(3), ordering=affine_cost(1.0, 0.5),
+                   holding=HoldingBacklogCost((0.5,) + (1.0,) * (m - 1),
+                                              (4.0,) + (10.0,) * (m - 1)),
+                   demand=DemandModel(marginals=(marginal,) * m),
+                   grid=grid, max_order_per_location=cap).validate(dp=True)
+
+
+class TestAxisStage:
+    """The degenerate action boxes of ``TestTileWidths`` on three and four
+    locations, where each stage is minimized one axis at a time."""
+
+    assert_same = TestSolveAgainstStateLoop.assert_same
+
+    @pytest.mark.parametrize("cap", [0.0, 2.0, 2.5, 40.0])
+    def test_order_cap_at_zero_and_at_or_above_the_span(self, cap):
+        # b = 1, a cap below the grid span, b = n and a cap beyond the span
+        self.assert_same(many_location_problem(Grid(-1.0, 1.5, 0.5), cap, 3))
+
+    @pytest.mark.parametrize("cap", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_two_point_grid(self, m, cap):
+        self.assert_same(many_location_problem(Grid(0.0, 1.0, 1.0), cap, m))
+
+    @pytest.mark.parametrize("cap", [1.0, 5.0])
+    def test_identical_locations_tie_everywhere(self, cap):
+        # free orders, no holding cost and four identical locations: every
+        # order that covers the demand ties, and the smallest order vector
+        # has to win on each axis
+        p = Problem(m=4, horizon=Finite(2), ordering=linear_cost(0.0),
+                    holding=HoldingBacklogCost((0.0,) * 4, (1.0,) * 4),
+                    demand=DemandModel(marginals=(DiscreteMarginal((0.0, 1.0), (0.5, 0.5)),) * 4),
+                    grid=Grid(-1.0, 2.0, 1.0), max_order_per_location=cap).validate(dp=True)
+        self.assert_same(p)
+
+    def test_one_byte_orders_hold_the_widest_box(self):
+        # MAX_JOINT_STATES keeps n <= 46 from three locations on, so no
+        # per-axis order exceeds an int8
+        n = max(n for n in range(1, 100) if n ** 3 <= dp.MAX_JOINT_STATES)
+        assert n - 1 <= np.iinfo(np.int8).max
+
+
 class TestTileAxes:
     @pytest.mark.parametrize("elements, per_order, n, m, b, q", [
         (2 ** 15, 32, 21, 2, 21, 1),   # 441 * 21 fits, 441 * 441 does not
-        (2 ** 15, 32, 21, 3, 4, 0),    # 9261 * 4 does not fit
-        (2 ** 15, 32, 21, 3, 7, 0),    # dp_joint3: 9261 * 7 does not fit
+        (2 ** 15, 32, 41, 2, 21, 0),   # 1681 * 21 does not fit
         (2 ** 15, 32, 21, 1, 21, 1),
         (48, 32, 4, 2, 3, 1),          # a block of exactly the cap
         (47, 32, 4, 2, 3, 0),
@@ -329,9 +377,7 @@ class TestTileAxes:
         (2 ** 17, 40, 41, 2, 41, 0),
         (2 ** 15, 32, 20, 2, 5, 2),    # 16 states per order: the limit halved once
         (2 ** 15, 32, 21, 2, 5, 0),    # 17.64 per order at q = 2
-        (2 ** 15, 32, 4, 3, 2, 3),     # 8 per order: the limit halved twice
-        (2 ** 15, 32, 5, 3, 2, 0),     # 15.6 per order at q = 3
-        (2 ** 40, 2 ** 40, 21, 3, 21, 3),
+        (2 ** 40, 2 ** 40, 21, 2, 21, 2),
     ])
     def test_widest_tile_within_both_caps(self, elements, per_order, n, m, b, q,
                                           monkeypatch):
@@ -389,9 +435,8 @@ class TestSolveAgainstScan:
         assert np.array_equal(vf.values, values)
         assert np.array_equal(tab.orders, orders)
 
-    # every tile width q = 0..m; with three locations and q = 1 the
-    # windows lie past a padded middle leading axis
-    @pytest.mark.parametrize("name, q", [("sector_sim_m3", q) for q in range(4)]
+    # every tile width q = 0..m of the two-location scan
+    @pytest.mark.parametrize("name, q", [("sector_sim", q) for q in range(3)]
                              + [("two_location_cap_below_span", q) for q in range(3)])
     def test_every_tile_width(self, name, q, monkeypatch):
         problem = SCAN_PROBLEMS[name]
@@ -401,6 +446,27 @@ class TestSolveAgainstScan:
         monkeypatch.setattr(dp, "_TILE_STATES_PER_ORDER", 2 ** 40)
         assert dp._tile_axes(n, m, b) == q
         vf, tab = mi.solve_joint_dp(problem)
+        values, orders = scanned(name)
+        assert np.array_equal(vf.values, values)
+        assert np.array_equal(tab.orders, orders)
+
+    def test_three_locations_minimize_one_axis_at_a_time(self, monkeypatch):
+        def no_tiles(*args):
+            raise AssertionError("three locations reached the tile scan")
+
+        monkeypatch.setattr(dp, "_tile_stage", no_tiles)
+        vf, tab = mi.solve_joint_dp(SCAN_PROBLEMS["sector_sim_m3"])
+        values, orders = scanned("sector_sim_m3")
+        assert np.array_equal(vf.values, values)
+        assert np.array_equal(tab.orders, orders)
+
+    @pytest.mark.parametrize("name", ["sector_sim", "sector_sim_square0"])
+    def test_one_or_two_locations_keep_the_tile_scan(self, name, monkeypatch):
+        def no_axes(*args):
+            raise AssertionError("one or two locations reached the per-axis stage")
+
+        monkeypatch.setattr(dp, "_axis_stage", no_axes)
+        vf, tab = mi.solve_joint_dp(SCAN_PROBLEMS[name])
         values, orders = scanned(name)
         assert np.array_equal(vf.values, values)
         assert np.array_equal(tab.orders, orders)

@@ -112,6 +112,39 @@ class TestEstimateCost:
         assert se4 == pytest.approx(se1 / 2, rel=0.2)
 
 
+class TestSimConfigFields:
+    """Stream keys hash repr(seed): a numpy integer has to key as the
+    equal int, and a field that is not an integer is refused by name."""
+
+    @pytest.fixture(scope="class")
+    def sector_square(self):
+        p = mi.instances.build("sector_sim")
+        return p, mi.make_pi_square(p, l=2.0)
+
+    def test_int_seed_keeps_its_streams(self, sector_square):
+        p, policy = sector_square
+        mean, _ = estimate_cost(p, policy, (0, 0), SimConfig(runs=50, seed=5))
+        assert mean == 6.4732
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer_seed_draws_the_int_streams(self, sector_square, kind):
+        p, policy = sector_square
+        want = estimate_cost(p, policy, (0, 0), SimConfig(runs=50, seed=5))
+        assert estimate_cost(p, policy, (0, 0), SimConfig(runs=50, seed=kind(5))) == want
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        cfg = SimConfig(runs=np.int64(20), seed=np.uint32(7), threads=np.int8(2))
+        assert (cfg.runs, cfg.seed, cfg.threads) == (20, 7, 2)
+        assert all(type(v) is int for v in (cfg.runs, cfg.seed, cfg.threads))
+        assert repr(cfg.seed) == "7"
+
+    @pytest.mark.parametrize("field", ["runs", "seed", "threads"])
+    @pytest.mark.parametrize("value", [5.0, 2.5, True, np.float64(5.0), np.bool_(True), "5"])
+    def test_non_integer_fields_raise_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimConfig(**{field: value})
+
+
 class TestRatioHeatmap:
     def test_policy_against_itself_is_unity(self, fig1):
         policy = mi.make_pi_square(fig1, 2.0)
