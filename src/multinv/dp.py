@@ -13,7 +13,8 @@ Conventions shared with the simulator:
   next state is then clamped into the grid box componentwise, so
   boundary truncation never hides cost.  Expectations read the floor
   clamp as an edge pad of the value table, laid flat so that each
-  outcome is one contiguous slice.
+  outcome is one contiguous slice, and sum over one location's demand
+  at a time, the last two locations' jointly.
 * Ties in the minimization break toward the lexicographically smallest
   order vector (location 1 first).
 * Value tables hold un-normalized sums of stage costs; terminal values
@@ -92,47 +93,76 @@ class TabularPolicy:
         return self.orders.shape[0]
 
 
-def _joint_demand(problem: Problem):
-    """All joint demand outcomes in C order of the per-location atoms:
-    (shifts, probs), the per-location demands in grid steps as an int array
-    of shape (outcomes, M) and each outcome's probability, the product of
-    its atoms' probabilities taken from location 1 on."""
-    pmfs = [demand_pmf(problem.demand, i) for i in range(problem.m)]
+def _demand_passes(problem: Problem) -> list:
+    """The demand of ``_expectation``'s passes: one pass per location from
+    location 1 on, the last two locations (or the only one) in one joint
+    pass.  Each pass is (shifts, probs): its locations' demands in grid
+    steps as an int array of shape (outcomes, locations), the outcomes in
+    C order of the atoms, and each outcome's probability, the product of
+    its atoms' probabilities from the pass's first location on."""
+    m = problem.m
+    pmfs = [demand_pmf(problem.demand, i) for i in range(m)]
     steps = [[problem.grid.to_steps(v) for v in values] for values, _ in pmfs]
-    shifts = np.array(list(itertools.product(*steps)), dtype=np.intp).reshape(-1, problem.m)
-    probs = functools.reduce(np.multiply.outer, [np.asarray(p, dtype=float) for _, p in pmfs])
-    return shifts, probs.ravel()
+    groups = [[i] for i in range(m - 2)] + [list(range(max(m - 2, 0), m))]
+    return [(np.array(list(itertools.product(*(steps[i] for i in g))),
+                      dtype=np.intp).reshape(-1, len(g)),
+             functools.reduce(np.multiply.outer,
+                              [np.asarray(pmfs[i][1], dtype=float) for i in g]).ravel())
+            for g in groups]
 
 
-def _expectation(w: np.ndarray, combos) -> np.ndarray:
-    """ev[y] = sum_c p_c * w[max(y - shift_c, 0)] over the joint post-order
-    grid y; trailing axes of w (several quantities at once) carry along.
-    The clamp is an edge pad: w is copied once behind ``pad`` copies of
-    its first row on each location axis, and the copy is read flat: y
-    lands at flat cell f(y) and outcome c reads f(y) + off(c), so every y
-    at once is one contiguous slice, the first ``span`` cells past
-    off(c), where span ends at the grid's last state.  ev is summed in
-    the same flat layout and returned as a view of its n**M box; its
-    first axis needs no pad, since span stops at its top.  Shifts of
-    n - 1 or more read row 0 throughout."""
-    shifts, probs = combos
-    m, n = shifts.shape[1], w.shape[0]
+def _expectation(w: np.ndarray, passes) -> np.ndarray:
+    """ev[y] = E w[max(y - d, 0)] over the joint post-order grid y, for the
+    demand d of ``_demand_passes``; trailing axes of w (several
+    quantities at once) carry along.  Demand is independent across
+    locations and the floor clamp acts on each axis alone, so the
+    expectation factors: each pass sums its own locations' outcomes on
+    the leading axes (``_pass_sum``), then moves those axes behind the
+    rest, where they ride along as trailing axes of the next pass; the
+    last pass's result has them moved back to the front.
+
+    The passes fix the association: E over location 1, then over
+    location 2 of that, and so on, the last two locations jointly over
+    their outcome pairs.  A pass adds one slice per outcome, so the
+    passes add atoms**2 + (M - 2) * atoms slices in place of atoms**M.
+    With one or two locations the single pass is the all-outcome sum;
+    from three on the result agrees with that sum up to rounding."""
+    m = sum(shifts.shape[1] for shifts, _ in passes)
+    for shifts, probs in passes:
+        k = shifts.shape[1]
+        w = _pass_sum(w, shifts, probs).transpose(tuple(range(k, w.ndim)) + tuple(range(k)))
+    d = w.ndim
+    return w.transpose(tuple(range(d - m, d)) + tuple(range(d - m)))
+
+
+def _pass_sum(w: np.ndarray, shifts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """ev[y] = sum_c p_c * w[max(y - shift_c, 0)] over the leading k =
+    shifts.shape[1] axes of w; its other axes carry along.  The clamp is
+    an edge pad: w is copied once behind ``pad`` copies of its first row
+    on each of the k axes, and the copy is read flat: y lands at flat
+    cell f(y) and outcome c reads f(y) + off(c), so every y at once is
+    one contiguous slice, the first ``span`` cells past off(c), where
+    span ends at the grid's last state.  ev is summed in the same flat
+    layout and returned as a view of its n**k box; its first axis needs
+    no pad, since span stops at its top.  Shifts of n - 1 or more read
+    row 0 throughout."""
+    k, n = shifts.shape[1], w.shape[0]
     pad = min(int(shifts.max()), n - 1)
-    side, rest = n + pad, w.shape[m:]
-    padded = np.empty((side,) * m + rest, dtype=w.dtype)
-    padded[(slice(pad, None),) * m] = w
-    for a in range(m):
+    side, rest = n + pad, w.shape[k:]
+    padded = np.empty((side,) * k + rest, dtype=w.dtype)
+    padded[(slice(pad, None),) * k] = w
+    for a in range(k):
         lead = (slice(None),) * a
         padded[lead + (slice(0, pad),)] = padded[lead + (slice(pad, pad + 1),)]
-    strides = side ** np.arange(m - 1, -1, -1)
+    strides = side ** np.arange(k - 1, -1, -1)
     span = (n - 1) * int(strides.sum()) + 1
     offsets = (pad - np.minimum(shifts, pad)) @ strides
     flat = padded.reshape((-1,) + rest)
-    ev = np.zeros((n * side ** (m - 1),) + rest, dtype=w.dtype)
+    ev = np.zeros((n * side ** (k - 1),) + rest, dtype=w.dtype)
     acc = ev[:span]
     for off, prob in zip(offsets.tolist(), probs.tolist()):
         acc += prob * flat[off:off + span]
-    return ev.reshape((n,) + (side,) * (m - 1) + rest)[(slice(0, n),) * m]
+    return ev.reshape((n,) + (side,) * (k - 1) + rest)[(slice(0, n),) * k]
 
 
 def _expected_holding_tables(problem: Problem) -> list:
@@ -196,8 +226,8 @@ def solve_joint_dp(problem: Problem):
     The choice follows m alone.  At m <= 2 the recursion evaluates no
     fewer candidates than the scan, and its stage measured 1.3-15x
     slower; from m = 3 on it was faster on every shape timed, taking
-    0.003-0.98 of the scan's time per one-stage solve (near 1 only where
-    the expectation, not the minimization, takes the time).
+    0.003-0.81 of the scan's time per one-stage solve on three and four
+    locations and 0.06-0.19 of its time per stage on five to eight.
 
     Both paths return the same values and orders, bit for bit.  Every
     candidate either path compares is the same double c[t] + goal[y];
@@ -225,14 +255,14 @@ def solve_joint_dp(problem: Problem):
     cap_steps = grid.to_steps(problem.max_order_per_location)
     # orders above n - 1 steps are infeasible from every state
     b = min(cap_steps, n - 1) + 1
-    combos = _joint_demand(problem)
+    passes = _demand_passes(problem)
     hold = functools.reduce(np.add.outer, _expected_holding_tables(problem))
     stage = (_axis_stage if m >= 3 else _tile_stage)(problem, hold, b)
 
     values = np.zeros((periods + 1,) + (n,) * m)
     orders = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)
     for k in range(periods - 1, -1, -1):
-        stage(_expectation(values[k + 1], combos), values[k], orders[k])
+        stage(_expectation(values[k + 1], passes), values[k], orders[k])
 
     return (ValueFunction(grid=grid, m=m, values=values),
             TabularPolicy(grid=grid, m=m, orders=orders, cap_steps=cap_steps))
@@ -378,8 +408,11 @@ def _axis_stage(problem: Problem, hold: np.ndarray, b: int):
     hold = np.ascontiguousarray(np.moveaxis(hold, -1, 0))
     goal = np.empty((n,) * m)
     flat_goal = goal.reshape(-1)
-    # flat stride of each location axis in each level's layout
-    strides = [np.array([n ** (m - 1 - (i - a) % m) for i in range(m)]) for a in range(m)]
+    # flat cell of each state in each level's layout: axes a..m-1, then
+    # 0..a-1, so an order u_i on an axis i < a moves it by u_i * n**(a-1-i)
+    states = np.indices((n,) * m).reshape(m, -1)
+    bases = [np.array([n ** (m - 1 - (i - a) % m) for i in range(m)]) @ states
+             for a in range(m)]
 
     def stage(ev, values, orders):
         np.add(hold, np.moveaxis(ev, -1, 0), out=goal)
@@ -405,14 +438,16 @@ def _axis_stage(problem: Problem, hold: np.ndarray, b: int):
                     np.maximum(arg[:cells], hit, out=arg[:cells])
                 if a:
                     table[s].reshape(n, rest)[...] = out.reshape(rest, n).T
-        post = np.indices((n,) * m).reshape(m, -1)
+        # s: the partial sum of the orders read back so far, r: the cell
+        # shift they give in the next level's layout
         s = np.zeros(size, dtype=np.intp)
+        r = np.zeros(size, dtype=np.intp)
         flat_orders = orders.reshape(size, m)
         for a in range(m):
-            u = args[a].reshape(-1)[s * size + strides[a] @ post]
+            u = args[a].reshape(-1)[bases[a] + (s * size + r)]
             flat_orders[:, a] = u
-            post[a] += u
             s += u
+            r = r * n + u
 
     return stage
 
@@ -441,12 +476,12 @@ def _policy_recursion(problem: Problem, table: np.ndarray, stage, w: np.ndarray)
     a stage's orders in steps, ``post`` the per-location post-order
     indices; w may carry trailing axes of quantities."""
     m, n = problem.m, problem.grid.count
-    combos = _joint_demand(problem)
+    passes = _demand_passes(problem)
     idx = np.indices((n,) * m)
     for k in range(problem.horizon.periods - 1, -1, -1):
         u = table[k]
         post = tuple(idx[i] + u[..., i] for i in range(m))
-        w = stage(u, post) + _expectation(w, combos)[post]
+        w = stage(u, post) + _expectation(w, passes)[post]
     return w
 
 

@@ -74,9 +74,9 @@ def envelope_gap(cost: OrderingCost, fit, z: np.ndarray):
     return c - lower, upper - c
 
 
-def _every_state(problem: Problem, cost) -> np.ndarray:
+def _every_state(problem: Problem, cost, shape=()) -> np.ndarray:
     n = problem.grid.count
-    out = np.zeros((n,) * problem.m)
+    out = np.zeros((n,) * problem.m + shape)
     for state in itertools.product(range(n), repeat=problem.m):
         out[state] = cost(0, state)
     return out
@@ -111,6 +111,24 @@ def brute_force_policy_cost(problem: Problem, order_table: np.ndarray) -> np.nda
                               lambda nxt: cost(k + 1, nxt))
 
     return _every_state(problem, cost)
+
+
+def brute_force_final_levels(problem: Problem, order_table: np.ndarray) -> np.ndarray:
+    """E[x_N] per location of a fixed per-stage order table by
+    scenario-path enumeration, for every grid state: shape (n,)*M + (M,)."""
+    scenarios = _scenarios(problem)
+
+    def level(k, state):
+        if k == problem.horizon.periods:
+            return [problem.grid.point(j) for j in state]
+        post = [j + int(u) for j, u in zip(state, order_table[k][state])]
+        total = [0.0] * problem.m
+        for shift, _, prob in scenarios:
+            nxt = level(k + 1, tuple(max(y - s, 0) for y, s in zip(post, shift)))
+            total = [t + prob * x for t, x in zip(total, nxt)]
+        return total
+
+    return _every_state(problem, level, (problem.m,))
 
 
 def random_order_table(problem: Problem, rng: np.random.Generator) -> np.ndarray:

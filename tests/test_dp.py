@@ -17,8 +17,9 @@ from multinv.model import (DemandModel, DiscreteMarginal, Finite, Grid,
                            HoldingBacklogCost, OrderingCost, Piece, Problem,
                            affine_cost, demand_pmf, linear_cost,
                            single_location_problem)
-from multinv.testing import (brute_force_policy_cost, brute_force_values,
-                             random_order_table, random_small_problem)
+from multinv.testing import (brute_force_final_levels, brute_force_policy_cost,
+                             brute_force_values, random_order_table, random_problem,
+                             random_small_problem)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,21 @@ class TestOracleEquivalence:
         split = v1[:, None] + v1[None, :]
         assert np.max(np.abs(joint - split)) <= 1e-9
 
+    def test_linear_cost_decouples_on_six_locations(self):
+        # sector_sim's 4-atom demand at six locations: 4096 joint outcomes
+        # per stage, summed in 4**2 + 4 * 4 slices
+        base = mi.instances.build("sector_sim")
+        m = 6
+        p = Problem(m=m, horizon=Finite(3), ordering=linear_cost(2.0),
+                    holding=HoldingBacklogCost(tuple(0.1 + 0.05 * i for i in range(m)),
+                                               tuple(5.0 + i for i in range(m))),
+                    demand=DemandModel(marginals=base.demand.marginals[:1] * m),
+                    grid=Grid(-0.5, 1.0, 0.5), max_order_per_location=0.5).validate(dp=True)
+        vf, _ = mi.solve_joint_dp(p)
+        split = functools.reduce(np.add.outer, [
+            mi.solve_joint_dp(single_location_problem(p, i))[0].values[0] for i in range(m)])
+        assert np.all(np.abs(vf.values[0] - split) <= 1e-9 * np.abs(split))
+
     def test_optimality_dominates_random_policies(self, fig1_nonlinear):
         p, vf, tab = fig1_nonlinear
         periods = p.horizon.periods
@@ -140,19 +156,27 @@ class TestOracleEquivalence:
 
 
 def gather_expectation(problem, w):
-    """The expectation that the edge-padded views replaced: each joint
-    demand outcome gathers w at the clamped next state with np.ix_, in
-    the same outcome order and with the same probabilities."""
-    n = problem.grid.count
+    """The expectation by np.ix_ gathers, in the association that
+    dp._expectation documents: location 1's outcomes summed first, then
+    location 2's over that, and so on, the last two locations (or the
+    only one) jointly over their outcome pairs.  Each outcome gathers the
+    running table at the clamped next state, in the same outcome order
+    and with the same probabilities."""
+    n, m = problem.grid.count, problem.m
     per_loc = []
-    for i in range(problem.m):
+    for i in range(m):
         values, probs = demand_pmf(problem.demand, i)
         per_loc.append([(np.maximum(np.arange(n) - problem.grid.to_steps(v), 0), p)
                         for v, p in zip(values, probs)])
-    ev = np.zeros_like(w)
-    for combo in itertools.product(*per_loc):
-        ev += float(np.prod([c[1] for c in combo])) * w[np.ix_(*(c[0] for c in combo))]
-    return ev
+    for group in [[i] for i in range(m - 2)] + [list(range(max(m - 2, 0), m))]:
+        ev = np.zeros_like(w)
+        for combo in itertools.product(*(per_loc[i] for i in group)):
+            index = [np.arange(n)] * m
+            for i, c in zip(group, combo):
+                index[i] = c[0]
+            ev += float(np.prod([c[1] for c in combo])) * w[np.ix_(*index)]
+        w = ev
+    return w
 
 
 def state_loop_dp(problem):
@@ -253,7 +277,7 @@ def action_major_scan(problem):
     periods = problem.horizon.periods
     cap_steps = grid.to_steps(problem.max_order_per_location)
     box = (min(cap_steps, n - 1) + 1,) * m
-    combos = dp._joint_demand(problem)
+    passes = dp._demand_passes(problem)
     hold = functools.reduce(np.add.outer, dp._expected_holding_tables(problem))
     order_cost = dp._order_cost_box(problem, box[0] - 1)
     heads = [slice(0, n - s) for s in range(box[0])]
@@ -262,7 +286,7 @@ def action_major_scan(problem):
     orders = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)
     arg = np.empty((n,) * m, dtype=np.intp)
     for k in range(periods - 1, -1, -1):
-        goal = hold + dp._expectation(values[k + 1], combos)
+        goal = hold + dp._expectation(values[k + 1], passes)
         best = values[k]
         best.fill(np.inf)
         scan = zip(order_cost.flat, itertools.product(heads, repeat=m),
@@ -488,15 +512,84 @@ def random_table(rng, shape):
     return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
 
 
+def all_outcome_demand(problem):
+    """The joint demand that the per-pass demand replaced: all joint
+    demand outcomes in C order of the per-location atoms, (shifts,
+    probs), the per-location demands in grid steps as an int array of
+    shape (outcomes, M) and each outcome's probability, the product of
+    its atoms' probabilities taken from location 1 on."""
+    pmfs = [demand_pmf(problem.demand, i) for i in range(problem.m)]
+    steps = [[problem.grid.to_steps(v) for v in values] for values, _ in pmfs]
+    shifts = np.array(list(itertools.product(*steps)), dtype=np.intp).reshape(-1, problem.m)
+    probs = functools.reduce(np.multiply.outer, [np.asarray(p, dtype=float) for _, p in pmfs])
+    return shifts, probs.ravel()
+
+
+def all_outcome_expectation(w, combos):
+    """The expectation that the per-location passes replaced: one slice
+    of one edge-padded copy of w per joint demand outcome, summed in the
+    outcome order of ``all_outcome_demand``."""
+    shifts, probs = combos
+    m, n = shifts.shape[1], w.shape[0]
+    pad = min(int(shifts.max()), n - 1)
+    side, rest = n + pad, w.shape[m:]
+    padded = np.empty((side,) * m + rest, dtype=w.dtype)
+    padded[(slice(pad, None),) * m] = w
+    for a in range(m):
+        lead = (slice(None),) * a
+        padded[lead + (slice(0, pad),)] = padded[lead + (slice(pad, pad + 1),)]
+    strides = side ** np.arange(m - 1, -1, -1)
+    span = (n - 1) * int(strides.sum()) + 1
+    offsets = (pad - np.minimum(shifts, pad)) @ strides
+    flat = padded.reshape((-1,) + rest)
+    ev = np.zeros((n * side ** (m - 1),) + rest, dtype=w.dtype)
+    acc = ev[:span]
+    for off, prob in zip(offsets.tolist(), probs.tolist()):
+        acc += prob * flat[off:off + span]
+    return ev.reshape((n,) + (side,) * (m - 1) + rest)[(slice(0, n),) * m]
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of doubles:
+    a product of k factors (1 + delta), |delta| <= u, is 1 + theta with
+    |theta| <= gamma_k."""
+    u = 2.0 ** -53
+    return k * u / (1 - k * u)
+
+
+def rounding_bound(problem, w):
+    """An a-priori bound on |dp._expectation(w) - all_outcome_expectation(w)|
+    per cell, from the term counts and E|w|.
+
+    A pass over k locations with T outcomes rounds each term's
+    probability k - 1 times, its product with w once and the running
+    sum T - 1 times (the first add, to 0, is exact): K = T + k - 1
+    roundings.  So the pass returns sum_c p_c w_c (1 + theta_c) with
+    |theta_c| <= gamma_K; nested passes multiply the factors, so the
+    passes' result is within gamma of their summed K, times E|w|, of the
+    exact E w, and the all-outcome sum is one pass over all M locations.
+    E|w| is taken from the all-outcome sum of |w|, whose terms are all
+    nonnegative, so it is at least 1 - gamma of the exact E|w|."""
+    k_passes = sum(len(probs) + shifts.shape[1] - 1
+                   for shifts, probs in dp._demand_passes(problem))
+    combos = all_outcome_demand(problem)
+    k_all = len(combos[1]) + problem.m - 1
+    mean_abs = all_outcome_expectation(np.abs(w), combos) / (1 - gamma(k_all))
+    return (gamma(k_passes) + gamma(k_all)) * mean_abs
+
+
 @hs.composite
 def expectation_cases(draw):
     # demand atoms from 0 (no shift) up to twice the grid (shifts >= n),
-    # with or without the 2 + 2M trailing quantities of exact_expectations
-    m = draw(hs.integers(1, 3))
-    count = draw(hs.integers(2, 7))
+    # with or without the 2 + 2M trailing quantities of exact_expectations;
+    # from four locations on fewer points and atoms keep the all-outcome
+    # sum at 729 outcomes of 729 states
+    m = draw(hs.integers(1, 6))
+    count = draw(hs.integers(2, {4: 4, 5: 3, 6: 3}.get(m, 7)))
     marginals = []
     for _ in range(m):
-        steps = draw(hs.lists(hs.integers(0, 2 * count), min_size=1, max_size=4, unique=True))
+        steps = draw(hs.lists(hs.integers(0, 2 * count), min_size=1,
+                              max_size=4 if m <= 4 else 3, unique=True))
         weights = draw(hs.lists(hs.integers(1, 9), min_size=len(steps), max_size=len(steps)))
         marginals.append(DiscreteMarginal(tuple(float(v) for v in steps),
                                           tuple(w / sum(weights) for w in weights)))
@@ -506,21 +599,28 @@ def expectation_cases(draw):
 
 
 class TestExpectationViews:
-    """dp._expectation (flat slices of one edge-padded copy) against the
-    np.ix_ gather it replaced, bit for bit."""
+    """dp._expectation (flat slices of one edge-padded copy per pass)
+    against the np.ix_ gathers of the same association, bit for bit, and
+    against the all-outcome sum it replaced: bit for bit with one or two
+    locations, within ``rounding_bound`` from three on."""
 
     def assert_same(self, problem, w):
-        ev = dp._expectation(w, dp._joint_demand(problem))
+        ev = dp._expectation(w, dp._demand_passes(problem))
         assert np.array_equal(ev, gather_expectation(problem, w))
+        joint = all_outcome_expectation(w, all_outcome_demand(problem))
+        if problem.m <= 2:
+            assert np.array_equal(ev, joint)
+        else:
+            assert np.all(np.abs(ev - joint) <= rounding_bound(problem, w))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(case=expectation_cases())
     def test_random_tables(self, case):
         self.assert_same(*case)
 
     # zero demand only (pad width 0), every shift >= n, and a mix of both
     @pytest.mark.parametrize("steps", [(0.0,), (5.0, 9.0), (0.0, 2.0, 6.0)])
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("trailing", [False, True])
     def test_edge_shifts(self, steps, m, trailing):
         probs = tuple(np.full(len(steps), 1.0 / len(steps)))
@@ -535,6 +635,64 @@ class TestExpectationViews:
         rng = np.random.default_rng(21)
         p = SCAN_PROBLEMS["sector_sim_m3"]
         self.assert_same(p, random_table(rng, (21,) * 3 + ((8,) if trailing else ())))
+
+    def test_passes(self):
+        # one pass per location, the last two (or the only one) joint
+        marginal = DiscreteMarginal((0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
+        for m, widths in [(1, [1]), (2, [2]), (3, [1, 2]), (6, [1, 1, 1, 1, 2])]:
+            passes = dp._demand_passes(expectation_problem([marginal] * m, 4))
+            assert [shifts.shape for shifts, _ in passes] == [(3 ** k, k) for k in widths]
+
+
+def random_three_location_problem(rng):
+    """A random three-location problem within the brute force's reach:
+    three or four grid points, one or two periods, two demand atoms per
+    location, an order cap of one step, and an affine or concave ordering
+    cost."""
+    step = float(rng.choice([0.5, 1.0]))
+    count = int(rng.integers(3, 5))
+    lo = -step * int(rng.integers(0, 2))
+
+    def pieces(rng):
+        if rng.random() < 0.5:
+            b, m1, m2 = step, float(rng.uniform(2.0, 4.0)), float(rng.uniform(0.5, 2.0))
+            return Piece(b, 0.0, m1), Piece(math.inf, (m1 - m2) * b, m2)
+        return (Piece(math.inf, float(rng.uniform(0.0, 3.0)), float(rng.uniform(0.5, 4.0))),)
+
+    return random_problem(rng, 3, int(rng.integers(1, 3)),
+                          Grid(lo, lo + step * (count - 1), step),
+                          atoms=(2, 3), support=3, pieces=pieces, cap=lambda rng: step)
+
+
+def assert_expectations_match_scenario_tree(p, table):
+    """Every quantity of exact_expectations of a (non-optimal) order table
+    is a scenario-tree number: the cost; the total orders, as the cost
+    under c(z) = z and no holding; the final levels; and location i's
+    floor clamp, as its backlog at rate 1 on the same grid shifted to
+    start at 0."""
+    policy = mi.TabularGridPolicy(TabularPolicy(
+        grid=p.grid, m=p.m, orders=table,
+        cap_steps=p.grid.to_steps(p.max_order_per_location)))
+    periods = p.horizon.periods
+    brute = brute_force_policy_cost(p, table) / periods
+    assert np.max(np.abs(mi.evaluate_policy_exact(p, policy) - brute)) <= 1e-12
+    ex = mi.dp.exact_expectations(p, policy)
+    assert np.max(np.abs(ex.cost - brute)) <= 1e-12
+    zeros = (0.0,) * p.m
+    counted = replace(p, ordering=linear_cost(1.0),
+                      holding=HoldingBacklogCost(zeros, zeros))
+    assert np.max(np.abs(ex.orders - brute_force_policy_cost(counted, table))) <= 1e-12
+    assert np.max(np.abs(ex.final_level - brute_force_final_levels(p, table))) <= 1e-12
+    floor = Grid(0.0, p.grid.hi - p.grid.lo, p.grid.step)
+    for i in range(p.m):
+        rates = tuple(float(j == i) for j in range(p.m))
+        clamped = replace(counted, ordering=linear_cost(0.0), grid=floor,
+                          holding=HoldingBacklogCost(zeros, rates))
+        assert np.max(np.abs(ex.clamp[..., i]
+                             - brute_force_policy_cost(clamped, table))) <= 1e-12
+    rep = mi.verify_cost_transformation(p, policy, 0.5)
+    assert rep["max_abs_accounting_gap"] <= 1e-12
+    assert rep["max_abs_displacement_gap"] <= 1e-12
 
 
 class TestExactEvaluation:
@@ -554,37 +712,20 @@ class TestExactEvaluation:
             assert np.max(np.abs(exact - brute / p.horizon.periods)) <= 1e-12
 
     def test_random_tables_match_scenario_tree(self):
-        # non-optimal tables; each expectation of the one recursion is a
-        # scenario-tree cost: total orders under c(z) = z and no holding,
-        # and location i's floor clamp as its backlog at rate 1 on the
-        # same grid shifted to start at 0
         rng = np.random.default_rng(47)
         for _ in range(6):
             p = random_small_problem(rng)
-            table = random_order_table(p, rng)
-            policy = mi.TabularGridPolicy(TabularPolicy(
-                grid=p.grid, m=p.m, orders=table,
-                cap_steps=p.grid.to_steps(p.max_order_per_location)))
-            periods = p.horizon.periods
-            brute = brute_force_policy_cost(p, table) / periods
-            assert np.max(np.abs(mi.evaluate_policy_exact(p, policy) - brute)) <= 1e-12
-            ex = mi.dp.exact_expectations(p, policy)
-            assert np.max(np.abs(ex.cost - brute)) <= 1e-12
-            zeros = (0.0,) * p.m
-            counted = replace(p, ordering=linear_cost(1.0),
-                              holding=HoldingBacklogCost(zeros, zeros))
-            assert np.max(np.abs(ex.orders
-                                 - brute_force_policy_cost(counted, table))) <= 1e-12
-            floor = Grid(0.0, p.grid.hi - p.grid.lo, p.grid.step)
-            for i in range(p.m):
-                rates = tuple(float(j == i) for j in range(p.m))
-                clamped = replace(counted, ordering=linear_cost(0.0), grid=floor,
-                                  holding=HoldingBacklogCost(zeros, rates))
-                assert np.max(np.abs(ex.clamp[..., i]
-                                     - brute_force_policy_cost(clamped, table))) <= 1e-12
-            rep = mi.verify_cost_transformation(p, policy, 0.5)
-            assert rep["max_abs_accounting_gap"] <= 1e-12
-            assert rep["max_abs_displacement_gap"] <= 1e-12
+            assert_expectations_match_scenario_tree(p, random_order_table(p, rng))
+
+    def test_three_locations_match_scenario_tree(self):
+        # the factored expectation's association differs from the
+        # all-outcome sum only from three locations on
+        rng = np.random.default_rng(303)
+        for _ in range(3):
+            p = random_three_location_problem(rng)
+            vf, _ = mi.solve_joint_dp(p)
+            assert np.max(np.abs(vf.values[0] - brute_force_values(p))) <= 1e-12
+            assert_expectations_match_scenario_tree(p, random_order_table(p, rng))
 
     def test_final_level_without_demand_or_clamp(self):
         # deterministic zero demand: x_N = x_0 + all orders, no clamping
