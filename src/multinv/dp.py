@@ -11,10 +11,11 @@ Conventions shared with the simulator:
   the per-location order cap, in whole grid steps.
 * Holding/backlog cost is charged on the pre-clamp level x + u - w; the
   next state is then clamped into the grid box componentwise, so
-  boundary truncation never hides cost.  Expectations read the floor
-  clamp as an edge pad of the value table, laid flat so that each
-  outcome is one contiguous slice, and sum over one location's demand
-  at a time, the last two locations' jointly.
+  backlog below the floor is charged once and then forgiven in every
+  later period.  Expectations read the floor clamp as an edge pad of
+  the value table, laid flat so that each outcome is one contiguous
+  slice, and sum over one location's demand at a time, the last two
+  locations' jointly.
 * Ties in the minimization break toward the lexicographically smallest
   order vector (location 1 first).
 * Value tables hold un-normalized sums of stage costs; terminal values
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,19 +37,13 @@ from .model import (Finite, Problem, SizeError, demand_pmf,
 
 MAX_JOINT_STATES = 100_000
 
-# With one or two locations, solve_joint_dp minimizes a stage one tile of
-# the action box at a time (three or more locations take the per-axis
-# stage, which has no tiles).  A tile's candidate block holds at most
-# _TILE_ELEMENTS (state, order) pairs, so that it stays in cache, and at
-# most _TILE_STATES_PER_ORDER states per order it takes at once with one
-# trailing axis, half that with two: past that, a tile's per-state work
-# (argmin over a short row, the add's inner loop of b) costs more than
-# the scan steps it saves, each of which reads one contiguous slice.
-# Both limits come from timing tiles against the plain scan over grid
-# counts and order caps; they were tuned on m = 1..3, and only their
-# m <= 2 cases are used.
+# With one or two locations, solve_joint_dp minimizes a stage one leading
+# order at a time, taking every order on the last axis at once (three or
+# more locations take the per-axis stage).  Each such tile is cut into
+# chunks of whole rows of states whose candidate block, states by orders,
+# holds at most _TILE_ELEMENTS entries (one row when a row alone holds
+# more), so that a block stays in cache.
 _TILE_ELEMENTS = 2 ** 15
-_TILE_STATES_PER_ORDER = 32
 
 
 class StructureError(ValueError):
@@ -196,18 +190,6 @@ def _require_dp(problem: Problem):
             f"(limit {MAX_JOINT_STATES}); reduce the grid or locations")
 
 
-def _tile_axes(n: int, m: int, b: int) -> int:
-    """How many trailing order axes a tile of the one- or two-location
-    scan takes at once: the largest q <= m whose candidate block, n**m
-    states by b**q orders, holds at most ``_TILE_ELEMENTS`` entries; 0 if
-    that block still has more states per order than
-    ``_TILE_STATES_PER_ORDER``, halved for a second trailing axis."""
-    q = 0
-    while q < m and n ** m * b ** (q + 1) <= _TILE_ELEMENTS:
-        q += 1
-    return q if q and n ** m <= (_TILE_STATES_PER_ORDER >> (q - 1)) * b ** q else 0
-
-
 def solve_joint_dp(problem: Problem):
     """Optimal coupled policy by backward induction.
 
@@ -218,16 +200,21 @@ def solve_joint_dp(problem: Problem):
     future value.  With b orders per axis, two paths minimize it:
 
     * One or two locations (``_tile_stage``): a scan of the b**m order
-      vectors in C order, one tile of them at a time.
+      vectors in C order, one leading order at a time with every order on
+      the last axis at once.
     * Three or more (``_axis_stage``): one location axis at a time,
       indexed by the partial sum of the orders still to be chosen.  The
       scan's work grows as b**m, the per-axis recursion's as m**2 * b**2.
 
     The choice follows m alone.  At m <= 2 the recursion evaluates no
     fewer candidates than the scan, and its stage measured 1.3-15x
-    slower; from m = 3 on it was faster on every shape timed, taking
-    0.003-0.81 of the scan's time per one-stage solve on three and four
-    locations and 0.06-0.19 of its time per stage on five to eight.
+    slower (3.2x on a whole ``sector_sim`` solve, 4.0x on its
+    single-location problem); from m = 3 on it was faster on every shape
+    timed, taking 0.003-0.81 of the scan's time per one-stage solve on
+    three and four locations and 0.06-0.19 of its time per stage on five
+    to eight.  A per-axis stage for every m whose last level is the
+    scan's windowed argmin is bit-exact too, but read 1.5x on
+    ``sector_sim`` and 2.7x on the three-location ``dp_joint3`` solve.
 
     Both paths return the same values and orders, bit for bit.  Every
     candidate either path compares is the same double c[t] + goal[y];
@@ -243,10 +230,12 @@ def solve_joint_dp(problem: Problem):
     it.
 
     Memory: the scan's tables are about one padded copy of the grid
-    each.  The recursion holds (m - 1)(b - 1) + 1 rows of n**m doubles,
-    one row per partial sum, plus O(1) such rows of scratch, and keeps
-    m(m - 1)(b - 1)/2 + m rows of n**m one-byte order indices for the
-    read-back: O(m * b * n**m) doubles and O(m**2 * b * n**m) bytes.
+    each, and a candidate block holds at most ``_TILE_ELEMENTS`` doubles,
+    or one row of n**(m-1) * b when that is more.  The recursion holds
+    (m - 1)(b - 1) + 1 rows of n**m doubles, one row per partial sum,
+    plus O(1) such rows of scratch, and keeps m(m - 1)(b - 1)/2 + m rows
+    of n**m one-byte order indices for the read-back: O(m * b * n**m)
+    doubles and O(m**2 * b * n**m) bytes.
     """
     _require_dp(problem)
     grid, m = problem.grid, problem.m
@@ -273,89 +262,57 @@ def _tile_stage(problem: Problem, hold: np.ndarray, b: int):
     ``stage(ev, values, orders)`` that fills one stage's value and order
     tables from the expected future values ev.
 
-    Each stage is minimized one tile of the action box at a time.  A tile
-    fixes the leading m - q orders u, which are scanned in C order, and
-    takes every trailing order v of the q trailing axes at once.
-    ``_tile_axes`` picks q from (n, m, b): the widest tile within the
-    cache and states-per-order limits.  That is q = 1 on ``sector_sim``
-    and ``affine_sim`` and on their single-location problems, q = m on
-    the small ``fig1`` grids, and q = 0 (one order vector per tile) on
-    wide joint grids with small order caps.
+    The states lie in n rows: row j is the states whose first index is
+    j, n of them with two locations and the single state j with one.  A
+    tile fixes the leading order u (u = 0 alone with one location, which
+    shifts no row) and takes every order v on the last axis at once.  For
+    the rows j with j + u < n it forms cand = c(u, v) + goal[j + u, . + v]
+    for every v, through a window of b over a copy of goal whose last
+    axis is padded with b - 1 cells of +inf past the grid's top, so an
+    order that leaves the box never wins and v = 0 is feasible
+    everywhere.  The copy is allocated once per solve and refilled in
+    place each stage, so the tiles' views of it are taken once.
 
-    For the states j with j + u inside the grid on the leading axes, a
-    tile forms cand = c(u, v) + goal[j + (u, v)] for every v.  goal is
-    kept in one copy whose leading axes lie on one flat axis: state j
-    sits at flat cell f(j) and j + u at f(j) + off(u).  Every axis but
-    the first, leading or trailing, is padded with b - 1 cells of +inf
-    past the grid's top, so an order that leaves the box never wins, and
-    v = 0 is feasible everywhere.  The states that can take u, those with
-    j_1 + u_1 < n, all lie in the first span(u) = L - u_1 * s_1 flat
-    cells, where L is the flat extent of the grid box and s_1 the first
-    axis's stride.  So each u reads one slice of goal,
-    ``off(u) : off(u) + span(u)``, and the first axis needs no pad, since
-    span(u) stops at its top.  ``best`` and ``arg`` share the layout;
-    their pad cells take values that the n**m box, read back at the end
-    of the stage, never shows.  The trailing goal entries are a window of
-    b per trailing axis.  argmin over the flattened v gives each state
-    the first minimum of its tile in C order of v; that minimum replaces
-    the state's best only where it is strictly smaller.  The tiles come
-    in C order of u, so an order survives only when no order before it in
-    C order over the whole box is as good: the lexicographic tie-break.
-    With q = 0 a tile is one order vector and a stage is the plain scan
-    over contiguous slices: for each u, cand = c(u) + goal[off(u):off(u)
-    + span(u)] kept where cand < best[:span(u)].  With m - q <= 1 the
-    leading axis, if any, is the grid's and carries no pad.
+    argmin over v gives each state the first minimum of its tile; that
+    minimum replaces the state's best only where it is strictly smaller.
+    The tiles come in ascending u, so an order survives only when no
+    order before it in C order over the whole box is as good: the
+    lexicographic tie-break.  A tile is taken in chunks of whole rows,
+    as many as keep the candidate block within ``_TILE_ELEMENTS``
+    entries and at least one, and every chunk reads its states' offsets
+    into the block from one shared array.
     """
     m, n = problem.m, problem.grid.count
-    q = _tile_axes(n, m, b)
-    lead = m - q
-    pad = n + b - 1
-    order_cost = _order_cost_box(problem, b - 1)
-
-    # goal fills the interior of the +inf-padded copy in place each stage,
-    # so the tiles' views of it are taken once
-    group = (n,) + (pad,) * (lead - 1) if lead else ()
-    cells = math.prod(group)
-    strides = [pad ** (lead - 1 - a) for a in range(lead)]
-    extent = (n - 1) * sum(strides) + 1  # L: flat cells up to the box's last state
-    box = (slice(0, n),) * m
-    padded = np.full((cells,) + (pad,) * q, np.inf)
-    goal = padded.reshape(group + (pad,) * q)[box]
-    windows = sliding_window_view(padded, (b,) * q, axis=tuple(range(1, 1 + q)))
-    best = np.empty((cells,) + (n,) * q)
-    arg = np.empty(best.shape, dtype=np.intp)  # flat index of the best order
-    # where each state's row of b**q candidates starts in a tile's block
-    row_starts = np.arange(0, best.size * b ** q, b ** q)
-    # leading orders in C order, with c(u, .) and their slices
+    width = n ** (m - 1)  # states per row
+    rows = min(n, max(1, _TILE_ELEMENTS // (width * b)))  # rows per chunk
+    padded = np.full((n,) * (m - 1) + (n + b - 1,), np.inf)
+    goal = padded[..., :n]
+    windows = sliding_window_view(padded, b, axis=-1).reshape(n, width, b)
+    best = np.empty((n, width))
+    arg = np.empty((n, width), dtype=np.intp)  # flat index of the best order
+    # where each state's b candidates start in a chunk's block
+    starts = np.arange(0, rows * width * b, b)
     tiles = []
-    scan = zip(order_cost.reshape((-1,) + (b,) * q), itertools.product(range(b), repeat=lead))
-    for t, (cost, u) in enumerate(scan):
-        off = sum(x * s for x, s in zip(u, strides))
-        span = extent - (u[0] * strides[0] if lead else 0)
-        low = best[:span]
-        tiles.append((cost, windows[off:off + span], low, arg[:span],
-                      row_starts[:low.size], t * b ** q))
-    block = (-1, b ** q)
-    best_box = best.reshape(group + (n,) * q)[box]
-    arg_box = arg.reshape(group + (n,) * q)[box]
+    for u, cost in enumerate(_order_cost_box(problem, b - 1).reshape(-1, b)):
+        for r0 in range(0, n - u, rows):
+            r1 = min(r0 + rows, n - u)
+            low = best[r0:r1].reshape(-1)
+            tiles.append((cost, windows[u + r0:u + r1], low, arg[r0:r1].reshape(-1),
+                          starts[:low.size], u * b))
 
     def stage(ev, values, orders):
         # cost of landing post-order at y, plus the future
         np.add(hold, ev, out=goal)
         best.fill(np.inf)
-        for cost, view, low, flat, starts, base in tiles:
+        for cost, view, low, flat, offsets, base in tiles:
             cand = cost + view
-            if q:
-                pick = cand.reshape(block).argmin(axis=1)
-                cand = cand.take(starts + pick).reshape(low.shape)
-                pick = (pick + base).reshape(low.shape)
-            else:
-                pick = base
+            pick = cand.reshape(-1, b).argmin(axis=1)
+            cand = cand.take(offsets + pick)
             better = cand < low
             np.copyto(low, cand, where=better)
-            np.copyto(flat, pick, where=better)
-        values[...] = best_box
-        orders[...] = np.stack(np.unravel_index(arg_box, (b,) * m), axis=-1)
+            np.copyto(flat, pick + base, where=better)
+        values[...] = best.reshape(values.shape)
+        orders[...] = np.stack(np.unravel_index(arg.reshape(values.shape), (b,) * m), axis=-1)
 
     return stage
 

@@ -223,12 +223,19 @@ def estimate_cost(problem: Problem, policy: Policy, x0, cfg: SimConfig,
                   state_index: int = 0, collect_orders: bool = False):
     """(mean, standard error) of the average cost from x0 over cfg.runs.
 
-    The standard error is the sample standard deviation over runs divided
-    by sqrt(runs); with a single run it is reported as nan.
+    x0 holds one level per location, each inside [grid.lo, grid.hi]: the
+    order caps are measured from there.  The standard error is the sample
+    standard deviation over runs divided by sqrt(runs); with a single run
+    it is reported as nan.
     """
     cfg.check()
+    x0 = np.asarray(x0, dtype=float)
+    grid = problem.grid
+    if x0.shape != (problem.m,) or not np.all((x0 >= grid.lo) & (x0 <= grid.hi)):
+        raise ValueError(f"x0 must hold {problem.m} levels inside [{grid.lo}, {grid.hi}], "
+                         f"got {x0.tolist()}")
     draws = _keyed_draws(problem, policy, cfg, range(state_index, state_index + 1))
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.runs, problem.m))
+    x0 = np.broadcast_to(x0, (cfg.runs, problem.m))
     out = _simulate_batch(problem, policy, x0, draws, collect_orders=collect_orders)
     costs = out[0] if collect_orders else out
     mean = float(np.mean(costs))
@@ -302,14 +309,19 @@ class RatioReport:
 
 def initial_states(problem: Problem, cfg: SimConfig) -> np.ndarray:
     """The (S, M) initial states of a report: every joint grid state in
-    ``Grid.states`` order for "grid", else the given list, each of whose
-    states must be a grid state (``Grid.indices`` raises a ValueError
-    naming the first value that is not), and which must not be empty."""
+    ``Grid.states`` order for "grid", else the given list, which must not
+    be empty, each of whose states must have M levels and be a grid state
+    (``Grid.indices`` raises a ValueError naming the first value that is
+    not)."""
     if isinstance(cfg.initial_states, str) and cfg.initial_states == "grid":
         return problem.grid.states(problem.m)
-    states = np.asarray(cfg.initial_states, dtype=float).reshape(-1, problem.m)
-    if not len(states):
+    if not len(cfg.initial_states):
         raise ValueError("initial_states must list at least one state")
+    for state in cfg.initial_states:
+        if np.shape(state) != (problem.m,):
+            raise ValueError(f"initial_states: state {state!r} does not have "
+                             f"{problem.m} levels")
+    states = np.asarray(cfg.initial_states, dtype=float)
     problem.grid.indices(states)
     return states
 

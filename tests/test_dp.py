@@ -300,19 +300,17 @@ def action_major_scan(problem):
     return values, orders
 
 
-# (block cap, states-per-order cap): q = 0 everywhere, a partial q on
-# 2-location problems, the defaults, and q = m everywhere; three or more
-# locations take the per-axis stage whatever the limits
-TILE_LIMITS = [(1, dp._TILE_STATES_PER_ORDER), (64, 2 ** 40),
-               (dp._TILE_ELEMENTS, dp._TILE_STATES_PER_ORDER), (2 ** 40, 2 ** 40)]
+# chunk budgets: one row per chunk ("scan"), chunks of 64 entries, the
+# default, and every tile in one chunk ("whole_box"); three or more
+# locations take the per-axis stage whatever the budget
+TILE_BUDGETS = [1, 64, dp._TILE_ELEMENTS, 2 ** 40]
 
 
-@pytest.fixture(scope="class", params=TILE_LIMITS,
+@pytest.fixture(scope="class", params=TILE_BUDGETS,
                 ids=["scan", "tiles64", "default", "whole_box"])
-def tile_limits(request):
+def chunk_budget(request):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dp, "_TILE_ELEMENTS", request.param[0])
-        mp.setattr(dp, "_TILE_STATES_PER_ORDER", request.param[1])
+        mp.setattr(dp, "_TILE_ELEMENTS", request.param)
         yield request.param
 
 
@@ -324,9 +322,9 @@ def two_location_problem(grid, cap):
                    grid=grid, max_order_per_location=cap).validate(dp=True)
 
 
-@pytest.mark.usefixtures("tile_limits")
+@pytest.mark.usefixtures("chunk_budget")
 class TestTileWidths(TestSolveAgainstStateLoop):
-    """The state-loop comparisons rerun at every tile width, plus the
+    """The state-loop comparisons rerun at every chunk budget, plus the
     degenerate action boxes."""
 
     @pytest.mark.parametrize("cap", [0.0, 5.0, 5.5, 40.0])
@@ -387,29 +385,6 @@ class TestAxisStage:
         assert n - 1 <= np.iinfo(np.int8).max
 
 
-class TestTileAxes:
-    @pytest.mark.parametrize("elements, per_order, n, m, b, q", [
-        (2 ** 15, 32, 21, 2, 21, 1),   # 441 * 21 fits, 441 * 441 does not
-        (2 ** 15, 32, 41, 2, 21, 0),   # 1681 * 21 does not fit
-        (2 ** 15, 32, 21, 1, 21, 1),
-        (48, 32, 4, 2, 3, 1),          # a block of exactly the cap
-        (47, 32, 4, 2, 3, 0),
-        (1, 32, 2, 1, 2, 0),
-        (5, 32, 5, 1, 1, 1),           # b = 1: every width costs n**m
-        (2 ** 15, 32, 41, 2, 2, 0),    # fits at q = 2, but 1681 states per 4 orders
-        (2 ** 17, 41, 41, 2, 41, 1),   # 1681 states = 41 * 41 orders
-        (2 ** 17, 40, 41, 2, 41, 0),
-        (2 ** 15, 32, 20, 2, 5, 2),    # 16 states per order: the limit halved once
-        (2 ** 15, 32, 21, 2, 5, 0),    # 17.64 per order at q = 2
-        (2 ** 40, 2 ** 40, 21, 2, 21, 2),
-    ])
-    def test_widest_tile_within_both_caps(self, elements, per_order, n, m, b, q,
-                                          monkeypatch):
-        monkeypatch.setattr(dp, "_TILE_ELEMENTS", elements)
-        monkeypatch.setattr(dp, "_TILE_STATES_PER_ORDER", per_order)
-        assert dp._tile_axes(n, m, b) == q
-
-
 def sector_three_locations(seed=1):
     """The 3-location copy of sector_sim (cap 3.0, six stages) whose
     holding and backlog rates a seed draws."""
@@ -449,27 +424,11 @@ class TestSolveAgainstScan:
     """Bit for bit against a copy of the action-major scan."""
 
     @pytest.mark.parametrize("name", list(SCAN_PROBLEMS))
-    @pytest.mark.parametrize("limits", [TILE_LIMITS[0], TILE_LIMITS[2], TILE_LIMITS[3]],
+    @pytest.mark.parametrize("budget", [TILE_BUDGETS[0], TILE_BUDGETS[2], TILE_BUDGETS[3]],
                              ids=["scan", "default", "whole_box"])
-    def test_instances(self, name, limits, monkeypatch):
-        monkeypatch.setattr(dp, "_TILE_ELEMENTS", limits[0])
-        monkeypatch.setattr(dp, "_TILE_STATES_PER_ORDER", limits[1])
+    def test_instances(self, name, budget, monkeypatch):
+        monkeypatch.setattr(dp, "_TILE_ELEMENTS", budget)
         vf, tab = mi.solve_joint_dp(SCAN_PROBLEMS[name])
-        values, orders = scanned(name)
-        assert np.array_equal(vf.values, values)
-        assert np.array_equal(tab.orders, orders)
-
-    # every tile width q = 0..m of the two-location scan
-    @pytest.mark.parametrize("name, q", [("sector_sim", q) for q in range(3)]
-                             + [("two_location_cap_below_span", q) for q in range(3)])
-    def test_every_tile_width(self, name, q, monkeypatch):
-        problem = SCAN_PROBLEMS[name]
-        n, m = problem.grid.count, problem.m
-        b = min(problem.grid.to_steps(problem.max_order_per_location), n - 1) + 1
-        monkeypatch.setattr(dp, "_TILE_ELEMENTS", n ** m * b ** q)
-        monkeypatch.setattr(dp, "_TILE_STATES_PER_ORDER", 2 ** 40)
-        assert dp._tile_axes(n, m, b) == q
-        vf, tab = mi.solve_joint_dp(problem)
         values, orders = scanned(name)
         assert np.array_equal(vf.values, values)
         assert np.array_equal(tab.orders, orders)
@@ -494,6 +453,41 @@ class TestSolveAgainstScan:
         values, orders = scanned(name)
         assert np.array_equal(vf.values, values)
         assert np.array_equal(tab.orders, orders)
+
+
+class TestTileChunks:
+    """Tiles cut into chunks of rows at the edges of the chunk budget,
+    against both oracles."""
+
+    # 11 points, 4 orders per axis: a row is 11 states by 4 orders
+    PROBLEM = two_location_problem(Grid(-2.0, 3.0, 0.5), 1.5)
+    ROW = 11 * 4
+
+    def assert_same(self, problem, budget, monkeypatch):
+        monkeypatch.setattr(dp, "_TILE_ELEMENTS", budget)
+        vf, tab = mi.solve_joint_dp(problem)
+        for values, orders in (state_loop_dp(problem), action_major_scan(problem)):
+            assert np.array_equal(vf.values, values)
+            assert np.array_equal(tab.orders, orders)
+
+    def test_block_of_exactly_the_budget(self, monkeypatch):
+        # chunks of three rows, the last of each tile shorter
+        self.assert_same(self.PROBLEM, 3 * self.ROW, monkeypatch)
+
+    def test_one_row_over_the_budget(self, monkeypatch):
+        # three rows are one entry over, so chunks take two
+        self.assert_same(self.PROBLEM, 3 * self.ROW - 1, monkeypatch)
+
+    def test_row_larger_than_the_budget(self, monkeypatch):
+        # every chunk is one whole row
+        self.assert_same(self.PROBLEM, self.ROW - 1, monkeypatch)
+
+    def test_one_location_one_state_per_chunk(self, monkeypatch):
+        # b = 6 orders per state, above the budget
+        problem = single_problem(affine_cost(1.0, 0.5),
+                                 DiscreteMarginal((0.0, 1.0, 2.0), (0.25, 0.5, 0.25)),
+                                 periods=3, grid=Grid(-3.0, 6.0, 1.0), cap=5.0)
+        self.assert_same(problem, 5, monkeypatch)
 
 
 def expectation_problem(marginals, count):

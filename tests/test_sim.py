@@ -112,6 +112,32 @@ class TestEstimateCost:
         assert se4 == pytest.approx(se1 / 2, rel=0.2)
 
 
+class TestEstimateCostStart:
+    """x0 must hold M levels inside the grid box: above grid.hi the order
+    cap would be negative."""
+
+    @pytest.fixture(scope="class")
+    def sector(self):
+        problem = mi.instances.build("sector_sim")
+        return problem, mi.make_pi_square(problem, 2.0)
+
+    @pytest.mark.parametrize("x0", [[8.5, 0.0], [100.0, 100.0], [0.0, -2.5],
+                                    [float("nan"), 0.0], [0.0, float("inf")],
+                                    [0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]],
+                             ids=["above_top", "far_above", "below_floor", "nan", "inf",
+                                  "short", "long", "nested"])
+    def test_outside_the_box_or_wrong_length_raises(self, sector, x0):
+        problem, policy = sector
+        with pytest.raises(ValueError, match=r"^x0 must hold 2 levels inside \[-2.0, 8.0\]"):
+            estimate_cost(problem, policy, x0, SimConfig(runs=4))
+
+    def test_box_edges_and_off_grid_levels_are_accepted(self, sector):
+        problem, policy = sector
+        for x0 in ([-2.0, 8.0], [8.0, -2.0], [0.3, 7.9]):
+            mean, _ = estimate_cost(problem, policy, x0, SimConfig(runs=4))
+            assert np.isfinite(mean)
+
+
 class TestSimConfigFields:
     """Stream keys hash repr(seed): a numpy integer has to key as the
     equal int, and a field that is not an integer is refused by name."""
@@ -228,6 +254,19 @@ class TestRatioHeatmap:
         policy = mi.make_pi_square(fig1, 2.0)
         with pytest.raises(ValueError, match="initial_states"):
             ratio_heatmap(fig1, policy, policy, SimConfig(runs=2, initial_states=[]))
+
+    @pytest.mark.parametrize("states", [[[0.0, 0.0, 1.0, 1.0]], [[0.0, 0.0, 1.0]],
+                                        [[0.0, 0.0], [1.0]], [[0.0, 0.0], 1.0],
+                                        [0.0, 0.0], [[[0.0, 0.0]]]],
+                             ids=["two_states_flat", "three_levels", "second_short",
+                                  "scalar", "flat_state", "nested"])
+    def test_state_without_m_levels_raises(self, fig1, states):
+        with pytest.raises(ValueError, match=r"^initial_states: state .* does not have 2 levels"):
+            sim_mod.initial_states(fig1, SimConfig(runs=2, initial_states=states))
+
+    def test_empty_initial_state_list_message(self, fig1):
+        with pytest.raises(ValueError, match="^initial_states must list at least one state$"):
+            sim_mod.initial_states(fig1, SimConfig(runs=2, initial_states=[]))
 
     def test_tabular_policy_rejects_state_outside_the_grid(self, fig1, fig1_solved):
         _, tab = fig1_solved
