@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (Finite, Problem, SizeError, demand_pmf,
-                    expected_holding_backlog)
+                    expected_holding_backlog, location_sum)
 
 MAX_JOINT_STATES = 100_000
 
@@ -428,25 +428,43 @@ def _order_table(problem: Problem, policy) -> np.ndarray:
 
 
 def _policy_recursion(problem: Problem, table: np.ndarray, stage, w: np.ndarray):
-    """Backward recursion w <- stage(u, post) + ev[post] of a fixed order
-    table from the terminal table ``w``, returning w at stage 0.  ``u`` is
-    a stage's orders in steps, ``post`` the per-location post-order
-    indices; w may carry trailing axes of quantities."""
+    """Backward recursion w <- stage(total, post) + ev[post] of a fixed
+    order table from the terminal table ``w``, returning w at stage 0; w
+    may carry trailing axes of quantities.
+
+    The recursion works on flat cells, the joint states in C order.  At
+    each stage, post[i] = j_i + u_i is every state's post-order index on
+    axis i; the stage gathers its per-location terms with it, and its
+    fold over the axes is the post-order state's flat cell, at which one
+    ``take`` reads the expected future value ev.  ``total`` is each
+    state's order total in steps (``location_sum``, exact on integers).
+    Each cell adds its stage terms first and ev last.  Only one stage's
+    index arrays are held at a time."""
     m, n = problem.m, problem.grid.count
+    size, shape = n ** m, w.shape
     passes = _demand_passes(problem)
-    idx = np.indices((n,) * m)
+    idx = np.indices((n,) * m).reshape(m, size)
+    post = np.empty((m, size), dtype=np.intp)
+    cell = np.empty(size, dtype=np.intp)
     for k in range(problem.horizon.periods - 1, -1, -1):
-        u = table[k]
-        post = tuple(idx[i] + u[..., i] for i in range(m))
-        w = stage(u, post) + _expectation(w, passes)[post]
+        u = table[k].reshape(size, m)
+        np.add(idx, u.T, out=post)
+        np.copyto(cell, post[0])
+        for i in range(1, m):
+            cell *= n
+            cell += post[i]
+        ev = _expectation(w, passes).reshape((size,) + shape[m:])
+        w = (stage(location_sum(u), post) + ev.take(cell, axis=0)).reshape(shape)
     return w
 
 
-def _stage_cost(problem: Problem, u: np.ndarray, post: tuple, eh: list) -> np.ndarray:
-    """c(total order) plus the expected holding/backlog of every location."""
-    cost = problem.ordering.eval_array(u.sum(axis=-1) * problem.grid.step)
+def _stage_cost(problem: Problem, total: np.ndarray, post: np.ndarray,
+                eh: list) -> np.ndarray:
+    """c(total order) plus the expected holding/backlog of every location,
+    added in location order, per flat cell."""
+    cost = problem.ordering.eval_array(total * problem.grid.step)
     for i in range(problem.m):
-        cost = cost + eh[i][post[i]]
+        cost += eh[i].take(post[i])
     return cost
 
 
@@ -456,12 +474,14 @@ def evaluate_policy_exact(problem: Problem, policy) -> np.ndarray:
     cost under its ``tabulate`` table (an optimal ``TabularPolicy``
     enters wrapped in a ``TabularGridPolicy``).  Randomized or online
     policies are not representable here; estimate those by Monte Carlo
-    instead.
+    instead.  Each stage costs O(n**M) gathers over flat cells
+    (``_policy_recursion``) plus the demand expectation, and a decoupled
+    policy tabulates one location at a time.
     """
     table = _order_table(problem, policy)
     eh = _expected_holding_tables(problem)
     w = _policy_recursion(problem, table,
-                          lambda u, post: _stage_cost(problem, u, post, eh),
+                          lambda total, post: _stage_cost(problem, total, post, eh),
                           np.zeros((problem.grid.count,) * problem.m))
     return w / problem.horizon.periods
 
@@ -490,11 +510,11 @@ def exact_expectations(problem: Problem, policy) -> ExactExpectations:
     # E max(0, lo - (y - w)) is the backlog term at rate 1 of level y - lo
     ec = [expected_holding_backlog(0.0, 1.0, grid.step * np.arange(n), problem.demand, i)
           for i in range(m)]
-    zeros = np.zeros((n,) * m)
+    zeros = np.zeros(n ** m)
 
-    def stage(u, post):
-        return np.stack([_stage_cost(problem, u, post, eh), u.sum(axis=-1) * grid.step]
-                        + [zeros] * m + [ec[i][post[i]] for i in range(m)], axis=-1)
+    def stage(total, post):
+        return np.stack([_stage_cost(problem, total, post, eh), total * grid.step]
+                        + [zeros] * m + [ec[i].take(post[i]) for i in range(m)], axis=-1)
 
     w = np.zeros((n,) * m + (2 + 2 * m,))
     w[..., 2:2 + m] = grid.states(m).reshape((n,) * m + (m,))

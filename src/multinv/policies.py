@@ -7,16 +7,24 @@ randomized policies read one uniform per location from ``uniforms``
 (B, M) and deterministic ones ignore it.  ``act`` at one state is the
 B = 1 row of ``act_batch``.
 
-Orders are always componentwise nonnegative and truncated to the
-feasible action box (per-location cap, grid ceiling); truncation at the
-grid top is logged because order-up-to levels are defined on the whole
-real line while the grid is not.
+Orders at states inside the grid box are componentwise nonnegative and
+truncated to the feasible action box (per-location cap, grid ceiling);
+truncation at the grid top is logged because order-up-to levels are
+defined on the whole real line while the grid is not.  ``act`` refuses a
+state outside the box; ``act_batch``, the stepper's hot path, does not
+check its states.
 
 A deterministic policy's ``tabulate`` gives its per-stage order table
 on the problem's grid, the one input of exact evaluation in ``dp``.  The
-decoupled policies pi_square (base-stock) and pi_diamond ((s,S)) share
-one construction: each location's single-location DP table, read stage
-by stage by ``dp.extract_base_stock`` (the s = S case of
+generic method runs ``act_batch`` over every joint state at each stage.
+``DecoupledPolicy`` overrides it, since each location's orders depend on
+its own level alone: each component acts on its location's n grid
+points and its orders are broadcast into the joint table, which is the
+generic table byte for byte, with the same errors.
+
+The decoupled policies pi_square (base-stock) and pi_diamond ((s,S))
+share one construction: each location's single-location DP table, read
+stage by stage by ``dp.extract_base_stock`` (the s = S case of
 ``dp.extract_sS``) or ``dp.extract_sS``.
 """
 
@@ -48,8 +56,14 @@ class Policy:
 
     # -- acting ------------------------------------------------------------
     def act(self, problem: Problem, k: int, x, uniforms=None) -> np.ndarray:
-        """Orders at one state x (M,), given its uniforms (M,) if any."""
+        """Orders at one state x (M,), given its uniforms (M,) if any.  A
+        level outside [grid.lo, grid.hi] (NaN included) is a ValueError:
+        the order caps are measured from inside the grid box."""
         X = np.asarray(x, dtype=float).reshape(1, -1)
+        grid = problem.grid
+        if not np.all((X >= grid.lo) & (X <= grid.hi)):
+            raise ValueError(f"state {X[0].tolist()} has a level outside the grid box "
+                             f"[{grid.lo}, {grid.hi}]")
         if uniforms is not None:
             uniforms = np.asarray(uniforms, dtype=float).reshape(1, -1)
         return self.act_batch(problem, k, X, uniforms)[0]
@@ -60,23 +74,33 @@ class Policy:
 
     # -- grid tabulation (deterministic grid policies only) ----------------
     def tabulate(self, problem: Problem) -> np.ndarray:
-        """Per-stage order tables in grid steps, for exact evaluation."""
-        if self.uses_randomness:
-            raise ValueError(f"{self.kind} policy is randomized; use Monte Carlo")
+        """Per-stage order tables in grid steps, for exact evaluation:
+        shape (N,) + (n,)*M + (M,), int32.  ``act_batch`` runs once per
+        stage over all n**M joint states; ``DecoupledPolicy`` builds the
+        same table one location at a time."""
+        self._require_deterministic()
         grid = problem.grid
         n, m = grid.count, problem.m
         X = grid.states(m)
         periods = problem.periods
         table = np.zeros((periods,) + (n,) * m + (m,), dtype=np.int32)
         for k in range(periods):
-            orders = self.act_batch(problem, k, X, None)
-            steps = orders / grid.step
-            rounded = np.rint(steps).astype(np.int32)
-            if np.max(np.abs(steps - rounded)) > 1e-9:
-                raise GridTabulationError(f"{self.kind} policy orders leave the grid; "
-                                          "exact evaluation is undefined")
-            table[k] = rounded.reshape((n,) * m + (m,))
+            steps = self._grid_steps(self.act_batch(problem, k, X, None), grid)
+            table[k] = steps.reshape((n,) * m + (m,))
         return table
+
+    def _require_deterministic(self):
+        if self.uses_randomness:
+            raise ValueError(f"{self.kind} policy is randomized; use Monte Carlo")
+
+    def _grid_steps(self, orders: np.ndarray, grid) -> np.ndarray:
+        """Orders as whole grid steps (int32), or GridTabulationError."""
+        steps = orders / grid.step
+        rounded = np.rint(steps).astype(np.int32)
+        if np.max(np.abs(steps - rounded)) > 1e-9:
+            raise GridTabulationError(f"{self.kind} policy orders leave the grid; "
+                                      "exact evaluation is undefined")
+        return rounded
 
     # -- bookkeeping --------------------------------------------------------
     def to_config(self) -> dict:
@@ -202,6 +226,30 @@ class DecoupledPolicy(Policy):
             u = None if uniforms is None else uniforms[:, i:i + 1]
             out[:, i:i + 1] = comp.act_batch(problem, k, X[:, i:i + 1], u)
         return out
+
+    def tabulate(self, problem):
+        """The generic table, built one location at a time: location i's
+        orders depend on its own level alone, so its component acts once
+        per stage on the n grid points, as an (n, 1) column like the one
+        ``act_batch`` hands it, and its steps are broadcast along axis i
+        of the joint table.  O(N * M * n) policy work in place of
+        O(N * M * n**M); the table, and every error, is the generic
+        path's."""
+        self._require_deterministic()
+        grid, m = problem.grid, problem.m
+        n = grid.count
+        if len(self.components) != m:
+            raise ValueError("component count does not match the location count")
+        column = grid.points()[:, None]
+        orders = np.empty((n, m))
+        table = np.empty((problem.periods,) + (n,) * m + (m,), dtype=np.int32)
+        for k, stage in enumerate(table):
+            for i, comp in enumerate(self.components):
+                orders[:, i:i + 1] = comp.act_batch(problem, k, column, None)
+            steps = self._grid_steps(orders, grid)
+            for i in range(m):
+                stage[..., i] = steps[:, i].reshape((n,) + (1,) * (m - 1 - i))
+        return table
 
     def to_config(self):
         return {"kind": self.kind,

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .bounds import SectorFit
+from .instances import build
 from .model import (DemandModel, DiscreteMarginal, Finite, Grid,
                     HoldingBacklogCost, OrderingCost, Piece, Problem,
                     demand_pmf)
@@ -129,6 +130,20 @@ def brute_force_final_levels(problem: Problem, order_table: np.ndarray) -> np.nd
         return total
 
     return _every_state(problem, level, (problem.m,))
+
+
+def sector_three_locations(seed: int = 1) -> Problem:
+    """The 3-location copy of sector_sim (its ordering cost, grid and
+    first location's demand at every location; cap 3.0, six stages) whose
+    holding rates U(0.05, 0.2) and backlog rates U(5, 15) a seed draws."""
+    rng = np.random.default_rng(seed)
+    base = build("sector_sim")
+    return Problem(
+        m=3, horizon=Finite(6), ordering=base.ordering,
+        holding=HoldingBacklogCost(tuple(float(v) for v in rng.uniform(0.05, 0.2, 3)),
+                                   tuple(float(v) for v in rng.uniform(5.0, 15.0, 3))),
+        demand=DemandModel(marginals=(base.demand.marginals[0],) * 3),
+        grid=base.grid, max_order_per_location=3.0).validate(dp=True)
 
 
 def random_order_table(problem: Problem, rng: np.random.Generator) -> np.ndarray:

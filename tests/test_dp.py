@@ -3,6 +3,7 @@ from dataclasses import replace
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from multinv.dp import (SizeError, StructureError, TabularPolicy,
                         extract_base_stock, extract_sS)
 from multinv.model import (DemandModel, DiscreteMarginal, Finite, Grid,
                            HoldingBacklogCost, OrderingCost, Piece, Problem,
-                           affine_cost, demand_pmf, linear_cost,
-                           single_location_problem)
+                           affine_cost, demand_pmf, expected_holding_backlog,
+                           linear_cost, single_location_problem)
 from multinv.testing import (brute_force_final_levels, brute_force_policy_cost,
                              brute_force_values, random_order_table, random_problem,
-                             random_small_problem)
+                             random_small_problem, sector_three_locations)
 
 
 @pytest.fixture(scope="module")
@@ -385,19 +386,6 @@ class TestAxisStage:
         assert n - 1 <= np.iinfo(np.int8).max
 
 
-def sector_three_locations(seed=1):
-    """The 3-location copy of sector_sim (cap 3.0, six stages) whose
-    holding and backlog rates a seed draws."""
-    rng = np.random.default_rng(seed)
-    base = mi.instances.build("sector_sim")
-    return Problem(
-        m=3, horizon=Finite(6), ordering=base.ordering,
-        holding=HoldingBacklogCost(tuple(float(v) for v in rng.uniform(0.05, 0.2, 3)),
-                                   tuple(float(v) for v in rng.uniform(5.0, 15.0, 3))),
-        demand=DemandModel(marginals=(base.demand.marginals[0],) * 3),
-        grid=base.grid, max_order_per_location=3.0).validate(dp=True)
-
-
 def scan_problems():
     named = {name: mi.instances.build(name)
              for name in ("sector_sim", "affine_sim", "fig1_linear", "fig1_nonlinear")}
@@ -658,15 +646,19 @@ def random_three_location_problem(rng):
                           atoms=(2, 3), support=3, pieces=pieces, cap=lambda rng: step)
 
 
+def table_policy(problem, table):
+    return mi.TabularGridPolicy(TabularPolicy(
+        grid=problem.grid, m=problem.m, orders=table,
+        cap_steps=problem.grid.to_steps(problem.max_order_per_location)))
+
+
 def assert_expectations_match_scenario_tree(p, table):
     """Every quantity of exact_expectations of a (non-optimal) order table
     is a scenario-tree number: the cost; the total orders, as the cost
     under c(z) = z and no holding; the final levels; and location i's
     floor clamp, as its backlog at rate 1 on the same grid shifted to
     start at 0."""
-    policy = mi.TabularGridPolicy(TabularPolicy(
-        grid=p.grid, m=p.m, orders=table,
-        cap_steps=p.grid.to_steps(p.max_order_per_location)))
+    policy = table_policy(p, table)
     periods = p.horizon.periods
     brute = brute_force_policy_cost(p, table) / periods
     assert np.max(np.abs(mi.evaluate_policy_exact(p, policy) - brute)) <= 1e-12
@@ -769,6 +761,133 @@ class TestOrderTableGrid:
         p, vf, tab = fig1_linear
         assert np.max(np.abs(mi.evaluate_policy_exact(p, mi.TabularGridPolicy(tab))
                              - vf.values[0] / 2)) <= 1e-12
+
+
+def reference_recursion(problem, table, stage, w):
+    """The per-stage recursion that flat cells replaced: each location's
+    post-order index as an (n,)*M array, the expectation read by a tuple
+    fancy index and the stage's order total by ``u.sum(axis=-1)``."""
+    m, n = problem.m, problem.grid.count
+    passes = dp._demand_passes(problem)
+    idx = np.indices((n,) * m)
+    for k in range(problem.horizon.periods - 1, -1, -1):
+        u = table[k]
+        post = tuple(idx[i] + u[..., i] for i in range(m))
+        w = stage(u, post) + dp._expectation(w, passes)[post]
+    return w
+
+
+def reference_stage_cost(problem, u, post, eh):
+    cost = problem.ordering.eval_array(u.sum(axis=-1) * problem.grid.step)
+    for i in range(problem.m):
+        cost = cost + eh[i][post[i]]
+    return cost
+
+
+def reference_evaluation(problem, policy):
+    """``evaluate_policy_exact`` and the fields of ``exact_expectations``
+    (cost, orders, final levels, clamp) through ``reference_recursion``."""
+    table = dp._order_table(problem, policy)
+    grid, m, n = problem.grid, problem.m, problem.grid.count
+    periods = problem.horizon.periods
+    eh = dp._expected_holding_tables(problem)
+    cost = reference_recursion(problem, table,
+                               lambda u, post: reference_stage_cost(problem, u, post, eh),
+                               np.zeros((n,) * m)) / periods
+    ec = [expected_holding_backlog(0.0, 1.0, grid.step * np.arange(n), problem.demand, i)
+          for i in range(m)]
+    zeros = np.zeros((n,) * m)
+
+    def stage(u, post):
+        return np.stack([reference_stage_cost(problem, u, post, eh), u.sum(axis=-1) * grid.step]
+                        + [zeros] * m + [ec[i][post[i]] for i in range(m)], axis=-1)
+
+    w = np.zeros((n,) * m + (2 + 2 * m,))
+    w[..., 2:2 + m] = grid.states(m).reshape((n,) * m + (m,))
+    w = reference_recursion(problem, table, stage, w)
+    return cost, (w[..., 0] / periods, w[..., 1], w[..., 2:2 + m], w[..., 2 + m:])
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def assert_matches_reference(problem, policy):
+    cost, fields = reference_evaluation(problem, policy)
+    assert_bits_equal(mi.evaluate_policy_exact(problem, policy), cost)
+    ex = dp.exact_expectations(problem, policy)
+    for got, want in zip((ex.cost, ex.orders, ex.final_level, ex.clamp), fields):
+        assert_bits_equal(got, want)
+
+
+def oracle_problems():
+    named = {name: mi.instances.build(name)
+             for name in ("fig1_linear", "fig1_nonlinear", "sector_sim", "affine_sim")}
+    named["sector_sim_m3"] = sector_three_locations(1)
+    named["sector_sim_m3_2024"] = sector_three_locations(2024)
+    return named
+
+
+ORACLE_PROBLEMS = oracle_problems()
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_policy(name, kind):
+    """The DP optimum, pi_square (l = 2), pi_diamond (the instance's
+    defaults, else K_h = 1, h = 2) or a random feasible order table."""
+    p = ORACLE_PROBLEMS[name]
+    if kind == "optimum":
+        return mi.TabularGridPolicy(mi.solve_joint_dp(p)[1])
+    if kind == "pi_square":
+        return mi.make_pi_square(p, 2.0)
+    if kind == "pi_diamond":
+        return mi.make_pi_diamond(p, *mi.instances.DIAMOND_DEFAULTS.get(name, (1.0, 2.0)))
+    return table_policy(p, random_order_table(p, np.random.default_rng(11)))
+
+
+class TestPolicyRecursionOracle:
+    """The flat-cell recursion bit for bit against a copy of the per-stage
+    recursion it replaced."""
+
+    @pytest.mark.parametrize("kind", ["optimum", "pi_square", "pi_diamond", "random"])
+    @pytest.mark.parametrize("name", list(ORACLE_PROBLEMS))
+    def test_instances(self, name, kind):
+        assert_matches_reference(ORACLE_PROBLEMS[name], oracle_policy(name, kind))
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=dp_problems(), seed=hs.integers(0, 2 ** 32 - 1))
+    def test_random_problems(self, problem, seed):
+        policies = [mi.TabularGridPolicy(mi.solve_joint_dp(problem)[1]),
+                    table_policy(problem, random_order_table(problem,
+                                                             np.random.default_rng(seed)))]
+        # a single-location optimum need not be base-stock or (s,S) under
+        # the order cap; such a decoupled policy does not exist
+        for make in (lambda: mi.make_pi_square(problem, 2.0),
+                     lambda: mi.make_pi_diamond(problem, 1.0, 2.0)):
+            try:
+                policies.append(make())
+            except StructureError:
+                pass
+        for policy in policies:
+            assert_matches_reference(problem, policy)
+
+    @pytest.mark.parametrize("evaluate", [mi.evaluate_policy_exact, dp.exact_expectations],
+                             ids=["evaluate", "expectations"])
+    @pytest.mark.parametrize("state, order, message", [
+        ((0, 0), -1, "order table contains negative orders"),
+        ((6, 0), 1, "order table leaves the grid box or exceeds the order cap"),
+        ((0, 0), 5, "order table leaves the grid box or exceeds the order cap"),
+    ], ids=["negative", "off_box", "over_cap"])
+    def test_infeasible_tables_keep_their_messages(self, fig1_linear, evaluate,
+                                                   state, order, message):
+        # fig1: seven grid points and an order cap of four steps; location
+        # 1 orders from state (0, 0) or from the grid's top (6, 0)
+        p, _, tab = fig1_linear
+        table = tab.orders.copy()
+        table[1][state + (0,)] = order
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(p, table_policy(p, table))
 
 
 class TestStructureExtraction:

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import multinv as mi
-from multinv.policies import (BaseStockPolicy, DecoupledPolicy, SSPolicy,
-                              _sorted_columns, _waterfill)
+from multinv.model import single_location_problem
+from multinv.policies import (BaseStockPolicy, DecoupledPolicy, GridTabulationError,
+                              Policy, SSPolicy, _sorted_columns, _waterfill)
+from multinv.testing import sector_three_locations
 from multinv import rng
 
 TIGHT = "tightness:M=2,eps=0.1,l=1,h=4,p=100"
@@ -68,6 +70,15 @@ class TestActInterface:
                 joint = policy.act(fig1, k, x)
                 assert joint[0] == comp0.act(fig1, k, [x[0]])[0]
                 assert joint[1] == comp1.act(fig1, k, [x[1]])[0]
+
+    @pytest.mark.parametrize("x", [[8.5, 0.0], [-2.5, 0.0], [0.0, np.nan]],
+                             ids=["above", "below", "nan"])
+    def test_one_state_outside_the_grid_box_raises(self, x):
+        # sector_sim's grid is [-2, 8]: above the top, order_cap is
+        # negative and act_batch would order -0.5
+        p = mi.instances.build("sector_sim")
+        with pytest.raises(ValueError, match=r"state \[.*\] has a level outside the grid box"):
+            BaseStockPolicy([9.0, 9.0]).act(p, 0, x)
 
     def test_stage_out_of_range(self, fig1):
         policy = BaseStockPolicy(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -203,6 +214,89 @@ class TestExplicitV:
         with pytest.raises(ValueError):
             policy.tabulate(p)
 
+
+
+def tabulation_problems():
+    named = {name: mi.instances.build(name) for name in
+             ("fig1_linear", "fig1_nonlinear", "sector_sim", "affine_sim", "transform_check")}
+    named["sector_sim_m3"] = sector_three_locations()
+    return named
+
+
+TABULATION_PROBLEMS = tabulation_problems()
+
+
+def assert_generic_table(policy, problem):
+    """The decoupled override's table is the generic method's, byte for
+    byte."""
+    got, want = policy.tabulate(problem), Policy.tabulate(policy, problem)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.int32
+    assert got.tobytes() == want.tobytes()
+
+
+def generic_error(policy, problem):
+    with pytest.raises(ValueError) as generic:
+        Policy.tabulate(policy, problem)
+    return generic.type, str(generic.value)
+
+
+class TestDecoupledTabulation:
+    """``DecoupledPolicy.tabulate``, one location at a time, against the
+    generic ``Policy.tabulate`` over every joint state."""
+
+    @pytest.mark.parametrize("name", list(TABULATION_PROBLEMS))
+    def test_pi_square_and_pi_diamond(self, name):
+        p = TABULATION_PROBLEMS[name]
+        assert_generic_table(mi.make_pi_square(p, 2.0), p)
+        kh, h = mi.instances.DIAMOND_DEFAULTS.get(name, (1.0, 2.0))
+        assert_generic_table(mi.make_pi_diamond(p, kh, h), p)
+
+    def test_mixed_stationary_and_stage_indexed_components(self, fig1):
+        # levels below the floor, inside and above the top (truncated)
+        assert_generic_table(DecoupledPolicy([
+            SSPolicy(np.array([0.0]), np.array([2.0])),
+            BaseStockPolicy(np.array([[100.0], [-5.0]]))]), fig1)
+        p = TABULATION_PROBLEMS["sector_sim_m3"]
+        stages = np.arange(p.periods, dtype=float)[:, None]
+        assert_generic_table(DecoupledPolicy([
+            BaseStockPolicy(np.array([3.0])),
+            SSPolicy(stages / 2 - 1.0, stages + 1.5),
+            BaseStockPolicy(9.0 - stages * 2.5)]), p)
+
+    def test_components_act_on_their_own_grid_points(self):
+        shapes = []
+
+        class Recording(BaseStockPolicy):
+            def act_batch(self, problem, k, X, uniforms):
+                shapes.append(X.shape)
+                return super().act_batch(problem, k, X, uniforms)
+
+        p = TABULATION_PROBLEMS["sector_sim_m3"]
+        DecoupledPolicy([Recording(np.array([1.0]))] * 3).tabulate(p)
+        assert shapes == [(p.grid.count, 1)] * (3 * p.periods)
+
+    def test_off_grid_order_raises_as_generic(self):
+        p = mi.instances.build("sector_sim")  # grid step 0.5
+        policy = DecoupledPolicy([BaseStockPolicy(np.array([1.0])),
+                                  BaseStockPolicy(np.array([0.25]))])
+        with pytest.raises(GridTabulationError) as err:
+            policy.tabulate(p)
+        assert generic_error(policy, p) == (GridTabulationError, str(err.value))
+
+    def test_randomized_component_raises_as_generic(self):
+        p = mi.instances.build("affine_sim")
+        coin = mi.make_balancing_policy(single_location_problem(p, 0), variant="cumulative")
+        policy = DecoupledPolicy([BaseStockPolicy(np.array([1.0])), coin])
+        with pytest.raises(ValueError, match="randomized") as err:
+            policy.tabulate(p)
+        assert generic_error(policy, p) == (ValueError, str(err.value))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_component_count_raises_as_generic(self, fig1, count):
+        policy = DecoupledPolicy([BaseStockPolicy(np.array([1.0]))] * count)
+        with pytest.raises(ValueError, match="component count") as err:
+            policy.tabulate(fig1)
+        assert generic_error(policy, fig1) == (ValueError, str(err.value))
 
 
 def waterfill_inputs(m, seed, ties):
