@@ -64,12 +64,16 @@ def _demand_tag(policy_tag, crn):
 
 def _run_keys(master_seed, purpose, states, runs, tag) -> np.ndarray:
     """Keys of (master_seed, purpose, s, r, tag) for s in ``states`` and
-    r < ``runs``, state-major, shape (len(states) * runs, 2).  Since
+    r in ``runs`` (a range of run indices, or a count for ``range(runs)``),
+    state-major, shape (len(states) * len(runs), 2).  Since
     "|".join(a + b) == "|".join(a) + "|" + "|".join(b), the call's prefix
     (master_seed, purpose) is hashed once, a copy of that hash is
     extended by each state, and a copy of the state's hash by each run's
-    suffix: the bytes hashed, and so the keys, are ``derive_key``'s."""
-    tails = [b"|" + _key_text((r, tag)) for r in range(runs)]
+    suffix: the bytes hashed, and so the keys, are ``derive_key``'s, and
+    a run's key does not depend on which other runs share the call."""
+    if not isinstance(runs, range):
+        runs = range(runs)
+    tails = [b"|" + _key_text((r, tag)) for r in runs]
     keys = bytearray()
     root = hashlib.sha256(_key_text((master_seed, purpose)) + b"|")
     for s in states:
@@ -99,15 +103,16 @@ def policy_stream(master_seed: int, state_index: int, run_index: int,
     return stream(master_seed, "policy", state_index, run_index, policy_tag)
 
 
-def demand_keys(master_seed: int, states: range, runs: int, policy_tag: str,
+def demand_keys(master_seed: int, states: range, runs: int | range, policy_tag: str,
                 crn: bool) -> np.ndarray:
-    """Keys of the demand streams of ``runs`` runs for each state index in
-    ``states``, state-major, shape (len(states) * runs, 2)."""
+    """Keys of the demand streams of the runs in ``runs`` (a range, or a
+    count for ``range(runs)``) for each state index in ``states``,
+    state-major, shape (len(states) * len(runs), 2)."""
     return _run_keys(master_seed, "demand", states, runs,
                      _demand_tag(policy_tag, crn))
 
 
-def policy_keys(master_seed: int, states: range, runs: int,
+def policy_keys(master_seed: int, states: range, runs: int | range,
                 policy_tag: str) -> np.ndarray:
     """Keys of the policy streams, laid out like ``demand_keys``."""
     return _run_keys(master_seed, "policy", states, runs, policy_tag)

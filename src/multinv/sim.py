@@ -17,17 +17,27 @@ re-key one Philox generator per run and block, starting each stream at
 the block's first uniform (``rng.fill_streams``' counter offset).  A
 block is filled a few runs at a time into one small scratch of at most
 ``_FILL_DOUBLES`` doubles, whose demand is transformed (and whose policy
-uniforms are copied) into the stream's block buffer.  A chunk of runs
-therefore holds rows x min(T, _DRAW_PERIODS) x M doubles per stream,
-however long the horizon, and chunks are sized to at most
-``_CHUNK_DOUBLES`` of them.  The stepper runs the dynamics period by
-period and charges costs per block of periods, adding the periods' costs
-to each trajectory's total in period order.  A cost block holds at most
-``_BLOCK_ROWS`` (period, trajectory) rows, a budget sized so the block
-and its temporaries stay in the L2 cache: a 500-run estimate costs 32
-periods per call, an 8,820-row heatmap chunk one period.  The block's
-orders are held as they are stepped, and their per-period totals are
-formed once per block, not once per period.
+uniforms are copied) into the stream's block buffer.  The stepper runs
+the dynamics period by period and charges costs per block of periods,
+adding the periods' costs to each trajectory's total in period order.
+A cost block holds at most ``_BLOCK_ROWS`` (period, trajectory) rows, a
+budget sized so the block and its temporaries stay in the L2 cache: a
+500-run estimate costs 32 periods per call, an 8,820-row heatmap chunk
+one period.  The block's orders are held as they are stepped, and their
+per-period totals are formed once per block, not once per period.
+
+Every estimate, ``estimate_cost``'s from one initial state and
+``ratio_heatmap``'s over many alike, goes through one chunk driver,
+``_estimate_over_states``.  A chunk of runs holds rows x
+min(T, _DRAW_PERIODS) x M doubles per stream, however long the horizon,
+and chunks are sized to at most ``_CHUNK_DOUBLES`` of them, or one run's
+block where that alone is larger.  Chunks are whole states while one state's runs fit the budget;
+only a state that alone is over it is split into ranges of runs, which
+draw the same streams, since a run's keys hash its own indices.  The
+means, standard errors and order traces are read from the assembled
+per-run arrays, so no result depends on the chunking.  The two budgets
+trade memory for Python work: each draw block re-keys every run's
+generator once, and each chunk steps its periods once.
 
 The stepper is location-major throughout: the state, the held orders,
 the post-demand levels and each period's demand and policy uniforms are
@@ -71,6 +81,13 @@ class SimConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        # The streams read crn by truth value, so a string "false" would
+        # share demand while the report printed false: only a bool (or a
+        # numpy bool, stored as the equal bool) is accepted.
+        if isinstance(self.crn, np.bool_):
+            object.__setattr__(self, "crn", bool(self.crn))
+        if not isinstance(self.crn, bool):
+            raise ValueError(f"crn must be a bool, got {self.crn!r}")
 
     def check(self):
         if self.runs < 1:
@@ -96,8 +113,13 @@ _BLOCK_ROWS = 1 << 14
 # Random draws are made per block of at most this many periods, so a
 # chunk's draw buffers hold rows x min(T, _DRAW_PERIODS) x M doubles per
 # stream whatever the horizon.  A multiple of 4, so every block starts on
-# a Philox counter boundary (see ``rng.fill_streams``).
-_DRAW_PERIODS = 1024
+# a Philox counter boundary (see ``rng.fill_streams``).  Each block re-keys
+# every run's generator once, so a smaller block costs re-keys, not draws.
+# Against 1024 periods, a 500-run, 2000-period, 2-location estimate holds
+# a 2 MB demand block in place of 8 MB, its tracemalloc peak fell from
+# 10.6 to 4.5 MB, and its time read 0.998x (median of 10 pairs; 2-core
+# Xeon, numpy 2.4.6).
+_DRAW_PERIODS = 256
 
 # A draw block is filled and transformed this many doubles at a time (whole
 # runs, at least one), in one scratch reused by every block and stream, and
@@ -177,12 +199,14 @@ def _simulate_batch(problem: Problem, policy: Policy, x0: np.ndarray, draws,
     return costs
 
 
-def _keyed_draws(problem: Problem, policy: Policy, cfg: SimConfig, states: range):
-    """Block source (see ``_simulate_batch``) of cfg.runs runs for each
-    initial-state index in ``states``, state-major.
+def _keyed_draws(problem: Problem, policy: Policy, cfg: SimConfig, states: range,
+                 runs: range | None = None):
+    """Block source (see ``_simulate_batch``) of the runs in ``runs``
+    (default every run, ``range(cfg.runs)``) for each initial-state index
+    in ``states``, state-major.
 
-    Row (s - states.start) * cfg.runs + run of a block holds exactly the
-    draws of that run's own streams (``rng.demand_stream``/
+    Row (s - states.start) * len(runs) + (run - runs.start) of a block
+    holds exactly the draws of that run's own streams (``rng.demand_stream``/
     ``rng.policy_stream``) for the block's periods: the keys are derived
     once, and each block is filled from uniform k0 * M of every stream.
     The rows are filled a chunk of at most ``_FILL_DOUBLES`` doubles at a
@@ -194,15 +218,16 @@ def _keyed_draws(problem: Problem, policy: Policy, cfg: SimConfig, states: range
     """
     tag = policy.tag
     m = problem.m
-    rows = len(states) * cfg.runs
+    runs = range(cfg.runs) if runs is None else runs
+    rows = len(states) * len(runs)
     span = min(problem.periods, _DRAW_PERIODS)
     chunk = max(1, min(rows, _FILL_DOUBLES // (span * m)))
     scratch = np.empty((chunk, span, m))
-    demand_keys = rng_mod.demand_keys(cfg.seed, states, cfg.runs, tag, cfg.crn)
+    demand_keys = rng_mod.demand_keys(cfg.seed, states, runs, tag, cfg.crn)
     demand = np.empty((span, m, rows)).transpose(2, 0, 1)
     policy_keys = uniforms = None
     if policy.uses_randomness:
-        policy_keys = rng_mod.policy_keys(cfg.seed, states, cfg.runs, tag)
+        policy_keys = rng_mod.policy_keys(cfg.seed, states, runs, tag)
         uniforms = np.empty((span, m, rows)).transpose(2, 0, 1)
 
     def draws(k0, n):
@@ -224,9 +249,12 @@ def estimate_cost(problem: Problem, policy: Policy, x0, cfg: SimConfig,
     """(mean, standard error) of the average cost from x0 over cfg.runs.
 
     x0 holds one level per location, each inside [grid.lo, grid.hi]: the
-    order caps are measured from there.  The standard error is the sample
+    order caps are measured from there.  The runs draw the streams of
+    initial-state index ``state_index``.  The standard error is the sample
     standard deviation over runs divided by sqrt(runs); with a single run
-    it is reported as nan.
+    it is reported as nan.  With ``collect_orders`` the per-period total
+    orders and ordering costs of every run, each (runs, T), are returned
+    as well.
     """
     cfg.check()
     x0 = np.asarray(x0, dtype=float)
@@ -234,15 +262,9 @@ def estimate_cost(problem: Problem, policy: Policy, x0, cfg: SimConfig,
     if x0.shape != (problem.m,) or not np.all((x0 >= grid.lo) & (x0 <= grid.hi)):
         raise ValueError(f"x0 must hold {problem.m} levels inside [{grid.lo}, {grid.hi}], "
                          f"got {x0.tolist()}")
-    draws = _keyed_draws(problem, policy, cfg, range(state_index, state_index + 1))
-    x0 = np.broadcast_to(x0, (cfg.runs, problem.m))
-    out = _simulate_batch(problem, policy, x0, draws, collect_orders=collect_orders)
-    costs = out[0] if collect_orders else out
-    mean = float(np.mean(costs))
-    se = float(np.std(costs, ddof=1) / np.sqrt(cfg.runs)) if cfg.runs > 1 else float("nan")
-    if collect_orders:
-        return mean, se, out[1], out[2]
-    return mean, se
+    out = _estimate_over_states(problem, policy, x0[None], cfg, first=state_index,
+                                collect_orders=collect_orders)
+    return (float(out[0][0]), float(out[1][0]), *(trace[0] for trace in out[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -326,43 +348,76 @@ def initial_states(problem: Problem, cfg: SimConfig) -> np.ndarray:
     return states
 
 
-# States are estimated in chunks so the batched stepper sees large
-# arrays.  A chunk holds up to _CHUNK_DOUBLES doubles per stream in its draw
-# buffer (rows x min(T, _DRAW_PERIODS) x M), so its boundaries depend only
-# on the state count, runs, horizon and M (never on the thread count), and
-# the stepper itself is purely elementwise, so results are identical
-# however the chunks are scheduled.
-_CHUNK_DOUBLES = 2 ** 22
+# Runs are estimated in chunks so the batched stepper sees large arrays.
+# A chunk holds up to _CHUNK_DOUBLES doubles per stream in its draw buffer
+# (rows x min(T, _DRAW_PERIODS) x M), so its boundaries depend only on the
+# state count, runs, horizon and M (never on the thread count), and the
+# stepper itself is purely elementwise, so results are identical however
+# the chunks are scheduled.  Each chunk steps its periods in Python once,
+# so a smaller budget costs per-period calls, not arithmetic: at 2**20
+# (8 MB) a 1000-run, 20-period, 2-location heatmap is 17 chunks (5 at
+# 2**22).  Against 2**22, the 1000-run ``affine_sim`` balancing heatmap's
+# peak RSS fell from 129 to 63 MB, and its time did not move beyond
+# noise (2-core Xeon, numpy 2.4.6).
+_CHUNK_DOUBLES = 2 ** 20
+
+
+def _chunks(problem: Problem, cfg: SimConfig, n_states: int):
+    """(state range, run range) of each chunk of an estimate over
+    ``n_states`` states: runs of whole states while one state's runs fit in
+    ``_CHUNK_DOUBLES`` doubles per stream, else every state's runs in
+    ranges of as many runs as fit (at least one)."""
+    sims = max(1, _CHUNK_DOUBLES // (min(problem.periods, _DRAW_PERIODS) * problem.m))
+    if sims >= cfg.runs:
+        per_chunk = sims // cfg.runs
+        return [(range(a, min(a + per_chunk, n_states)), range(cfg.runs))
+                for a in range(0, n_states, per_chunk)]
+    return [(range(j, j + 1), range(r, min(r + sims, cfg.runs)))
+            for j in range(n_states) for r in range(0, cfg.runs, sims)]
 
 
 def _estimate_over_states(problem: Problem, policy: Policy, states: np.ndarray,
-                          cfg: SimConfig):
+                          cfg: SimConfig, first: int = 0, collect_orders: bool = False):
+    """Per-state (means, standard errors) of cfg.runs runs from each row of
+    ``states`` (S, M), whose row j draws the streams of initial-state index
+    first + j; with ``collect_orders`` also the per-period total orders and
+    ordering costs of every run, each (S, runs, T).
+
+    The chunks of ``_chunks`` are stepped one at a time, or on cfg.threads
+    worker threads, and each writes its own cells of the per-run arrays.
+    The standard error is the sample standard deviation over runs divided
+    by sqrt(runs), nan for a single run."""
     n_states = states.shape[0]
-    means = np.empty(n_states)
-    ses = np.empty(n_states)
-    sims = _CHUNK_DOUBLES // (min(problem.periods, _DRAW_PERIODS) * problem.m)
-    per_chunk = max(1, sims // cfg.runs)
-    spans = [(a, min(a + per_chunk, n_states)) for a in range(0, n_states, per_chunk)]
+    costs = np.empty((n_states, cfg.runs))
+    traces = [np.empty((n_states, cfg.runs, problem.periods))
+              for _ in range(2 if collect_orders else 0)]
 
-    def work(span):
-        j0, j1 = span
-        draws = _keyed_draws(problem, policy, cfg, range(j0, j1))
-        x0 = np.repeat(states[j0:j1], cfg.runs, axis=0)
-        costs = _simulate_batch(problem, policy, x0, draws)
-        per_state = costs.reshape(j1 - j0, cfg.runs)
-        means[j0:j1] = per_state.mean(axis=1)
-        if cfg.runs > 1:
-            ses[j0:j1] = per_state.std(axis=1, ddof=1) / np.sqrt(cfg.runs)
-        else:
-            ses[j0:j1] = np.nan
+    def work(chunk):
+        js, rs = chunk
+        cells = (slice(js.start, js.stop), slice(rs.start, rs.stop))
+        draws = _keyed_draws(problem, policy, cfg,
+                             range(first + js.start, first + js.stop), rs)
+        x0 = np.repeat(states[cells[0]], len(rs), axis=0)
+        out = _simulate_batch(problem, policy, x0, draws, collect_orders=collect_orders)
+        if collect_orders:
+            out, *per_period = out
+            for trace, part in zip(traces, per_period):
+                trace[cells] = part.reshape(len(js), len(rs), -1)
+        costs[cells] = out.reshape(len(js), len(rs))
 
+    chunks = _chunks(problem, cfg, n_states)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(work, spans))
+            list(pool.map(work, chunks))
     else:
-        for span in spans:
-            work(span)
-    return means, ses
+        for chunk in chunks:
+            work(chunk)
+    means = costs.mean(axis=1)
+    if cfg.runs > 1:
+        ses = costs.std(axis=1, ddof=1) / np.sqrt(cfg.runs)
+    else:
+        ses = np.full(n_states, np.nan)
+    return (means, ses, *traces)
 
 
 def exact_ineligibility(problem: Problem, policy: Policy) -> str | None:

@@ -60,6 +60,18 @@ class TestKeys:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, rng.demand_keys(5, range(2), 3, "a", crn=False))
 
+    @pytest.mark.parametrize("runs", [range(0, 3), range(2, 5), range(4, 5)])
+    def test_run_range_keys_are_rows_of_the_full_keys(self, runs):
+        # a chunk of part of a state's runs keys each run as the whole
+        # state's call does
+        for crn in (False, True):
+            full = rng.demand_keys(7, range(2, 4), 5, "t", crn).reshape(2, 5, 2)
+            part = rng.demand_keys(7, range(2, 4), runs, "t", crn)
+            assert np.array_equal(part, full[:, runs.start:runs.stop].reshape(-1, 2))
+        full = rng.policy_keys(7, range(2, 4), 5, "t").reshape(2, 5, 2)
+        part = rng.policy_keys(7, range(2, 4), runs, "t")
+        assert np.array_equal(part, full[:, runs.start:runs.stop].reshape(-1, 2))
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.one_of(st.integers(-2 ** 70, 2 ** 70),
                           st.sampled_from([-1, 0, 2 ** 63, -2 ** 63 - 1, 10 ** 40])),

@@ -140,7 +140,8 @@ class TestEstimateCostStart:
 
 class TestSimConfigFields:
     """Stream keys hash repr(seed): a numpy integer has to key as the
-    equal int, and a field that is not an integer is refused by name."""
+    equal int, and a field that is not an integer is refused by name, as
+    is a crn that is not a bool."""
 
     @pytest.fixture(scope="class")
     def sector_square(self):
@@ -169,6 +170,21 @@ class TestSimConfigFields:
     def test_non_integer_fields_raise_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["false", 1, 0, None])
+    def test_non_bool_crn_raises_naming_the_field(self, value):
+        # a string "false" is truthy: the streams would share demand while
+        # the report printed "crn: false"
+        with pytest.raises(ValueError, match="^crn must be a bool"):
+            SimConfig(crn=value)
+
+    @pytest.mark.parametrize("value", [np.True_, np.False_])
+    def test_numpy_bool_crn_is_stored_as_bool(self, sector_square, value):
+        cfg = SimConfig(runs=20, seed=3, crn=value)
+        assert type(cfg.crn) is bool and cfg.crn == bool(value)
+        p, policy = sector_square
+        want = estimate_cost(p, policy, (0, 0), SimConfig(runs=20, seed=3, crn=bool(value)))
+        assert estimate_cost(p, policy, (0, 0), cfg) == want
 
 
 class TestRatioHeatmap:
@@ -352,9 +368,9 @@ class TestEstimateFold:
                                      _keyed_draws(fig1, policy, cfg, range(j, j + 1)))
             block = _simulate_batch(fig1, policy, x0, sliced(block_d[rows], block_u[rows]))
             assert np.array_equal(single, block)
+            # one chunk driver reduces both from the same per-run costs
             mean, se = estimate_cost(fig1, policy, states[j], cfg, state_index=j)
-            assert mean == pytest.approx(mean_num[j], rel=1e-12, abs=0.0)
-            assert se == pytest.approx(se_num[j], rel=1e-12, abs=0.0)
+            assert (mean, se) == (mean_num[j], se_num[j])
 
 
 class TestExactDenominator:
@@ -748,7 +764,7 @@ class TestBlockStepper:
 
     @pytest.mark.parametrize("batch, periods, burn", [
         (600, 15, 7),      # one cost block of the whole horizon
-        (7, 1173, 586),    # cost blocks of one 1024-period draw block, then 149
+        (7, 1173, 586),    # four 256-period draw blocks of cost blocks, then 149
         (1, 50, 3),        # one block of the whole horizon
         across_default_blocks(600),
         across_default_blocks(500),
@@ -872,20 +888,85 @@ class TestDrawBlocks:
         assert spy.call_count == 3
         assert got == want
 
-    @pytest.mark.parametrize("case", ["sector pi_square", "affine balancing"])
-    def test_heatmap_csv_independent_of_chunk_size(self, small_heatmaps, case):
+    @pytest.mark.parametrize("case, one_run", [
+        ("sector pi_square", False), ("affine balancing", False),
+        ("sector pi_square", True), ("affine balancing", True)],
+        ids=["sector pi_square", "affine balancing",
+             "sector pi_square-one run", "affine balancing-one run"])
+    def test_heatmap_csv_independent_of_chunk_size(self, small_heatmaps, case, one_run):
+        # a budget of one state's runs makes one chunk per state, and a
+        # budget of 1 double one chunk per run of every state
         cfg, cases = small_heatmaps
         problem_and_policies, want = cases[case]
-        with mock.patch.object(sim_mod, "_CHUNK_DOUBLES", 1), \
+        p = problem_and_policies[0]
+        budget = 1 if one_run else cfg.runs * p.periods * p.m
+        with mock.patch.object(sim_mod, "_CHUNK_DOUBLES", budget), \
                 mock.patch.object(sim_mod, "_keyed_draws",
                                   wraps=sim_mod._keyed_draws) as spy:
             got = ratio_heatmap(*problem_and_policies, cfg).csv_text()
-        assert spy.call_count == len(cfg.initial_states)
+        chunks = len(cfg.initial_states) * (cfg.runs if one_run else 1)
+        assert spy.call_count == chunks
         assert got == want
 
+    @pytest.mark.parametrize("kind", ["base_stock", "pi_v", "balancing"])
+    def test_estimate_independent_of_chunk_size(self, kind):
+        # 10 runs of 2 runs each, or of 4, 4 and 2: every result, the
+        # order traces included, is the unchunked estimate's to the bit
+        if kind == "balancing":
+            p = mi.instances.build("affine_sim")
+            policy = mi.make_balancing_policy(p, variant="cumulative")
+            assert policy.uses_randomness
+        else:
+            p = replace(mi.instances.build(TIGHTNESS),
+                        horizon=InfiniteAveraged(sim_periods=30, burn_in=12))
+            policy = tightness_policies()[kind]
+        cfg = SimConfig(runs=10, seed=13)
+        x0 = np.full(p.m, p.grid.point(2))
+        want = estimate_cost(p, policy, x0, cfg, state_index=4, collect_orders=True)
+        for per_chunk, chunks in ((2, 5), (4, 3)):
+            with mock.patch.object(sim_mod, "_CHUNK_DOUBLES", per_chunk * p.periods * p.m), \
+                    mock.patch.object(sim_mod, "_keyed_draws",
+                                      wraps=sim_mod._keyed_draws) as spy:
+                got = estimate_cost(p, policy, x0, cfg, state_index=4, collect_orders=True)
+            assert spy.call_count == chunks
+            assert got[:2] == want[:2]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got[2:], want[2:]))
+
+    @pytest.mark.parametrize("budget", [1, 100, 1000, None])
+    def test_no_draw_buffer_exceeds_the_chunk_budget(self, budget):
+        # 40 doubles per run and stream (20 periods, 2 locations): one run
+        # per chunk where one run's block alone is over the budget, 2 runs
+        # of a state per chunk, 6 whole states per chunk, and the default
+        # budget's one chunk; each chunk draws exactly its runs' rows
+        p = mi.instances.build("affine_sim")
+        policy = mi.make_balancing_policy(p, variant="cumulative")
+        states = p.grid.states(2)[::40]
+        cfg = SimConfig(runs=4, seed=9, initial_states=states)
+        sizes, rows = [], []
+        keyed_draws = sim_mod._keyed_draws
+
+        def recording(*args):
+            draws = keyed_draws(*args)
+
+            def record(k0, n):
+                blocks = draws(k0, n)
+                sizes.extend(b.base.size for b in blocks)
+                rows.append(len(blocks[0]))
+                return blocks
+            return record
+
+        limit = sim_mod._CHUNK_DOUBLES if budget is None else budget
+        with mock.patch.object(sim_mod, "_CHUNK_DOUBLES", limit), \
+                mock.patch.object(sim_mod, "_keyed_draws", recording):
+            got = ratio_heatmap(p, policy, policy, cfg).csv_text()
+        assert got == ratio_heatmap(p, policy, policy, cfg).csv_text()
+        assert len(sizes) == 2 * len(rows) and sum(rows) == len(states) * cfg.runs
+        assert 0 < max(sizes) <= max(limit, p.periods * p.m)
+
     def test_long_horizon_estimates_are_pinned(self):
-        # three draw blocks (1024, 1024 and 52 periods) of continuous
-        # demand; the heatmap CSV hashes cover only 20-period horizons
+        # nine draw blocks (eight of 256 periods and one of 52) of
+        # continuous demand; the heatmap CSV hashes cover only 20-period
+        # horizons
         p = mi.instances.build(f"{TIGHTNESS},sim_periods=2100")
         cfg = SimConfig(runs=64, seed=2024)
         got = {kind: repr(estimate_cost(p, policy, np.zeros(2), cfg))
@@ -900,7 +981,7 @@ class TestDrawBlocks:
         # every fill and lookup handles at most one fill chunk, or one
         # run's block when that alone is larger: 1764 balancing rows of 20
         # periods in 3 chunks (demand and policy fills), and 40 runs of
-        # 2100 periods in 3 chunks per draw block, 3 blocks
+        # 2100 periods in 1 chunk per draw block, 9 blocks
         if case == "heatmap":
             p = mi.instances.build("affine_sim")
             policy = mi.make_balancing_policy(p, variant="cumulative")
@@ -928,7 +1009,8 @@ class TestDrawBlocks:
 
     def test_long_horizon_draw_memory_is_bounded(self):
         # 500 runs x 2000 periods x 2 locations is 16 MB of demand drawn
-        # at once; in blocks of 1024 periods the buffer is 8.2 MB
+        # at once; in blocks of 256 periods the buffer is 2 MB, and the
+        # peaks read 4.5 MB (base-stock) and 3.8 MB (pi_v)
         p = mi.instances.build(f"{TIGHTNESS},sim_periods=2000")
         cfg = SimConfig(runs=500, seed=1)
         peaks = []
@@ -939,7 +1021,7 @@ class TestDrawBlocks:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) < 10_000_000
+        assert max(peaks) < 6_000_000
 
 
 class TestVerifyConfig:
