@@ -43,9 +43,9 @@ locates its own levels in the knots.
 The rule is decoupled: a location's order depends only on (k, x_i), its
 cap (a function of x_i) and one uniform.  A Monte Carlo batch holds many
 rows at few levels, so ``act_balancing_batch`` finds the distinct levels
-of x (by one sort), takes each level's cap from the cap rule, solves
-u_hat, theta, u_tilde and p once per level and gathers them back to the
-rows; only the ``uniform < p`` pick is made row by row.
+of x (by ``np.unique``, one sort), takes each level's cap from the cap
+rule, solves u_hat, theta, u_tilde and p once per level and gathers them
+back to the rows; only the ``uniform < p`` pick is made row by row.
 ``BalancingPolicy`` goes one step further: locations with equal
 ``BalancingState``s run the same rule, so their columns are stacked into
 one batch and solved in one call per stage, and a level shared by
@@ -315,24 +315,6 @@ def balancing_probability_batch(state: BalancingState, k: int, x: np.ndarray,
     return np.clip(p, 0.0, 1.0)
 
 
-def _levels(x: np.ndarray):
-    """(levels, inverse) of a 1-D batch: its distinct values in ascending
-    order and each row's index into them.  One unstable sort; equal values
-    (0.0 and -0.0 too) form one level, taken from the first of its sorted
-    rows, and each NaN its own.  The inverse repeats each level's index
-    over its run of sorted rows."""
-    order = np.argsort(x)
-    head = np.empty(x.shape, dtype=bool)
-    head[:1] = True
-    ordered = x[order]
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    inverse = np.empty(x.shape, dtype=np.intp)
-    inverse[order] = np.repeat(np.arange(len(starts)),
-                               np.diff(starts, append=len(x)))
-    return ordered[starts], inverse
-
-
 def act_balancing_batch(state: BalancingState, k: int, x: np.ndarray,
                         order_cap, uniforms) -> np.ndarray:
     """One location's order under the balancing rule at each state of a
@@ -345,7 +327,9 @@ def act_balancing_batch(state: BalancingState, k: int, x: np.ndarray,
     """
     if state.K > 0 and uniforms is None:
         raise ValueError("K > 0 balancing needs one uniform per state")
-    levels, inverse = _levels(np.asarray(x, dtype=float))
+    # equal values (0.0 and -0.0 too) form one level and each NaN its own
+    levels, inverse = np.unique(np.asarray(x, dtype=float), return_inverse=True,
+                                equal_nan=False)
     level_caps = order_cap(levels)
     u_hat, theta = balancing_order_batch(state, k, levels, level_caps)
     if state.K == 0:

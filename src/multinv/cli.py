@@ -84,14 +84,6 @@ def _load_problem(args) -> tuple[Problem, str, dict]:
     return problem, source, defaults
 
 
-def _sim_config(args) -> SimConfig:
-    with _parsing():
-        cfg = SimConfig(runs=args.runs, seed=args.seed, crn=args.crn,
-                        threads=args.threads)
-        cfg.check()
-    return cfg
-
-
 def _parse_kv(text: str) -> dict:
     out = {}
     for part in text.split(","):
@@ -102,11 +94,20 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
+# The parameters each policy specifier takes (see the module docstring).
+_SPEC_KEYS = {
+    "optimal": (), "pi_square": ("l",), "pi_diamond": ("Kh", "h"),
+    "balancing": ("K", "variant"), "pi_v": (), "base_stock": ("S",),
+    "sS": ("s", "S"),
+}
+
+
 def build_policy(spec: str, problem: Problem, defaults: dict):
     """Construct a policy from its CLI specifier.  Instance-specific
     defaults (pi_diamond's pair, pi_v, S=auto) come from ``defaults``, an
     ``instances.policy_defaults`` dict; a problem read from a config file
-    has none."""
+    has none.  A parameter the specifier does not take is a UsageError
+    naming it."""
     name, _, rest = spec.partition(":")
     if name == "config":
         path = Path(rest)
@@ -114,7 +115,13 @@ def build_policy(spec: str, problem: Problem, defaults: dict):
             raise UsageError(f"policy config not found: {path}")
         with open(path) as fh, _parsing():
             return config_mod.policy_from_config(json.load(fh), problem)
+    if name not in _SPEC_KEYS:
+        raise UsageError(f"unknown policy {name!r}")
     params = _parse_kv(rest) if rest else {}
+    for key in params:
+        if key not in _SPEC_KEYS[name]:
+            raise UsageError(f"{name}: unknown parameter {key!r} (known: "
+                             f"{', '.join(_SPEC_KEYS[name]) or 'none'})")
 
     if name == "optimal":
         _, tab = dp_mod.solve_joint_dp(problem)
@@ -127,8 +134,10 @@ def build_policy(spec: str, problem: Problem, defaults: dict):
                 slope = bounds.fit_sector(problem.ordering).l
         return make_pi_square(problem, slope)
     if name == "pi_diamond":
+        if ("Kh" in params) != ("h" in params):
+            raise UsageError("pi_diamond needs both Kh and h, or neither")
         with _parsing():
-            if "Kh" in params and "h" in params:
+            if "Kh" in params:
                 pair = (float(params["Kh"]), float(params["h"]))
             elif "pi_diamond" in defaults:
                 pair = defaults["pi_diamond"]
@@ -162,7 +171,6 @@ def build_policy(spec: str, problem: Problem, defaults: dict):
         with _parsing():
             return SSPolicy(np.full(problem.m, float(params["s"])),
                             np.full(problem.m, float(params["S"])))
-    raise UsageError(f"unknown policy {name!r}")
 
 
 def _write_manifest(out_dir: Path, payload: dict):
@@ -214,7 +222,9 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     problem, source, defaults = _load_problem(args)
-    cfg = _sim_config(args)
+    with _parsing():
+        cfg = SimConfig(runs=args.runs, seed=args.seed, crn=args.crn,
+                        threads=args.threads)
     policy_num = build_policy(args.num, problem, defaults)
     policy_den = build_policy(args.den, problem, defaults)
     report = ratio_heatmap(problem, policy_num, policy_den, cfg)

@@ -100,11 +100,22 @@ def _where(path) -> str:
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
 
 
+def _number(cfg, *path, default=_REQUIRED):
+    """``_field`` read as a number: a JSON number (an int or a float, not
+    a bool or a numeric string), or a ValueError naming its path, e.g.
+    ``config: field 'horizon.periods' must be a number, got True``."""
+    value = _field(cfg, *path, default=default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"config: field {_where(path)!r} must be a number, "
+                         f"got {value!r}")
+    return value
+
+
 def _count(cfg, *path, default=_REQUIRED) -> int:
-    """``_field`` read as a count: a whole number such as 20 or 20.0, or a
+    """``_number`` read as a count: a whole number such as 20 or 20.0, or a
     ValueError naming its path, e.g. ``config: field 'horizon.periods'
     must be a whole number, got 2.7``."""
-    value = _field(cfg, *path, default=default)
+    value = _number(cfg, *path, default=default)
     if not float(value).is_integer():
         raise ValueError(f"config: field {_where(path)!r} must be a whole number, "
                          f"got {value!r}")
@@ -129,24 +140,25 @@ def problem_from_config(cfg: dict) -> Problem:
         loc = ("demand", "locations", i)
         kind = _field(cfg, *loc, "kind")
         if kind == "discrete":
-            atoms = _field(cfg, *loc, "atoms")
+            atoms = range(len(_field(cfg, *loc, "atoms")))
             marginals.append(DiscreteMarginal(
-                values=tuple(float(v) for v, _ in atoms),
-                probs=tuple(float(p) for _, p in atoms)))
+                values=tuple(float(_number(cfg, *loc, "atoms", j, 0)) for j in atoms),
+                probs=tuple(float(_number(cfg, *loc, "atoms", j, 1)) for j in atoms)))
         elif kind == "uniform":
-            marginals.append(UniformMarginal(lo=float(_field(cfg, *loc, "lo")),
-                                             hi=float(_field(cfg, *loc, "hi"))))
+            marginals.append(UniformMarginal(lo=float(_number(cfg, *loc, "lo")),
+                                             hi=float(_number(cfg, *loc, "hi"))))
         else:
             raise ValueError(f"unknown demand kind {kind!r}")
     pieces = []
     for j in range(len(_field(cfg, "ordering", "pieces"))):
         upper = _field(cfg, "ordering", "pieces", j, "upper")
-        pieces.append(Piece(math.inf if upper is None else float(upper),
-                            float(_field(cfg, "ordering", "pieces", j, "fixed")),
-                            float(_field(cfg, "ordering", "pieces", j, "slope"))))
+        pieces.append(Piece(math.inf if upper is None
+                            else float(_number(cfg, "ordering", "pieces", j, "upper")),
+                            float(_number(cfg, "ordering", "pieces", j, "fixed")),
+                            float(_number(cfg, "ordering", "pieces", j, "slope"))))
     discounts = tuple(
-        (float(_field(cfg, "ordering", "discounts", j, "z")),
-         float(_field(cfg, "ordering", "discounts", j, "slope")))
+        (float(_number(cfg, "ordering", "discounts", j, "z")),
+         float(_number(cfg, "ordering", "discounts", j, "slope")))
         for j in range(len(_field(cfg, "ordering", "discounts", default=[]))))
     rates = range(len(_field(cfg, "holding")))
     return Problem(
@@ -154,12 +166,12 @@ def problem_from_config(cfg: dict) -> Problem:
         horizon=horizon,
         ordering=OrderingCost(pieces=tuple(pieces), discounts=discounts),
         holding=HoldingBacklogCost(
-            holding=tuple(float(_field(cfg, "holding", i, "holding_rate")) for i in rates),
-            backlog=tuple(float(_field(cfg, "holding", i, "backlog_rate")) for i in rates)),
+            holding=tuple(float(_number(cfg, "holding", i, "holding_rate")) for i in rates),
+            backlog=tuple(float(_number(cfg, "holding", i, "backlog_rate")) for i in rates)),
         demand=DemandModel(marginals=tuple(marginals)),
-        grid=Grid(lo=float(_field(cfg, "grid", "min")), hi=float(_field(cfg, "grid", "max")),
-                  step=float(_field(cfg, "grid", "step"))),
-        max_order_per_location=float(_field(cfg, "max_order_per_location")),
+        grid=Grid(lo=float(_number(cfg, "grid", "min")), hi=float(_number(cfg, "grid", "max")),
+                  step=float(_number(cfg, "grid", "step"))),
+        max_order_per_location=float(_number(cfg, "max_order_per_location")),
     )
 
 

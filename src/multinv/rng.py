@@ -43,14 +43,10 @@ def _key_text(parts) -> bytes:
     return "|".join(repr(p) for p in parts).encode("utf-8")
 
 
-def _key_bytes(parts) -> bytes:
-    """The 16 key bytes of ``parts``."""
-    return hashlib.sha256(_key_text(parts)).digest()[:16]
-
-
 def derive_key(*parts) -> np.ndarray:
     """Hash arbitrary parts into a 128-bit Philox key (two uint64 words)."""
-    return np.frombuffer(_key_bytes(parts), dtype=np.uint64).copy()
+    return np.frombuffer(hashlib.sha256(_key_text(parts)).digest()[:16],
+                         dtype=np.uint64).copy()
 
 
 def stream(*parts) -> np.random.Generator:

@@ -81,6 +81,9 @@ class SimConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("runs", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         # The streams read crn by truth value, so a string "false" would
         # share demand while the report printed false: only a bool (or a
         # numpy bool, stored as the equal bool) is accepted.
@@ -88,12 +91,6 @@ class SimConfig:
             object.__setattr__(self, "crn", bool(self.crn))
         if not isinstance(self.crn, bool):
             raise ValueError(f"crn must be a bool, got {self.crn!r}")
-
-    def check(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +253,6 @@ def estimate_cost(problem: Problem, policy: Policy, x0, cfg: SimConfig,
     orders and ordering costs of every run, each (runs, T), are returned
     as well.
     """
-    cfg.check()
     x0 = np.asarray(x0, dtype=float)
     grid = problem.grid
     if x0.shape != (problem.m,) or not np.all((x0 >= grid.lo) & (x0 <= grid.hi)):
@@ -468,29 +464,22 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
     costs, not means of per-run ratios; a state where both mean costs are
     exactly 0 has ratio 1.0 (equal costs), not 0/0.
     """
-    cfg.check()
     t0 = time.perf_counter()
     states = initial_states(problem, cfg)
     mean_num, se_num = _estimate_over_states(problem, policy_num, states, cfg)
 
     if policy_den.tag == policy_num.tag:
         # identical specifiers derive identical streams, so the estimates
-        # coincide exactly; reuse them and report unit ratios
-        return RatioReport(
-            states=states, mean_num=mean_num, se_num=se_num,
-            mean_den=mean_num.copy(), se_den=se_num.copy(),
-            ratio=np.ones_like(mean_num), num_tag=policy_num.tag,
-            den_tag=policy_den.tag, config=cfg, den_exact=False,
-            runtime_s=time.perf_counter() - t0, den_reason="same policy")
-
-    exact, den_reason = _exact_costs(problem, policy_den)
-    if exact is not None:
-        mean_den = exact[tuple(problem.grid.indices(states).T)]
-        se_den = np.zeros_like(mean_den)
-        den_exact = True
+        # coincide exactly: reuse them (the ratios come out exactly 1.0)
+        exact, den_reason = None, "same policy"
+        mean_den, se_den = mean_num.copy(), se_num.copy()
     else:
-        mean_den, se_den = _estimate_over_states(problem, policy_den, states, cfg)
-        den_exact = False
+        exact, den_reason = _exact_costs(problem, policy_den)
+        if exact is not None:
+            mean_den = exact[tuple(problem.grid.indices(states).T)]
+            se_den = np.zeros_like(mean_den)
+        else:
+            mean_den, se_den = _estimate_over_states(problem, policy_den, states, cfg)
 
     free = (mean_num == 0) & (mean_den == 0)
     ratio = np.divide(mean_num, mean_den, out=np.ones_like(mean_num), where=~free)
@@ -498,7 +487,7 @@ def ratio_heatmap(problem: Problem, policy_num: Policy, policy_den: Policy,
         states=states, mean_num=mean_num, se_num=se_num,
         mean_den=mean_den, se_den=se_den, ratio=ratio,
         num_tag=policy_num.tag, den_tag=policy_den.tag, config=cfg,
-        den_exact=den_exact, runtime_s=time.perf_counter() - t0,
+        den_exact=exact is not None, runtime_s=time.perf_counter() - t0,
         den_reason=den_reason)
 
 
@@ -543,12 +532,10 @@ def verify_cost_transformation(problem: Problem, policy: Policy, m_slope: float,
     is zero up to rounding too.  For randomized policies the check is
     statistical under common random numbers.
 
-    ``cfg`` (default 200 runs, seed 0) is checked before either branch,
-    as in ``estimate_cost``, and both branches report over its
-    ``initial_states``.
+    Both branches report over the ``initial_states`` of ``cfg`` (default
+    200 runs, seed 0).
     """
     cfg = replace(cfg or SimConfig(runs=200, seed=0), crn=True)
-    cfg.check()
     hat = shift_ordering_slopes(problem, m_slope)
     per_period_demand = sum(problem.demand.mean(i) for i in range(problem.m))
     demand_term = m_slope * per_period_demand

@@ -149,14 +149,17 @@ def sector_three_locations(seed: int = 1) -> Problem:
 def random_order_table(problem: Problem, rng: np.random.Generator) -> np.ndarray:
     """A feasible random order table (grid steps, shape (N,) + (n,)*M +
     (M,)): every order is uniform on 0..min(cap, room to the grid top),
-    drawn stage by stage, states in C order, location 1 first."""
+    drawn stage by stage, states in C order, location 1 first.  One draw
+    per stage with an array of bounds takes the same numbers from the
+    stream as one draw per order would."""
     grid, m = problem.grid, problem.m
     n = grid.count
     cap = grid.to_steps(problem.max_order_per_location)
-    table = np.zeros((problem.periods,) + (n,) * m + (m,), dtype=np.int32)
+    index = np.moveaxis(np.indices((n,) * m), 0, -1)
+    highs = np.minimum(cap, n - 1 - index) + 1
+    table = np.zeros((problem.periods,) + highs.shape, dtype=np.int32)
     for k in range(problem.periods):
-        for state in np.ndindex(*(n,) * m):
-            table[k][state] = [rng.integers(0, min(cap, n - 1 - j) + 1) for j in state]
+        table[k] = rng.integers(0, highs)
     return table
 
 

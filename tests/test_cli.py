@@ -264,6 +264,45 @@ class TestExitCodes:
         assert (f"config: field {where!r} must be a whole number, got {value!r}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("instance, path, where", [
+        ("fig1_linear", ("locations",), "locations"),
+        ("fig1_linear", ("horizon", "periods"), "horizon.periods"),
+        ("fig1_linear", ("grid", "step"), "grid.step"),
+        ("fig1_linear", ("max_order_per_location",), "max_order_per_location"),
+        ("fig1_linear", ("holding", 1, "holding_rate"), "holding[1].holding_rate"),
+        ("fig1_linear", ("demand", "locations", 0, "atoms", 1, 0),
+         "demand.locations[0].atoms[1][0]"),
+        ("fig1_linear", ("demand", "locations", 1, "atoms", 0, 1),
+         "demand.locations[1].atoms[0][1]"),
+        ("sector_sim", ("ordering", "pieces", 0, "upper"), "ordering.pieces[0].upper"),
+        ("sector_sim", ("ordering", "pieces", 1, "fixed"), "ordering.pieces[1].fixed"),
+        ("tightness", ("horizon", "sim_periods"), "horizon.sim_periods"),
+        ("tightness", ("horizon", "burn_in"), "horizon.burn_in"),
+        ("tightness", ("ordering", "discounts", 1, "z"), "ordering.discounts[1].z"),
+        ("tightness", ("demand", "locations", 0, "hi"), "demand.locations[0].hi"),
+    ])
+    @pytest.mark.parametrize("value", [True, False, "2", "1.0", [1.0]])
+    def test_non_number_field_raises_naming_it(self, instance, path, where, value):
+        # a JSON boolean or numeric string is not read as a number:
+        # "periods": true once solved a 1-period problem
+        data = problem_to_config(mi.instances.build(instance))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError) as exc:
+            problem_from_config(data)
+        assert str(exc.value) == f"config: field {where!r} must be a number, got {value!r}"
+
+    def test_boolean_periods_exits_2(self, tmp_path, capsys):
+        data = problem_to_config(mi.instances.build("fig1_linear"))
+        data["horizon"]["periods"] = True
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps(data))
+        assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert ("config: field 'horizon.periods' must be a number, got True"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("value", [False, "false", 0, 1])
     def test_iid_declaration_other_than_true_exits_2(self, tmp_path, capsys, value):
         # only JSON true declares the i.i.d. demand the package supports;
@@ -329,6 +368,17 @@ class TestExitCodes:
         (("--num", "balancing:variant=zz"), "unknown balancing variant 'zz'"),
         (("--num", "pi_square", "--runs", "0"), "runs must be >= 1"),
         (("--num", "pi_square", "--horizon", "0"), "horizon_override must be >= 1"),
+        (("--num", "pi_square", "--threads", "0"), "threads must be >= 1"),
+        (("--num", "pi_diamond:Kh=9"), "pi_diamond needs both Kh and h, or neither"),
+        (("--num", "pi_diamond:h=2"), "pi_diamond needs both Kh and h, or neither"),
+        (("--num", "balancing:k=2"),
+         "balancing: unknown parameter 'k' (known: K, variant)"),
+        (("--num", "base_stock:S=1,s=0"), "base_stock: unknown parameter 's' (known: S)"),
+        (("--num", "pi_square:h=2"), "pi_square: unknown parameter 'h' (known: l)"),
+        (("--num", "sS:s=0,S=1,K=1"), "sS: unknown parameter 'K' (known: s, S)"),
+        (("--num", "pi_square", "--den", "optimal:x=1"),
+         "optimal: unknown parameter 'x' (known: none)"),
+        (("--num", "pi_v:m=2"), "pi_v: unknown parameter 'm' (known: none)"),
     ])
     def test_bad_policy_or_simulation_input_exits_2(self, tmp_path, capsys, args, message):
         argv = ["compare", "--instance", "fig1_linear", "--den", "optimal",

@@ -763,6 +763,37 @@ class TestOrderTableGrid:
                              - vf.values[0] / 2)) <= 1e-12
 
 
+def loop_order_table(problem, rng):
+    """``random_order_table`` drawn one order at a time, stage by stage,
+    states in C order, location 1 first."""
+    n = problem.grid.count
+    cap = problem.grid.to_steps(problem.max_order_per_location)
+    table = np.zeros((problem.periods,) + (n,) * problem.m + (problem.m,),
+                     dtype=np.int32)
+    for k in range(problem.periods):
+        for state in np.ndindex(*(n,) * problem.m):
+            table[k][state] = [rng.integers(0, min(cap, n - 1 - j) + 1) for j in state]
+    return table
+
+
+class TestRandomOrderTable:
+    """One draw per stage with an array of bounds takes the numbers one
+    draw per order would, so every table seeded through it is kept."""
+
+    @pytest.mark.parametrize("build, seed", [
+        (lambda: mi.instances.build("fig1_linear"), 7),
+        (lambda: mi.instances.build("sector_sim"), 11),
+        (lambda: sector_three_locations(1), 3),
+    ], ids=["fig1_linear", "sector_sim", "sector_three_locations"])
+    def test_matches_one_draw_per_order(self, build, seed):
+        p = build()
+        fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        table, want = random_order_table(p, fast), loop_order_table(p, loop)
+        assert table.dtype == want.dtype and table.shape == want.shape
+        assert table.tobytes() == want.tobytes()
+        assert fast.integers(0, 2 ** 62) == loop.integers(0, 2 ** 62)
+
+
 def reference_recursion(problem, table, stage, w):
     """The per-stage recursion that flat cells replaced: each location's
     post-order index as an (n,)*M array, the expectation read by a tuple

@@ -171,6 +171,19 @@ class TestSimConfigFields:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SimConfig(**{field: value})
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"runs": 0}, "runs must be >= 1"),
+        ({"runs": -3}, "runs must be >= 1"),
+        ({"threads": 0}, "threads must be >= 1"),
+    ])
+    def test_counts_below_one_raise_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SimConfig(**fields)
+
+    def test_replace_checks_the_new_fields(self):
+        with pytest.raises(ValueError, match="^runs must be >= 1$"):
+            replace(SimConfig(runs=5), runs=0)
+
     @pytest.mark.parametrize("value", ["false", 1, 0, None])
     def test_non_bool_crn_raises_naming_the_field(self, value):
         # a string "false" is truthy: the streams would share demand while
@@ -193,6 +206,17 @@ class TestRatioHeatmap:
         rep = ratio_heatmap(fig1, policy, mi.make_pi_square(fig1, 2.0),
                             SimConfig(runs=20, seed=3, crn=True))
         assert np.all(rep.ratio == 1.0)
+
+    def test_same_policy_reuses_the_numerator(self, fig1):
+        # equal tags derive equal streams: the denominator is the
+        # numerator's estimate, neither exact nor simulated again
+        rep = ratio_heatmap(fig1, mi.make_pi_square(fig1, 2.0),
+                            mi.make_pi_square(fig1, 2.0), SimConfig(runs=20, seed=3))
+        assert rep.den_exact is False and rep.den_reason == "same policy"
+        assert rep.ratio.tobytes() == np.ones(len(rep.states)).tobytes()
+        assert rep.mean_den.tobytes() == rep.mean_num.tobytes()
+        assert rep.se_den.tobytes() == rep.se_num.tobytes()
+        assert "(Monte Carlo: same policy)" in rep.summary_text()
 
     def test_exact_denominator_for_optimal_policy(self, fig1, fig1_solved):
         vf, tab = fig1_solved
@@ -1025,8 +1049,9 @@ class TestDrawBlocks:
 
 
 class TestVerifyConfig:
-    """verify_cost_transformation checks its config, as estimate_cost
-    does."""
+    """verify_cost_transformation never runs on a bad config: SimConfig
+    refuses runs < 1 when built, and the initial states are checked
+    where they are read."""
 
     @pytest.fixture(scope="class")
     def affine_balancing(self):
