@@ -18,12 +18,14 @@ Policy specifiers for --num/--den:
     pi_v                       threshold-and-equalize (tightness instances)
     base_stock:S=auto|<level>  stationary base-stock, same level everywhere
     sS:s=..,S=..               stationary (s,S), same pair everywhere
+    config:<path>              a policy JSON (``config.policy_from_config``)
 
 Exit codes: 0 success, 1 property/acceptance failure, 2 usage or
-configuration error (a ``UsageError`` or ``ValidationError``).  Any other
-exception is an internal fault and propagates.  Every command writes a
-manifest JSON next to its outputs; rerunning with the same manifest
-inputs reproduces the CSVs byte for byte.
+configuration error (a ``UsageError`` or ``ValidationError``), a file
+named by ``--config`` or ``config:`` that cannot be read included.  Any
+other exception is an internal fault and propagates.  Every command
+writes a manifest JSON next to its outputs; rerunning with the same
+manifest inputs reproduces the CSVs byte for byte.
 """
 
 from __future__ import annotations
@@ -51,11 +53,14 @@ class UsageError(Exception):
 
 @contextlib.contextmanager
 def _parsing():
-    """Read user input: a ValueError raised here is a usage error."""
+    """Read user input: a ValueError raised here, or an OSError from
+    opening a file the user named, is a usage error."""
     try:
         yield
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read {exc.filename}: {exc.strerror}") from exc
 
 
 def _load_problem(args) -> tuple[Problem, str, dict]:
@@ -64,12 +69,9 @@ def _load_problem(args) -> tuple[Problem, str, dict]:
     config file has no policy defaults; an instance's come from
     ``instances.policy_defaults``, whose errors are internal faults."""
     if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
         with _parsing():
-            problem = config_mod.load_problem(path)
-        source, defaults = str(path), {}
+            problem = config_mod.load_problem(args.config)
+        source, defaults = str(Path(args.config)), {}
     elif getattr(args, "instance", None):
         with _parsing():
             problem = instances.build(args.instance)
@@ -84,16 +86,6 @@ def _load_problem(args) -> tuple[Problem, str, dict]:
     return problem, source, defaults
 
 
-def _parse_kv(text: str) -> dict:
-    out = {}
-    for part in text.split(","):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise UsageError(f"malformed policy parameter {part!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
 # The parameters each policy specifier takes (see the module docstring).
 _SPEC_KEYS = {
     "optimal": (), "pi_square": ("l",), "pi_diamond": ("Kh", "h"),
@@ -106,22 +98,13 @@ def build_policy(spec: str, problem: Problem, defaults: dict):
     """Construct a policy from its CLI specifier.  Instance-specific
     defaults (pi_diamond's pair, pi_v, S=auto) come from ``defaults``, an
     ``instances.policy_defaults`` dict; a problem read from a config file
-    has none.  A parameter the specifier does not take is a UsageError
-    naming it."""
-    name, _, rest = spec.partition(":")
-    if name == "config":
-        path = Path(rest)
-        if not path.exists():
-            raise UsageError(f"policy config not found: {path}")
-        with open(path) as fh, _parsing():
+    has none.  A specifier that breaks the grammar (``instances.parse_spec``)
+    is a UsageError naming the name or key at fault."""
+    if spec.startswith("config:"):
+        with _parsing(), open(spec.removeprefix("config:")) as fh:
             return config_mod.policy_from_config(json.load(fh), problem)
-    if name not in _SPEC_KEYS:
-        raise UsageError(f"unknown policy {name!r}")
-    params = _parse_kv(rest) if rest else {}
-    for key in params:
-        if key not in _SPEC_KEYS[name]:
-            raise UsageError(f"{name}: unknown parameter {key!r} (known: "
-                             f"{', '.join(_SPEC_KEYS[name]) or 'none'})")
+    with _parsing():
+        name, params = instances.parse_spec(spec, _SPEC_KEYS, "policy")
 
     if name == "optimal":
         _, tab = dp_mod.solve_joint_dp(problem)

@@ -111,6 +111,16 @@ def _number(cfg, *path, default=_REQUIRED):
     return value
 
 
+def _numbers(cfg, *path):
+    """``_field`` read as a number or a list (of lists) of numbers, every
+    entry through ``_number``, so that an error names the entry, e.g.
+    ``config: field 'levels[1]' must be a number, got '2'``."""
+    value = _field(cfg, *path)
+    if isinstance(value, list):
+        return [_numbers(cfg, *path, j) for j in range(len(value))]
+    return _number(cfg, *path)
+
+
 def _count(cfg, *path, default=_REQUIRED) -> int:
     """``_number`` read as a count: a whole number such as 20 or 20.0, or a
     ValueError naming its path, e.g. ``config: field 'horizon.periods'
@@ -199,25 +209,30 @@ def _policy_from_config(cfg: dict, where: tuple, problem: Problem):
     def field(name):
         return _field(cfg, *where, name)
 
+    def numbers(name):
+        return _numbers(cfg, *where, name)
+
     kind = field("kind")
     if kind == "base_stock":
-        return pol_mod.BaseStockPolicy(np.asarray(field("levels")))
+        return pol_mod.BaseStockPolicy(np.asarray(numbers("levels")))
     if kind == "sS":
-        return pol_mod.SSPolicy(np.asarray(field("small_s")), np.asarray(field("big_s")))
+        return pol_mod.SSPolicy(np.asarray(numbers("small_s")),
+                                np.asarray(numbers("big_s")))
     if kind == "decoupled":
         return pol_mod.DecoupledPolicy(
             [_policy_from_config(cfg, where + ("components", i), problem)
              for i in range(len(field("components")))])
     if kind == "pi_v":
-        return pol_mod.ExplicitVPolicy(v_values=field("v_values"),
-                                       threshold=field("threshold"))
+        return pol_mod.ExplicitVPolicy(v_values=numbers("v_values"),
+                                       threshold=_number(cfg, *where, "threshold"))
     if kind == "balancing":
         from .balancing import make_balancing_policy
-        policy = make_balancing_policy(problem, K=field("fixed_charge"),
-                                       variant=field("variant"))
+        K = field("fixed_charge")  # null: the cost's jump at zero
+        K = None if K is None else _number(cfg, *where, "fixed_charge")
+        policy = make_balancing_policy(problem, K=K, variant=field("variant"))
         rebuilt = policy.to_config()
         for name in ("holding", "backlog", "periods"):
-            given = _field(cfg, *where, name, default=rebuilt[name])
+            given = numbers(name) if name in _field(cfg, *where) else rebuilt[name]
             if given != rebuilt[name]:
                 raise ValueError(f"config: balancing field {name!r} is {given!r}, "
                                  f"but the problem gives {rebuilt[name]!r}")

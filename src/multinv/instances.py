@@ -103,26 +103,38 @@ def _tightness(m: int, eps: float, l: float, h: float, p: float,
     )
 
 
+def parse_spec(text: str, known: dict, what: str):
+    """Split ``name[:key=value,...]`` into (name, {key: value text}); the
+    grammar of instance ids and of policy specifiers.  ``known`` maps each
+    name to the keys it takes, and ``what`` names the kind of thing in
+    messages.  An unknown name, a malformed or empty ``key=value``, an
+    unknown key or a repeated key raises a ValueError that names it."""
+    name, _, rest = text.partition(":")
+    if name not in known:
+        raise ValueError(f"unknown {what} {name!r} (known: {', '.join(known)})")
+    params = {}
+    for part in rest.split(",") if rest else ():
+        key, _, value = (s.strip() for s in part.partition("="))
+        if not value:
+            raise ValueError(f"malformed {what} parameter {part!r}")
+        if key not in known[name]:
+            raise ValueError(f"{name}: unknown parameter {key!r} (known: "
+                             f"{', '.join(known[name]) or 'none'})")
+        if key in params:
+            raise ValueError(f"{name}: repeated parameter {key!r}")
+        params[key] = value
+    return name, params
+
+
 def parse_id(text: str):
     """Split an instance id into (name, params), with every parameter the
-    instance takes (``PARAMS``) set from the id or to its default.  An
-    unknown parameter, or a non-integral value of an integer one, raises
-    a ValueError that names it."""
-    name, _, rest = text.partition(":")
-    given = {}
-    if rest:
-        for part in rest.split(","):
-            key, _, value = part.partition("=")
-            if not value:
-                raise ValueError(f"malformed instance parameter {part!r}")
-            given[key.strip()] = float(value)
-    if name not in NAMES:
-        raise ValueError(f"unknown instance {name!r} (known: {', '.join(NAMES)})")
+    instance takes (``PARAMS``) set from the id or to its default.  A
+    grammar error (``parse_spec``), or a non-integral value of an integer
+    parameter, raises a ValueError that names it."""
+    name, given = parse_spec(text, {n: PARAMS.get(n, {}) for n in NAMES}, "instance")
     params = dict(PARAMS.get(name, {}))
-    for key, value in given.items():
-        if key not in params:
-            raise ValueError(f"{name}: unknown parameter {key!r} (known: "
-                             f"{', '.join(params) or 'none'})")
+    for key, raw in given.items():
+        value = float(raw)
         if isinstance(params[key], int):
             if not value.is_integer():
                 raise ValueError(f"{name}: parameter {key!r} must be a whole "

@@ -36,7 +36,7 @@ import logging
 import numpy as np
 
 from . import dp as dp_mod
-from .model import (Problem, linear_cost, affine_cost, location_sum,
+from .model import (GRID_ALIGN_TOL, Problem, linear_cost, affine_cost, location_sum,
                     single_location_problem)
 
 logger = logging.getLogger(__name__)
@@ -96,11 +96,13 @@ class Policy:
     def _grid_steps(self, orders: np.ndarray, grid) -> np.ndarray:
         """Orders as whole grid steps (int32), or GridTabulationError."""
         steps = orders / grid.step
-        rounded = np.rint(steps).astype(np.int32)
-        if np.max(np.abs(steps - rounded)) > 1e-9:
+        rounded = np.rint(steps)
+        # NaN, inf and counts beyond int32 are refused before any arithmetic
+        if not (np.all(np.abs(steps) <= np.iinfo(np.int32).max)
+                and np.all(np.abs(steps - rounded) <= GRID_ALIGN_TOL)):
             raise GridTabulationError(f"{self.kind} policy orders leave the grid; "
                                       "exact evaluation is undefined")
-        return rounded
+        return rounded.astype(np.int32)
 
     # -- bookkeeping --------------------------------------------------------
     def to_config(self) -> dict:

@@ -19,22 +19,16 @@ import functools
 
 import numpy as np
 
-from .model import (Problem, SizeError, UnsupportedDemandError,
-                    convolve_atoms, demand_pmf, expected_holding_backlog)
+from .model import (Problem, SizeError, convolve_atoms, demand_pmf,
+                    expected_holding_backlog)
 
 
 MAX_JOINT_CANDIDATES = 2_000_000
 
 
-def _require_discrete(problem: Problem):
-    if not problem.demand.is_discrete:
-        raise UnsupportedDemandError("stationary analysis requires discrete demand")
-
-
 def total_demand_pmf(problem: Problem):
     """Pmf of one period's total demand across locations (convolution of
     the independent marginals)."""
-    _require_discrete(problem)
     atoms = {0.0: 1.0}
     for i in range(problem.m):
         atoms = convolve_atoms(atoms, list(zip(*demand_pmf(problem.demand, i))))
@@ -65,7 +59,6 @@ def stationary_cost(levels: tuple, problem: Problem) -> float:
 def optimize_individual(problem: Problem) -> tuple:
     """Per-location argmin of E[r_i(S - w_i)] over the grid; ties break
     toward the smaller level."""
-    _require_discrete(problem)
     points = problem.grid.points()
     levels = []
     for i in range(problem.m):
@@ -77,7 +70,6 @@ def optimize_individual(problem: Problem) -> tuple:
 def optimize_joint(problem: Problem) -> tuple:
     """Exhaustive search of the joint level grid; ties break toward the
     lexicographically smallest level vector."""
-    _require_discrete(problem)
     points = problem.grid.points()
     n = len(points)
     if n ** problem.m > MAX_JOINT_CANDIDATES:

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +207,8 @@ class TestExitCodes:
         ("sector_sim:foo=1", "unknown parameter 'foo'"),
         ("tightness:M=2.5", "parameter 'M' must be a whole number"),
         ("tightness:sim_periods=10.7", "parameter 'sim_periods' must be a whole number"),
+        ("tightness:M=2,M=3", "tightness: repeated parameter 'M'"),
+        ("tightness:M=", "malformed instance parameter 'M='"),
     ])
     def test_bad_instance_exits_2(self, tmp_path, capsys, instance, message):
         assert run_cli("solve", "--instance", instance, "--out", str(tmp_path)) == 2
@@ -379,12 +383,22 @@ class TestExitCodes:
         (("--num", "pi_square", "--den", "optimal:x=1"),
          "optimal: unknown parameter 'x' (known: none)"),
         (("--num", "pi_v:m=2"), "pi_v: unknown parameter 'm' (known: none)"),
+        (("--num", "base_stock:S=1,S=2"), "base_stock: repeated parameter 'S'"),
+        (("--num", "base_stock:S="), "malformed policy parameter 'S='"),
+        (("--num", "pi_square", "--config", "{tmp}/nope.json"),
+         "cannot read {tmp}/nope.json: No such file or directory"),
+        (("--num", "pi_square", "--config", "{tmp}"), "cannot read {tmp}: Is a directory"),
+        (("--num", "config:{tmp}/nope.json"),
+         "cannot read {tmp}/nope.json: No such file or directory"),
+        (("--num", "config:{tmp}"), "cannot read {tmp}: Is a directory"),
     ])
     def test_bad_policy_or_simulation_input_exits_2(self, tmp_path, capsys, args, message):
+        # --config, where given, takes the place of --instance; {tmp} is a
+        # directory
         argv = ["compare", "--instance", "fig1_linear", "--den", "optimal",
-                "--runs", "2", "--out", str(tmp_path)] + list(args)
+                "--runs", "2", "--out", str(tmp_path)] + [a.format(tmp=tmp_path) for a in args]
         assert run_cli(*argv) == 2
-        assert message in capsys.readouterr().err
+        assert message.format(tmp=tmp_path) in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec, message", [
         ("balancing:K=nan", "rates and fixed charge must be finite and >= 0"),
@@ -452,7 +466,22 @@ class TestBoundsAndConfig:
                        "--locations", "2") == 0
 
 
+# SHA-256 of ``multinv verify all`` stdout, recorded with Python 3.11.7
+# and numpy 2.4.6.  The suites print their gaps and residuals, so a change
+# to the DP, the policies, the stationary analysis or the cost arithmetic
+# moves it.
+PINNED_VERIFY_ALL_SHA256 = "cdc747ae7ab44d461c7b30f0c7ea424fb474729cc6e588ba670cbfe3af18dfcb"
+
+
 class TestVerify:
+    def test_verify_all_stdout_is_pinned(self, capsys):
+        # exit 1: the transform suite reports its formula failure
+        assert run_cli("verify", "all") == 1
+        got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == PINNED_VERIFY_ALL_SHA256, (
+            f"verify all stdout SHA-256 {got} differs from the pinned one "
+            f"(Python {platform.python_version()}, numpy {np.__version__})")
+
     def test_theorem1_suite_passes(self, capsys):
         assert run_cli("verify", "theorem1") == 0
         assert "[PASS]" in capsys.readouterr().out

@@ -90,6 +90,47 @@ class TestBuild:
         assert d2["pi_diamond"] == (16.0 / 3.0, 4.0 / 3.0)
 
 
+class TestParseSpec:
+    """``parse_spec``, the one grammar of instance ids and policy
+    specifiers, with ``known`` as either takes it."""
+
+    KNOWN = {"plain": (), "pair": ("a", "b"), "tightness": mi.instances.PARAMS["tightness"]}
+
+    @pytest.mark.parametrize("text, expected", [
+        ("plain", ("plain", {})),
+        ("plain:", ("plain", {})),
+        ("pair:a=1", ("pair", {"a": "1"})),
+        ("pair: b = x ,a=2.5", ("pair", {"b": "x", "a": "2.5"})),
+        ("tightness:M=3,eps=0.2", ("tightness", {"M": "3", "eps": "0.2"})),
+    ])
+    def test_splits_name_and_value_text(self, text, expected):
+        assert mi.instances.parse_spec(text, self.KNOWN, "thing") == expected
+
+    @pytest.mark.parametrize("text, message", [
+        ("nope", "unknown thing 'nope' (known: plain, pair, tightness)"),
+        ("nope:a=1", "unknown thing 'nope'"),
+        ("pair:a", "malformed thing parameter 'a'"),
+        ("pair:a=", "malformed thing parameter 'a='"),
+        ("pair:a= ", "malformed thing parameter 'a= '"),
+        ("pair:a=1,", "malformed thing parameter ''"),
+        ("pair:c=1", "pair: unknown parameter 'c' (known: a, b)"),
+        ("plain:a=1", "plain: unknown parameter 'a' (known: none)"),
+        ("tightness:m=1", "tightness: unknown parameter 'm' (known: M, eps, l, h, p, "
+                          "sim_periods)"),
+        ("pair:a=1,a=1", "pair: repeated parameter 'a'"),
+        ("pair:a=1,b=2, a =3", "pair: repeated parameter 'a'"),
+    ])
+    def test_refusals_name_the_fault(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mi.instances.parse_spec(text, self.KNOWN, "thing")
+
+    def test_repeated_instance_parameter_rejected(self):
+        # the last value used to win: tightness:M=2,M=3 built M = 3
+        for parse in (mi.instances.build, mi.instances.policy_defaults):
+            with pytest.raises(ValueError, match="tightness: repeated parameter 'M'"):
+                parse("tightness:M=2,M=3")
+
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("instance_id", ALL_IDS)
     def test_json_round_trip_preserves_problem(self, instance_id):

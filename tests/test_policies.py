@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -283,6 +284,24 @@ class TestDecoupledTabulation:
             policy.tabulate(p)
         assert generic_error(policy, p) == (GridTabulationError, str(err.value))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("decoupled", [False, True], ids=["generic", "decoupled"])
+    def test_non_finite_order_raises_before_the_cast(self, bad, decoupled):
+        # a NaN order used to pass the rounding test and tabulate to
+        # -2147483648, with a RuntimeWarning from the int32 cast
+        class Broken(BaseStockPolicy):
+            def act_batch(self, problem, k, X, uniforms):
+                orders = super().act_batch(problem, k, X, uniforms)
+                orders[-1, 0] = bad
+                return orders
+
+        p = mi.instances.build("sector_sim")
+        policy = (DecoupledPolicy([Broken(np.array([1.0])), BaseStockPolicy(np.array([1.0]))])
+                  if decoupled else Broken(np.array([1.0, 1.0])))
+        with pytest.raises(GridTabulationError, match="orders leave the grid"):
+            policy.tabulate(p)
+
     def test_randomized_component_raises_as_generic(self):
         p = mi.instances.build("affine_sim")
         coin = mi.make_balancing_policy(single_location_problem(p, 0), variant="cumulative")
@@ -434,6 +453,37 @@ class TestSerialization:
             U = gen.random(X.shape) if policy.uses_randomness else None
             got = clone.act_batch(problem, k, X, U)
             assert got.tobytes() == policy.act_batch(problem, k, X, U).tobytes(), k
+
+    @pytest.mark.parametrize("cfg, where", [
+        ({"kind": "balancing", "fixed_charge": True, "variant": "printed"}, "fixed_charge"),
+        ({"kind": "balancing", "fixed_charge": 4.0, "variant": "printed", "periods": True},
+         "periods"),
+        ({"kind": "balancing", "fixed_charge": 4.0, "variant": "printed",
+          "holding": [0.2, "0.2"]}, "holding[1]"),
+        ({"kind": "base_stock", "levels": ["1", "2"]}, "levels[0]"),
+        ({"kind": "base_stock", "levels": [[1.0, 2.0], [1.0, False]]}, "levels[1][1]"),
+        ({"kind": "sS", "small_s": [True, 0], "big_s": [2.0, 2.0]}, "small_s[0]"),
+        ({"kind": "sS", "small_s": [0.0, 0.0], "big_s": None}, "big_s"),
+        ({"kind": "decoupled", "components": [{"kind": "base_stock", "levels": [1.0]},
+                                              {"kind": "base_stock", "levels": [None]}]},
+         "components[1].levels[0]"),
+        ({"kind": "pi_v", "v_values": ["2", 2.2], "threshold": 1.0}, "v_values[0]"),
+        ({"kind": "pi_v", "v_values": [2.0, 2.2], "threshold": "1"}, "threshold"),
+    ])
+    def test_non_number_field_raises_naming_it(self, cfg, where):
+        # a bool or a numeric string used to be read as a number: a
+        # fixed_charge of true built K = True, whose tag differs from K = 1.0's
+        from multinv.config import policy_from_config
+        with pytest.raises(ValueError, match=re.escape(f"config: field {where!r} must be "
+                                                       "a number, got")):
+            policy_from_config(cfg, mi.instances.build("affine_sim"))
+
+    def test_null_fixed_charge_is_the_cost_jump(self):
+        from multinv.config import policy_from_config
+        affine = mi.instances.build("affine_sim")
+        clone = policy_from_config({"kind": "balancing", "fixed_charge": None,
+                                    "variant": "printed"}, affine)
+        assert clone.tag == mi.make_balancing_policy(affine, variant="printed").tag
 
     def test_round_trip_through_config(self, fig1):
         from multinv.config import policy_from_config
