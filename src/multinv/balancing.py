@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Finite, Problem, UniformMarginal, convolve_atoms
-from .policies import Policy
+from .policies import ParameterError, Policy, parameter
 
 logger = logging.getLogger(__name__)
 
@@ -75,7 +75,10 @@ VARIANTS = ("printed", "cumulative")
 
 @dataclass(frozen=True)
 class BalancingState:
-    """Per-location data of the balancing rule."""
+    """Per-location data of the balancing rule.  The rates and the fixed
+    charge are stored as floats and the period count as an int, so that
+    equal numbers give equal states and one tag; an error names the
+    field as ``BalancingPolicy.to_config`` writes it."""
 
     periods: int
     a: float
@@ -87,6 +90,12 @@ class BalancingState:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown balancing variant {self.variant!r}")
+        for attr, name in (("a", "holding"), ("b", "backlog"), ("K", "fixed_charge")):
+            object.__setattr__(self, attr, float(parameter(getattr(self, attr), name)))
+        periods = float(parameter(self.periods, "periods"))
+        if not periods.is_integer():
+            raise ParameterError(("periods",), f"must be a whole number, got {self.periods!r}")
+        object.__setattr__(self, "periods", int(periods))
         if not all(np.isfinite(v) and v >= 0 for v in (self.a, self.b, self.K)):
             raise ValueError("rates and fixed charge must be finite and >= 0")
 
@@ -360,6 +369,8 @@ class BalancingPolicy(Policy):
 
     def __init__(self, states):
         self.states = list(states)
+        if not self.states:
+            raise ValueError("a balancing policy needs at least one location state")
         for name, attr in (("fixed_charge", "K"), ("variant", "variant"),
                            ("periods", "periods")):
             values = [getattr(s, attr) for s in self.states]

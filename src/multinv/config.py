@@ -41,6 +41,7 @@ from .model import (DemandModel, DiscreteMarginal, Finite, Grid,
                     HoldingBacklogCost, InfiniteAveraged, OrderingCost, Piece,
                     Problem, UniformMarginal)
 from . import policies as pol_mod
+from .policies import field_path as _where
 
 
 def problem_to_config(problem: Problem) -> dict:
@@ -95,30 +96,24 @@ def _field(cfg, *path, default=_REQUIRED):
     return node
 
 
-def _where(path) -> str:
-    """A field path as written in messages, e.g. ``holding[1].backlog_rate``."""
-    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+def _number(cfg, *path, default=_REQUIRED) -> float:
+    """``_field`` read as a float by ``policies.parameter``: a JSON number
+    (an int or a float, not a bool or a numeric string), or a ValueError
+    naming its path, e.g. ``config: field 'horizon.periods' must be a
+    number, got True``."""
+    try:
+        return float(pol_mod.parameter(_field(cfg, *path, default=default), path[-1]))
+    except pol_mod.ParameterError as exc:
+        raise ValueError(f"config: field {_where(path)!r} {exc.reason}") from None
 
 
-def _number(cfg, *path, default=_REQUIRED):
-    """``_field`` read as a number: a JSON number (an int or a float, not
-    a bool or a numeric string), or a ValueError naming its path, e.g.
-    ``config: field 'horizon.periods' must be a number, got True``."""
+def _list(cfg, *path, default=_REQUIRED) -> list:
+    """``_field`` read as a list, or a ValueError naming its path, e.g.
+    ``config: field 'holding' must be a list, got 5``."""
     value = _field(cfg, *path, default=default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config: field {_where(path)!r} must be a number, "
-                         f"got {value!r}")
+    if not isinstance(value, list):
+        raise ValueError(f"config: field {_where(path)!r} must be a list, got {value!r}")
     return value
-
-
-def _numbers(cfg, *path):
-    """``_field`` read as a number or a list (of lists) of numbers, every
-    entry through ``_number``, so that an error names the entry, e.g.
-    ``config: field 'levels[1]' must be a number, got '2'``."""
-    value = _field(cfg, *path)
-    if isinstance(value, list):
-        return [_numbers(cfg, *path, j) for j in range(len(value))]
-    return _number(cfg, *path)
 
 
 def _count(cfg, *path, default=_REQUIRED) -> int:
@@ -126,7 +121,7 @@ def _count(cfg, *path, default=_REQUIRED) -> int:
     ValueError naming its path, e.g. ``config: field 'horizon.periods'
     must be a whole number, got 2.7``."""
     value = _number(cfg, *path, default=default)
-    if not float(value).is_integer():
+    if not value.is_integer():
         raise ValueError(f"config: field {_where(path)!r} must be a whole number, "
                          f"got {value!r}")
     return int(value)
@@ -146,42 +141,42 @@ def problem_from_config(cfg: dict) -> Problem:
         raise ValueError("config: field 'demand.iid_across_periods' must be true "
                          f"(only i.i.d. demand is supported), got {iid!r}")
     marginals = []
-    for i in range(len(_field(cfg, "demand", "locations"))):
+    for i in range(len(_list(cfg, "demand", "locations"))):
         loc = ("demand", "locations", i)
         kind = _field(cfg, *loc, "kind")
         if kind == "discrete":
-            atoms = range(len(_field(cfg, *loc, "atoms")))
+            atoms = range(len(_list(cfg, *loc, "atoms")))
             marginals.append(DiscreteMarginal(
-                values=tuple(float(_number(cfg, *loc, "atoms", j, 0)) for j in atoms),
-                probs=tuple(float(_number(cfg, *loc, "atoms", j, 1)) for j in atoms)))
+                values=tuple(_number(cfg, *loc, "atoms", j, 0) for j in atoms),
+                probs=tuple(_number(cfg, *loc, "atoms", j, 1) for j in atoms)))
         elif kind == "uniform":
-            marginals.append(UniformMarginal(lo=float(_number(cfg, *loc, "lo")),
-                                             hi=float(_number(cfg, *loc, "hi"))))
+            marginals.append(UniformMarginal(lo=_number(cfg, *loc, "lo"),
+                                             hi=_number(cfg, *loc, "hi")))
         else:
             raise ValueError(f"unknown demand kind {kind!r}")
     pieces = []
-    for j in range(len(_field(cfg, "ordering", "pieces"))):
+    for j in range(len(_list(cfg, "ordering", "pieces"))):
         upper = _field(cfg, "ordering", "pieces", j, "upper")
         pieces.append(Piece(math.inf if upper is None
-                            else float(_number(cfg, "ordering", "pieces", j, "upper")),
-                            float(_number(cfg, "ordering", "pieces", j, "fixed")),
-                            float(_number(cfg, "ordering", "pieces", j, "slope"))))
+                            else _number(cfg, "ordering", "pieces", j, "upper"),
+                            _number(cfg, "ordering", "pieces", j, "fixed"),
+                            _number(cfg, "ordering", "pieces", j, "slope")))
     discounts = tuple(
-        (float(_number(cfg, "ordering", "discounts", j, "z")),
-         float(_number(cfg, "ordering", "discounts", j, "slope")))
-        for j in range(len(_field(cfg, "ordering", "discounts", default=[]))))
-    rates = range(len(_field(cfg, "holding")))
+        (_number(cfg, "ordering", "discounts", j, "z"),
+         _number(cfg, "ordering", "discounts", j, "slope"))
+        for j in range(len(_list(cfg, "ordering", "discounts", default=[]))))
+    rates = range(len(_list(cfg, "holding")))
     return Problem(
         m=_count(cfg, "locations"),
         horizon=horizon,
         ordering=OrderingCost(pieces=tuple(pieces), discounts=discounts),
         holding=HoldingBacklogCost(
-            holding=tuple(float(_number(cfg, "holding", i, "holding_rate")) for i in rates),
-            backlog=tuple(float(_number(cfg, "holding", i, "backlog_rate")) for i in rates)),
+            holding=tuple(_number(cfg, "holding", i, "holding_rate") for i in rates),
+            backlog=tuple(_number(cfg, "holding", i, "backlog_rate") for i in rates)),
         demand=DemandModel(marginals=tuple(marginals)),
-        grid=Grid(lo=float(_number(cfg, "grid", "min")), hi=float(_number(cfg, "grid", "max")),
-                  step=float(_number(cfg, "grid", "step"))),
-        max_order_per_location=float(_number(cfg, "max_order_per_location")),
+        grid=Grid(lo=_number(cfg, "grid", "min"), hi=_number(cfg, "grid", "max"),
+                  step=_number(cfg, "grid", "step")),
+        max_order_per_location=_number(cfg, "max_order_per_location"),
     )
 
 
@@ -205,36 +200,37 @@ def policy_from_config(cfg: dict, problem: Problem):
 
 
 def _policy_from_config(cfg: dict, where: tuple, problem: Problem):
-    """The policy serialized at path ``where`` of ``cfg``."""
+    """The policy serialized at path ``where`` of ``cfg``.  Its fields go
+    to the constructor as they are, and the constructor's ParameterError
+    is reported under the field's path in ``cfg``."""
     def field(name):
         return _field(cfg, *where, name)
 
-    def numbers(name):
-        return _numbers(cfg, *where, name)
-
     kind = field("kind")
-    if kind == "base_stock":
-        return pol_mod.BaseStockPolicy(np.asarray(numbers("levels")))
-    if kind == "sS":
-        return pol_mod.SSPolicy(np.asarray(numbers("small_s")),
-                                np.asarray(numbers("big_s")))
-    if kind == "decoupled":
-        return pol_mod.DecoupledPolicy(
-            [_policy_from_config(cfg, where + ("components", i), problem)
-             for i in range(len(field("components")))])
-    if kind == "pi_v":
-        return pol_mod.ExplicitVPolicy(v_values=numbers("v_values"),
-                                       threshold=_number(cfg, *where, "threshold"))
-    if kind == "balancing":
-        from .balancing import make_balancing_policy
-        K = field("fixed_charge")  # null: the cost's jump at zero
-        K = None if K is None else _number(cfg, *where, "fixed_charge")
-        policy = make_balancing_policy(problem, K=K, variant=field("variant"))
-        rebuilt = policy.to_config()
-        for name in ("holding", "backlog", "periods"):
-            given = numbers(name) if name in _field(cfg, *where) else rebuilt[name]
-            if given != rebuilt[name]:
-                raise ValueError(f"config: balancing field {name!r} is {given!r}, "
-                                 f"but the problem gives {rebuilt[name]!r}")
-        return policy
+    try:
+        if kind == "base_stock":
+            return pol_mod.BaseStockPolicy(field("levels"))
+        if kind == "sS":
+            return pol_mod.SSPolicy(field("small_s"), field("big_s"))
+        if kind == "decoupled":
+            return pol_mod.DecoupledPolicy(
+                [_policy_from_config(cfg, where + ("components", i), problem)
+                 for i in range(len(_list(cfg, *where, "components")))])
+        if kind == "pi_v":
+            return pol_mod.ExplicitVPolicy(field("v_values"), field("threshold"))
+        if kind == "balancing":
+            from .balancing import make_balancing_policy
+            # a null fixed_charge is the cost's jump at zero
+            policy = make_balancing_policy(problem, K=field("fixed_charge"),
+                                           variant=field("variant"))
+            rebuilt, node = policy.to_config(), _field(cfg, *where)
+            for name in ("holding", "backlog", "periods"):
+                if name in node and not np.array_equal(
+                        pol_mod.parameter(node[name], name, np.ndim(rebuilt[name])),
+                        rebuilt[name]):
+                    raise ValueError(f"config: balancing field {name!r} is {node[name]!r}, "
+                                     f"but the problem gives {rebuilt[name]!r}")
+            return policy
+    except pol_mod.ParameterError as exc:
+        raise ValueError(f"config: field {_where(where + exc.path)!r} {exc.reason}") from None
     raise ValueError(f"policy kind {kind!r} cannot be reconstructed from config")

@@ -22,6 +22,10 @@ its own level alone: each component acts on its location's n grid
 points and its orders are broadcast into the joint table, which is the
 generic table byte for byte, with the same errors.
 
+Constructors own their parameters: each reads its numbers through
+``parameter``, which refuses all but numbers of a declared dimension with
+a ``ParameterError`` naming the field; equal numbers, int or float, tag alike.
+
 The decoupled policies pi_square (base-stock) and pi_diamond ((s,S))
 share one construction: each location's single-location DP table, read
 stage by stage by ``dp.extract_base_stock`` (the s = S case of
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import reprlib
 
 import numpy as np
 
@@ -46,6 +51,63 @@ class GridTabulationError(ValueError):
     """A deterministic policy has no order table on the problem's grid:
     its orders leave the grid, or its stored table belongs to another
     grid or horizon.  Exact evaluation is undefined; Monte Carlo is not."""
+
+
+class ParameterError(ValueError):
+    """A parameter that is not a number, or not an array of numbers of its
+    declared dimension.  ``path`` names the field, e.g.
+    ``("levels", 1, 1)``, and ``reason`` says what is wrong with it."""
+
+    def __init__(self, path, reason: str):
+        self.path, self.reason = tuple(path), reason
+        super().__init__(f"field {field_path(self.path)!r} {reason}")
+
+
+def field_path(path) -> str:
+    """A field path as written in messages, e.g. ``levels[1][1]`` or
+    ``holding[1].backlog_rate``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+_SHAPES = ("a number", "a list of numbers", "a list of lists of numbers")
+
+
+def parameter(value, name: str, ndim=0) -> np.ndarray:
+    """The parameter ``name`` as a float64 array with ``ndim``
+    dimensions (one count, or a tuple of the allowed ones).  ``value`` is
+    a number, a nested list or tuple of numbers, or a numeric ndarray,
+    which is converted as a whole.  A bool, a string, None, a ragged list,
+    an int beyond float range or another dimension is a ParameterError
+    naming the entry at fault."""
+    dims = (ndim,) if isinstance(ndim, int) else ndim
+    entries = _numbers(value, (name,))
+    try:
+        out = np.asarray(entries, dtype=np.float64)
+    except ValueError:  # numpy refuses an inhomogeneous shape
+        raise ParameterError((name,), "must be a regular array of numbers, "
+                                      f"got {reprlib.repr(value)}") from None
+    except OverflowError:  # an int beyond float range, e.g. 10**400 read from JSON
+        raise ParameterError((name,), "must hold numbers within float range, "
+                                      f"got {reprlib.repr(value)}") from None
+    if out.ndim not in dims:
+        raise ParameterError((name,), "must be " + " or ".join(_SHAPES[d] for d in dims)
+                             + f", got {reprlib.repr(value)}")
+    return out
+
+
+def _numbers(value, path: tuple):
+    """``value`` with every entry checked to be a number (an int or a
+    float, numpy's included, but not a bool)."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iuf":
+            return value  # converted as a whole
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_numbers(v, path + (j,)) for j, v in enumerate(value)]
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        raise ParameterError(path, f"must be a number, got {reprlib.repr(value)}")
+    return value
 
 
 class Policy:
@@ -142,9 +204,7 @@ class BaseStockPolicy(Policy):
     kind = "base_stock"
 
     def __init__(self, levels):
-        self.levels = np.asarray(levels, dtype=float)
-        if self.levels.ndim not in (1, 2):
-            raise ValueError("levels must be (M,) or (stages, M)")
+        self.levels = parameter(levels, "levels", (1, 2))
         if not np.all(np.isfinite(self.levels)):
             raise ValueError("base-stock levels must be finite")
 
@@ -162,8 +222,8 @@ class SSPolicy(Policy):
     kind = "sS"
 
     def __init__(self, small_s, big_s):
-        self.small_s = np.asarray(small_s, dtype=float)
-        self.big_s = np.asarray(big_s, dtype=float)
+        self.small_s = parameter(small_s, "small_s", (1, 2))
+        self.big_s = parameter(big_s, "big_s", (1, 2))
         if self.small_s.shape != self.big_s.shape:
             raise ValueError("s and S shapes must match")
         if not (np.all(np.isfinite(self.small_s)) and np.all(np.isfinite(self.big_s))):
@@ -214,6 +274,13 @@ class DecoupledPolicy(Policy):
     kind = "decoupled"
 
     def __init__(self, components):
+        if not isinstance(components, (list, tuple)):
+            raise ParameterError(("components",), "must be a list of policies, "
+                                                  f"got {reprlib.repr(components)}")
+        for i, comp in enumerate(components):
+            if not isinstance(comp, Policy):
+                raise ParameterError(("components", i),
+                                     f"must be a policy, got {reprlib.repr(comp)}")
         self.components = list(components)
 
     @property
@@ -272,8 +339,8 @@ class ExplicitVPolicy(Policy):
     kind = "pi_v"
 
     def __init__(self, v_values, threshold):
-        self.v_values = tuple(sorted(float(v) for v in v_values))
-        self.threshold = float(threshold)
+        self.v_values = tuple(sorted(parameter(v_values, "v_values", 1).tolist()))
+        self.threshold = float(parameter(threshold, "threshold"))
         if not self.v_values or self.v_values[0] <= 0:
             raise ValueError("explicit-v policy needs order sizes that are all > 0")
         if not np.all(np.isfinite((*self.v_values, self.threshold))):

@@ -416,6 +416,58 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
 
+class TestConfigShapesExit2:
+    """A config field of the wrong shape is a usage error naming it, not
+    a TypeError or IndexError traceback."""
+
+    @pytest.mark.parametrize("policy, where", [
+        ({"kind": "pi_v", "v_values": 2.0, "threshold": 1.0}, "v_values"),
+        ({"kind": "decoupled", "components": 5}, "components"),
+        ({"kind": "sS", "small_s": 1.0, "big_s": 2.0}, "small_s"),
+        ({"kind": "decoupled", "components": [{"kind": "base_stock", "levels": [1.0]},
+                                              {"kind": "sS", "small_s": [0.0], "big_s": 2.0}]},
+         "components[1].big_s"),
+        ({"kind": "balancing", "fixed_charge": 4, "variant": "printed", "holding": 0.2},
+         "holding"),
+        ({"kind": "base_stock", "levels": [1.0, 10 ** 400]}, "levels"),
+    ])
+    def test_policy_config_exits_2(self, tmp_path, capsys, policy, where):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(policy))
+        assert run_cli("compare", "--instance", "affine_sim", "--num", f"config:{path}",
+                       "--den", "optimal", "--runs", "2", "--out", str(tmp_path / "o")) == 2
+        assert f"config: field {where!r} must " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, where", [
+        (("holding",), "holding"),
+        (("demand", "locations"), "demand.locations"),
+        (("demand", "locations", 0, "atoms"), "demand.locations[0].atoms"),
+        (("ordering", "pieces"), "ordering.pieces"),
+        (("ordering", "discounts"), "ordering.discounts"),
+    ])
+    def test_problem_config_scalar_in_a_list_field_exits_2(self, tmp_path, capsys, path, where):
+        cfg = problem_to_config(mi.instances.build("affine_sim"))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 5
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli("compare", "--config", str(config), "--num", "pi_square",
+                       "--den", "optimal", "--runs", "2", "--out", str(tmp_path / "o")) == 2
+        assert f"config: field {where!r} must be a list, got 5" in capsys.readouterr().err
+
+    def test_problem_config_int_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # json reads 1 followed by 400 zeros as an int that no float holds
+        cfg = problem_to_config(mi.instances.build("affine_sim"))
+        cfg["grid"]["step"] = 10 ** 400
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(config), "--out", str(tmp_path / "o")) == 2
+        assert ("config: field 'grid.step' must hold numbers within float range"
+                in capsys.readouterr().err)
+
+
 class TestBoundsAndConfig:
     def test_bounds_sector(self, capsys):
         assert run_cli("bounds", "--instance", "sector_sim") == 0

@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import multinv as mi
-from multinv.model import single_location_problem
+from multinv.balancing import VARIANTS, BalancingPolicy, BalancingState
+from multinv.model import DiscreteMarginal, single_location_problem
 from multinv.policies import (BaseStockPolicy, DecoupledPolicy, GridTabulationError,
-                              Policy, SSPolicy, _sorted_columns, _waterfill)
+                              ParameterError, Policy, SSPolicy, _sorted_columns, _waterfill)
 from multinv.testing import sector_three_locations
 from multinv import rng
 
 TIGHT = "tightness:M=2,eps=0.1,l=1,h=4,p=100"
+FIG2 = DiscreteMarginal((0.0, 0.5, 1.0, 1.5), (0.125, 0.375, 0.375, 0.125))
 
 
 @pytest.fixture(scope="module")
@@ -498,3 +500,140 @@ class TestSerialization:
             clone = policy_from_config(policy.to_config(), fig1)
             assert clone.to_config() == policy.to_config()
             assert clone.tag == policy.tag
+
+
+def int_or_float(lo, hi):
+    """A whole number in [lo, hi], drawn as an int or as a float."""
+    return hs.integers(lo, hi).flatmap(lambda v: hs.sampled_from([v, float(v)]))
+
+
+@hs.composite
+def serialized_policies(draw):
+    """(problem, policy) of every kind ``policy_from_config`` rebuilds,
+    with parameters given as ints, floats or a mix of both."""
+    affine = mi.instances.build("affine_sim")
+    kind = draw(hs.sampled_from(["base_stock", "sS", "decoupled", "pi_v", "balancing"]))
+    if kind == "pi_v":
+        tight = mi.instances.build(TIGHT)
+        d = mi.instances.policy_defaults(TIGHT)["pi_v"]
+        sizes = draw(hs.sampled_from([[d["m"]], [d["m"], d["m"] * (1.0 + d["delta"])]]))
+        sizes = [draw(hs.sampled_from([v, float(v)])) if float(v).is_integer() else v
+                 for v in sizes]
+        return tight, mi.ExplicitVPolicy(sizes, draw(int_or_float(0, 6)))
+    if kind == "balancing":
+        return affine, mi.make_balancing_policy(affine, K=draw(int_or_float(0, 6)),
+                                                variant=draw(hs.sampled_from(VARIANTS)))
+
+    def single(kind, m):
+        s = draw(hs.lists(int_or_float(-2, 4), min_size=m, max_size=m))
+        if kind == "base_stock":
+            return BaseStockPolicy(s)
+        return SSPolicy(s, [v + draw(int_or_float(0, 3)) for v in s])
+
+    if kind == "decoupled":
+        return affine, DecoupledPolicy(
+            [single(draw(hs.sampled_from(["base_stock", "sS"])), 1) for _ in range(2)])
+    return affine, single(kind, 2)
+
+
+def floated(value):
+    """A config with every int turned into a float."""
+    if isinstance(value, dict):
+        return {k: floated(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [floated(v) for v in value]
+    return float(value) if type(value) is int else value
+
+
+class TestParameterBoundary:
+    """Each constructor decides what a valid parameter is; config passes
+    its raw values on, and equal numbers give one tag."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=serialized_policies())
+    def test_property_round_trip_keeps_tag_and_orders(self, case):
+        from multinv.config import policy_from_config
+        problem, policy = case
+        cfg = policy.to_config()
+        clone = policy_from_config(cfg, problem)
+        assert clone.tag == policy.tag
+        assert policy_from_config(floated(cfg), problem).tag == policy.tag
+        X = problem.grid.states(problem.m)
+        U = np.random.default_rng(0).random(X.shape)
+        for k in (0, problem.periods - 1):
+            assert (clone.act_batch(problem, k, X, U).tobytes()
+                    == policy.act_batch(problem, k, X, U).tobytes())
+
+    @pytest.mark.parametrize("kind, as_int, as_float", [
+        ("base_stock", lambda: BaseStockPolicy([1, 2]), lambda: BaseStockPolicy([1.0, 2.0])),
+        ("sS", lambda: SSPolicy([0, 1], [2, 3]), lambda: SSPolicy([0.0, 1.0], [2.0, 3.0])),
+        ("decoupled", lambda: DecoupledPolicy([BaseStockPolicy([1]), SSPolicy([0], [2])]),
+         lambda: DecoupledPolicy([BaseStockPolicy([1.0]), SSPolicy([0.0], [2.0])])),
+        ("pi_v", lambda: mi.ExplicitVPolicy([2, 3], 2), lambda: mi.ExplicitVPolicy([2.0, 3.0], 2.0)),
+        ("balancing K", lambda: mi.make_balancing_policy(mi.instances.build("affine_sim"), K=1),
+         lambda: mi.make_balancing_policy(mi.instances.build("affine_sim"), K=1.0)),
+        ("balancing a, b, periods",
+         lambda: BalancingPolicy([BalancingState(periods=20.0, a=1, b=10, K=4, marginal=FIG2)]),
+         lambda: BalancingPolicy([BalancingState(periods=20, a=1.0, b=10.0, K=4.0,
+                                                 marginal=FIG2)])),
+    ])
+    def test_int_and_float_parameters_give_one_tag(self, kind, as_int, as_float):
+        assert as_int().tag == as_float().tag
+
+    def test_fixed_charge_has_one_tag_on_every_path(self):
+        # a config with "fixed_charge": 1 tagged balancing:886788b0b450 and
+        # drew other streams than the CLI's balancing:K=1
+        from multinv.cli import build_policy
+        from multinv.config import policy_from_config
+        affine = mi.instances.build("affine_sim")
+        tags = {mi.make_balancing_policy(affine, K=K, variant="printed").tag for K in (1, 1.0)}
+        tags |= {policy_from_config({"kind": "balancing", "fixed_charge": K,
+                                     "variant": "printed"}, affine).tag for K in (1, 1.0)}
+        tags.add(build_policy("balancing:K=1", affine, {}).tag)
+        assert tags == {"balancing:51b4b5b4765b"}
+
+    @pytest.mark.parametrize("field, make, wrong_dimension", [
+        ("levels", lambda v: BaseStockPolicy(v), 1.0),
+        ("small_s", lambda v: SSPolicy(v, [2.0, 2.0]), 1.0),
+        ("big_s", lambda v: SSPolicy([0.0, 0.0], v), 2.0),
+        ("v_values", lambda v: mi.ExplicitVPolicy(v, 2.0), 2.0),
+        ("threshold", lambda v: mi.ExplicitVPolicy([2.0], v), [2.0]),
+        ("holding", lambda v: BalancingState(periods=20, a=v, b=10.0, marginal=FIG2), [0.1]),
+        ("backlog", lambda v: BalancingState(periods=20, a=0.1, b=v, marginal=FIG2), [10.0]),
+        ("fixed_charge", lambda v: BalancingState(periods=20, a=0.1, b=10.0, K=v,
+                                                  marginal=FIG2), [4.0]),
+        ("periods", lambda v: BalancingState(periods=v, a=0.1, b=10.0, marginal=FIG2), [20]),
+    ])
+    @pytest.mark.parametrize("bad", ["bool", "string", "None", "dimension"])
+    def test_constructor_refuses_a_non_number_naming_the_field(self, field, make,
+                                                                wrong_dimension, bad):
+        value = {"bool": True, "string": "1", "None": None, "dimension": wrong_dimension}[bad]
+        with pytest.raises(ParameterError, match=re.escape(f"field {field!r} must be")) as err:
+            make(value)
+        assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("make, where", [
+        (lambda: BaseStockPolicy([[1.0, 2.0], [1.0, False]]), "levels[1][1]"),
+        (lambda: SSPolicy(["0", 0.0], [2.0, 2.0]), "small_s[0]"),
+        (lambda: SSPolicy(np.zeros(2), [2.0, None]), "big_s[1]"),
+        (lambda: mi.ExplicitVPolicy((2.0, np.True_), 2.0), "v_values[1]"),
+    ])
+    def test_constructor_names_the_entry_at_fault(self, make, where):
+        with pytest.raises(ValueError, match=re.escape(f"field {where!r} must be a number")):
+            make()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SSPolicy(1.0, 2.0), "field 'small_s' must be a list of numbers"),
+        (lambda: BaseStockPolicy([[1.0, 2.0], [1.0]]), "field 'levels' must be a regular array"),
+        (lambda: DecoupledPolicy(5), "field 'components' must be a list of policies, got 5"),
+        (lambda: DecoupledPolicy([BaseStockPolicy([1.0]), 2]),
+         "field 'components[1]' must be a policy, got 2"),
+        (lambda: BalancingState(periods=20.5, a=0.1, b=10.0, marginal=FIG2),
+         "field 'periods' must be a whole number, got 20.5"),
+        (lambda: BalancingPolicy([]), "needs at least one location state"),
+        (lambda: BaseStockPolicy([1.0, 10 ** 400]),
+         "field 'levels' must hold numbers within float range"),
+    ])
+    def test_shape_and_count_refusals(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
